@@ -6,10 +6,18 @@ reduced modulo p.  Arithmetic is exact: p is restricted to primes below
 floating point.  Extension fields GF(p^k) are deliberately unsupported;
 every size requirement in this package can be met by picking a larger
 prime instead.
+
+There is one rank kernel, ``RowSpace``: forward elimination into echelon
+form, one row at a time, with no back-substitution.  ``FieldMatrix.rank``,
+the subset-rank table of the entropy oracle and the row selections of
+``netcode`` all go through it.  The reduced row echelon form of
+``FieldMatrix._echelon`` is kept only for ``solve`` and ``inv``, which
+need the back-substituted rows.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, ZeroInverse
@@ -67,6 +75,63 @@ def ff_inv(a: int, p: int) -> int:
     if a == 0:
         raise ZeroInverse(f"0 has no inverse mod {p}")
     return pow(a, p - 2, p)
+
+
+class RowSpace:
+    """Row space over F_p, grown one row at a time by forward elimination.
+
+    Each pivot row is kept in echelon form under its leading column: scaled
+    so that the leading entry is 1 and stored as the tail after it.  A new
+    row is reduced left to right against the pivots whose columns it hits;
+    its first column without a pivot, if any, becomes a new pivot.  Pivot
+    rows are never changed once stored, so ``copy`` shares them and costs
+    O(cols).  ``p`` must be a prime; callers pass an already validated
+    modulus.
+    """
+
+    __slots__ = ("cols", "p", "rank", "_pivots")
+
+    def __init__(self, cols: int, p: int):
+        self.cols = cols
+        self.p = p
+        self.rank = 0
+        self._pivots: list[Optional[list[int]]] = [None] * cols
+
+    def copy(self) -> "RowSpace":
+        other = RowSpace(self.cols, self.p)
+        other.rank = self.rank
+        other._pivots = self._pivots.copy()
+        return other
+
+    def try_add(self, row: Sequence[int]) -> bool:
+        """Add ``row`` to the space; True iff it was not already in it."""
+        if len(row) != self.cols:
+            raise DimensionMismatch(f"row length {len(row)} != cols {self.cols}")
+        if self.rank == self.cols:
+            return False
+        p = self.p
+        pivots = self._pivots
+        work = [x % p for x in row]
+        base = 0    # work[k] holds column base + k; columns before it are zero
+        while True:
+            for k, f in enumerate(work):
+                if f:
+                    break
+            else:
+                return False
+            c = base + k
+            tail = pivots[c]
+            if tail is None:
+                inv = pow(f, p - 2, p)
+                pivots[c] = [x * inv % p for x in islice(work, k + 1, None)]
+                self.rank += 1
+                return True
+            work = [(x - f * y) % p for x, y in zip(islice(work, k + 1, None), tail)]
+            base = c + 1
+
+    def extend(self, rows: Iterable[Sequence[int]]) -> None:
+        for row in rows:
+            self.try_add(row)
 
 
 class FieldMatrix:
@@ -185,7 +250,10 @@ class FieldMatrix:
     # -- elimination-based operations -----------------------------------
 
     def _echelon(self) -> tuple[list[list[int]], list[int]]:
-        """Reduced row echelon form; returns (rows, pivot column indices)."""
+        """Reduced row echelon form; returns (rows, pivot column indices).
+
+        Used by ``solve`` and ``inv``; ranks go through ``RowSpace``.
+        """
         p = self.p
         work = [list(self.row(r)) for r in range(self.rows)]
         pivots: list[int] = []
@@ -212,7 +280,9 @@ class FieldMatrix:
         return work[:r], pivots
 
     def rank(self) -> int:
-        return len(self._echelon()[1])
+        space = RowSpace(self.cols, self.p)
+        space.extend(self.row(r) for r in range(self.rows))
+        return space.rank
 
     def solve(self, y: Sequence[int]) -> Optional[tuple[int, ...]]:
         """Solve M x = y; returns x with free variables set to 0, or None

@@ -301,37 +301,6 @@ class GreedySelection:
     rates: tuple[int, ...]                    # |selection| per user
 
 
-class _IncrementalRank:
-    """Row space tracker over F_p with O(rows * cols) insertion."""
-
-    def __init__(self, cols: int, p: int):
-        self.cols = cols
-        self.p = p
-        self.pivot_rows: dict[int, list[int]] = {}
-
-    def reduce(self, row: Sequence[int]) -> list[int]:
-        p = self.p
-        work = [x % p for x in row]
-        for c, prow in self.pivot_rows.items():
-            f = work[c]
-            if f:
-                work = [(x - f * y) % p for x, y in zip(work, prow)]
-        return work
-
-    def try_add(self, row: Sequence[int]) -> bool:
-        work = self.reduce(row)
-        for c, x in enumerate(work):
-            if x:
-                inv = pow(x, self.p - 2, self.p)
-                self.pivot_rows[c] = [(v * inv) % self.p for v in work]
-                return True
-        return False
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivot_rows)
-
-
 def greedy_row_selection(src: LinearSource, receiver: int,
                          ordering: Optional[Sequence[int]] = None
                          ) -> GreedySelection:
@@ -351,11 +320,10 @@ def greedy_row_selection(src: LinearSource, receiver: int,
     if sorted(ordering) != list(range(src.m)) or ordering[0] != receiver:
         raise ConstraintViolation(
             f"ordering must be a permutation of the users starting at {receiver}")
-    tracker = _IncrementalRank(src.N, src.p)
+    tracker = ff.RowSpace(src.N, src.p)
     selections: list[tuple[int, ...]] = [()] * src.m
     ranks: list[int] = []
-    for a in src.matrices[receiver].to_rows():
-        tracker.try_add(a)
+    tracker.extend(src.matrices[receiver].to_rows())
     ranks.append(tracker.rank)
     for u in ordering[1:]:
         chosen = []
@@ -561,7 +529,7 @@ def scheme_assignment(net: MulticastNetwork, src: LinearSource,
         for i in range(net.m):
             if i != j:
                 rows.extend(scheme.broadcast_matrix(src, i).to_rows())
-        tracker = _IncrementalRank(dim, net.p)
+        tracker = ff.RowSpace(dim, net.p)
         chosen = [local for local, row in enumerate(rows) if tracker.try_add(row)]
         for c, local in enumerate(chosen[:dim]):
             out[Slot("dec", j, local, c)] = 1

@@ -229,6 +229,10 @@ def modified_edmond(oracle: EntropyOracle, beta: Value,
     else:
         raise ValueError(f"ordering must be 'descending' or 'ascending', got {ordering!r}")
 
+    if m <= FEASIBILITY_CAP:
+        # The sweep below queries every nonempty subset; above the cap the
+        # oracle stays lazy rather than allocate the 2^m table up front.
+        oracle.table()
     exact = oracle.exact and not isinstance(beta, float)
     total = oracle.total()
     zero = _zero(exact)
@@ -578,6 +582,7 @@ def verify_feasible(oracle: EntropyOracle, rates: RateVector) -> bool:
     if rates.m != oracle.m:
         raise DimensionMismatch(
             f"rate vector has {rates.m} entries, expected {oracle.m}")
+    oracle.table()
     exact = oracle.exact
     full = oracle.full_mask
     for s in range(1, full):

@@ -7,20 +7,25 @@ by an explicit joint pmf table; entropies are floats in bits.  A raw
 entropy table is also accepted, mainly for diagnostics: it lets the
 selfcheck command exercise a hand-edited (possibly non-submodular) "H".
 
-Oracles memoize per subset mask; evaluation is pure, so the cache is safe
-to share between readers.
+Oracles memoize per subset mask.  For a linear source, ``table`` fills the
+memo for every subset in one depth-first pass, each subset extending its
+parent's row space by one user's rows; the solvers call it where they are
+about to query every subset anyway.  Evaluation is pure, and the table
+writes only the values a lazy query computes, the same on every fill, so
+the cache is safe to share between readers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
 
 from . import field as ff
 from .errors import UnitMismatch, ValidationError
-from .setfun import DELTA, SetFunction, Value, members
+from .setfun import DELTA, SetFunction, Value, bit, iter_submasks, members
 
 UNIT_BITS = "bits"
 
@@ -45,6 +50,12 @@ class LinearSource:
     @property
     def lengths(self) -> tuple[int, ...]:
         return tuple(a.rows for a in self.matrices)
+
+    @cached_property
+    def _full_rank(self) -> int:
+        """Rank of all users' rows stacked, eliminated once per source:
+        validation and the oracle's H(X_M) both read it."""
+        return self.stacked((1 << self.m) - 1).rank()
 
 
 @dataclass(frozen=True)
@@ -114,7 +125,7 @@ def validate(source: Source) -> list[str]:
             if a.p != source.p:
                 problems.append(f"user {i + 1}: matrix modulus {a.p} != {source.p}")
         if not problems:
-            r = source.stacked((1 << source.m) - 1).rank()
+            r = source._full_rank
             if r != source.N:
                 problems.append(
                     f"collective observations do not determine W: "
@@ -198,6 +209,8 @@ class EntropyOracle:
     def _compute(self, mask: int) -> Value:
         src = self.source
         if isinstance(src, LinearSource):
+            if mask == self.full_mask:
+                return src._full_rank
             return src.stacked(mask).rank()
         if isinstance(src, TableSource):
             return src.entries[mask]
@@ -207,6 +220,39 @@ class EntropyOracle:
         q = marg.reshape(-1)
         q = q[q > 0.0]
         return float(-(q * np.log2(q)).sum())
+
+    def table(self) -> None:
+        """Fill the memo for every nonempty subset of a linear source.
+
+        One depth-first pass over the subsets in ascending member order: a
+        child subset adds one user's rows to a copy of its parent's row
+        space, so at most m + 1 row spaces are alive at a time.  Once a
+        row space reaches rank N, every superset in its subtree is set to N
+        without elimination.  The values are those a lazy ``entropy`` call
+        computes, and ``calls`` does not move.  Does nothing for pmf and
+        table sources, or when the memo is already full.
+        """
+        src = self.source
+        if not isinstance(src, LinearSource) or len(self._cache) == self.full_mask:
+            return
+        cache = self._cache
+        n_packets = src.N
+        user_rows = [a.to_rows() for a in src.matrices]
+
+        def visit(space: ff.RowSpace, mask: int, start: int) -> None:
+            for j in range(start, self.m):
+                child = space.copy()
+                child.extend(user_rows[j])
+                grown = mask | bit(j)
+                if child.rank == n_packets:
+                    later = self.full_mask & ~(bit(j + 1) - 1)
+                    for extra in iter_submasks(later):
+                        cache[grown | extra] = n_packets
+                else:
+                    cache[grown] = child.rank
+                    visit(child, grown, j + 1)
+
+        visit(ff.RowSpace(n_packets, src.p), 0, 0)
 
     def total(self) -> Value:
         return self.entropy(self.full_mask)

@@ -14,7 +14,7 @@ from omniex import (
     rank,
     stack,
 )
-from omniex.field import MAX_MODULUS, validate_modulus
+from omniex.field import MAX_MODULUS, RowSpace, validate_modulus
 
 from conftest import example1_source
 
@@ -209,3 +209,40 @@ def test_matrices_are_immutable_and_hashable():
     assert hash(a) == hash(FieldMatrix.identity(2, 5))
     assert a == FieldMatrix.identity(2, 5)
     assert a != FieldMatrix.identity(2, 7)
+
+
+P61 = (1 << 61) - 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((2, 5, 101, P61)), st.integers(0, 9), st.integers(0, 7),
+       st.data())
+def test_rank_equals_echelon_pivot_count(p, rows, cols, data):
+    # Rows are combinations of a few base rows, so that dependent rows
+    # occur at every modulus, including the 61-bit one.
+    k = data.draw(st.integers(0, max(rows, 1)))
+    entry = st.one_of(st.integers(0, 2), st.integers(0, p - 1))
+    base = [data.draw(st.lists(entry, min_size=cols, max_size=cols))
+            for _ in range(k)]
+    ents = []
+    for _ in range(rows):
+        coeffs = data.draw(st.lists(entry, min_size=k, max_size=k))
+        ents.extend(sum(a * b[c] for a, b in zip(coeffs, base)) % p
+                    for c in range(cols))
+    m = FieldMatrix(rows, cols, p, ents)
+    assert m.rank() == len(m._echelon()[1])
+
+
+def test_row_space_try_add_and_copy():
+    space = RowSpace(3, 5)
+    assert space.try_add([0, 2, 4])
+    assert not space.try_add([0, 1, 2])      # 3 * (0, 2, 4) mod 5
+    assert not space.try_add([0, 0, 0])
+    fork = space.copy()
+    assert fork.try_add([1, 1, 1])
+    fork.extend([[0, 0, 3], [2, 2, 2]])
+    assert (space.rank, fork.rank) == (1, 3)
+    assert not fork.try_add([4, 3, 2])       # full space
+    assert space.try_add([0, 0, 1]) and space.rank == 2
+    with pytest.raises(DimensionMismatch):
+        space.try_add([1, 2])

@@ -1,0 +1,150 @@
+"""Golden CLI bytes.
+
+``omniex rates``, ``ilp`` and ``code`` run on the bundled fixtures and on a
+small seeded linear corpus, and the sha256 of each standard output must
+equal a digest recorded from the per-subset elimination oracle.  For
+``code`` the digest also covers the scheme file it writes.  This is the
+byte-identical gate for changes to the rank kernel, the entropy oracle or
+the solvers: any change in a single output byte fails here, where
+``test_outputs_are_byte_identical_across_runs`` only compares two runs of
+the same build.
+"""
+
+import hashlib
+import json
+import random
+
+import pytest
+
+from omniex import fixtures
+from omniex.cli import main
+
+from conftest import random_linear_source
+
+CORPUS_SEED = 8101
+P61 = (1 << 61) - 1
+
+# (m, N, p) per corpus document; p > m so that ``code`` applies.
+SHAPES = (
+    (3, 4, 5),
+    (4, 6, 7),
+    (5, 6, 11),
+    (6, 5, 7),
+    (6, 8, 101),
+    (7, 8, 101),
+    (5, 7, P61),
+    (7, 6, P61),
+)
+
+GOLDEN = {
+    "example1 rates":
+        "3d68b4f74c1e0dbcc5d80dc70039caa233ef16e0307a52a27057b2b2f4c1db93",
+    "example1 ilp":
+        "e847d445cf692218e1ed01dcb690ebd61bf577794f3fecb6ca42c3f682606bbc",
+    "example1 code":
+        "6dddf19dbad8bd64dc7673cb4efd57c4088677a188b7978c637855f04f588a21",
+    "figure1 rates":
+        "7b8f3ee758b11a5dec666b8c18c3f5e1b5639027e3d261020636d3865bdd040a",
+    "figure1 ilp":
+        "1e78c8b03018a4071894aeabaf605fe4d289d69455497fdfe97f4a4187807a8b",
+    "figure1 code":
+        "afa1558609807ebdaa111e56d7e993c258b75a107549e379860662b269de80f4",
+    "corpus0 rates":
+        "c6e2eb9c73c1ef25698af91b2624116b5bdce19a7e3c3f1a87d7f598904d3d8f",
+    "corpus0 ilp":
+        "64e4a3e9009aee6784a6456640f77478ce55edf13c8868265c855e288e342052",
+    "corpus0 code":
+        "5bc60dac639225e3aaf06445232f08b1dae7ae14a70c80a8496ee31c7f3d3f2f",
+    "corpus1 rates":
+        "f54f9166e75d8667b426a0544ddc862ad32bf536d24c7ce9e3e560d9fec955d2",
+    "corpus1 ilp":
+        "7fc16681cbc3028c8d2399586c72b7a1a6fb51170248dfe55291ce4f6e2fc1b2",
+    "corpus1 code":
+        "c34d66fb4c6fb1d908ea85be5c821429f1cf498316bc5b87b1aed33fd3b4e3a3",
+    "corpus2 rates":
+        "4dffed0a96dd9d4feb3004c57cae4cea4c6011eb316079d88e0ba0c4f04caa8e",
+    "corpus2 ilp":
+        "bfa3bab4ed4cadf4d45afa5163179ef394c15400a596af5adec25954f83ac5ed",
+    "corpus2 code":
+        "f5fe5dcae2708c5368113766a4baa0b87d1b3042e510be812833df04a4fed16e",
+    "corpus3 rates":
+        "3abc04d1a0847b4cce56a321c355a2999e5f6a48b85d28c0c1eecea367e3eef4",
+    "corpus3 ilp":
+        "93cc810acdec6718a695270cda443b45543496fbf01c870dd48d46e40d9adea3",
+    "corpus3 code":
+        "648165a6298b3dca97fb4d6c34cd346a0218aea73aac82a2bb17fbde3b4cdd4c",
+    "corpus4 rates":
+        "a88152b374c87e75eb31522bfa7ead9d543b9aaf2b69202e4f23a901590a8234",
+    "corpus4 ilp":
+        "62670c984a3e06444ed292274f0984e15aa4967c8be01d727d356d9f3b6ed7c5",
+    "corpus4 code":
+        "def85cd4eca3778af04255010bb10c16b4660e3af3ed42cc9c672f11516d2092",
+    "corpus5 rates":
+        "f2a4eb104e269db7abaeb754ba758f96bf21871add28888ebc53fb34062e4bcc",
+    "corpus5 ilp":
+        "8bd3476615f7e4a76fe42fe168e4604dff3f2acf53b4393f328c4e0d3fe7c820",
+    "corpus5 code":
+        "281f63c53d1d4368271db94a708926bcf6e6b1c790952d89438280e82b10f410",
+    "corpus6 rates":
+        "983ef4eb5e24d0942156cd65cd51895e3e7d29b593352c05ceaa83d3e65ef04d",
+    "corpus6 ilp":
+        "b72d428770e2b19d5405263fdc7aea3605286b0913aa2dcb4feca11092fd7295",
+    "corpus6 code":
+        "35edf0b1b13898de2e3a7b4bc8c21846f8c61a5a07bfa8e9b119b278e18454ca",
+    "corpus7 rates":
+        "04451527489afa112496fb85696b29e68fd088f4e8423fd85ded47f1f3aed7af",
+    "corpus7 ilp":
+        "0f6ba7e61444f7c9bad1af57edd80812b478939e61e5a3b5cc0556fcfdf161b2",
+    "corpus7 code":
+        "1f5887ebc5f337dd7ab1fc3581d56b99c60d733e1c80bba69429d30cc786f84a",
+}
+
+
+def corpus_documents() -> dict[str, dict]:
+    rng = random.Random(CORPUS_SEED)
+    out = {}
+    for k, (m, n_packets, p) in enumerate(SHAPES):
+        src = random_linear_source(rng, m=m, n_packets=n_packets, p=p)
+        doc = {
+            "source": {"kind": "linear", "p": p, "N": n_packets,
+                       "matrices": [a.to_rows() for a in src.matrices]},
+            "n": 1 + k % 3,
+            "seed": k,
+        }
+        if k % 2:
+            doc["weights"] = [rng.randint(1, 4) for _ in range(m)]
+        out[f"corpus{k}"] = doc
+    return out
+
+
+DOCUMENTS = ["example1", "figure1", *corpus_documents()]
+CASES = [f"{doc} {command}" for doc in DOCUMENTS
+         for command in ("rates", "ilp", "code")]
+
+
+def run_case(case: str, tmp_path, monkeypatch, capsys) -> bytes:
+    """Run one CLI case; returns its stdout, plus the scheme for ``code``."""
+    name, command = case.split()
+    if name in fixtures.names():
+        problem = str(fixtures.path(name))
+    else:
+        problem = str(tmp_path / f"{name}.json")
+        with open(problem, "w", encoding="utf-8") as fh:
+            json.dump(corpus_documents()[name], fh)
+    monkeypatch.chdir(tmp_path)
+    argv = [command, problem]
+    if command == "code":
+        argv += ["--out", "scheme.json"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    blob = captured.out.encode("utf-8")
+    if command == "code":
+        blob += b"\0" + (tmp_path / "scheme.json").read_bytes()
+    return blob
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_cli_output_matches_golden_digest(case, tmp_path, monkeypatch, capsys):
+    digest = hashlib.sha256(run_case(case, tmp_path, monkeypatch, capsys)).hexdigest()
+    assert digest == GOLDEN[case]

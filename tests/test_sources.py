@@ -7,6 +7,7 @@ import pytest
 
 from omniex import (
     EntropyOracle,
+    FieldMatrix,
     TableSource,
     UnitMismatch,
     ValidationError,
@@ -15,8 +16,11 @@ from omniex import (
     is_submodular,
     make_dmms_source,
     make_linear_source,
+    rco_sum_rate,
     validate,
 )
+from omniex import fixtures
+from omniex.documents import load_problem
 from omniex.setfun import DELTA
 
 from conftest import example1_source, figure1_source, random_linear_source
@@ -175,3 +179,61 @@ def test_unit_checking():
 def test_nonprime_modulus_rejected_with_hint():
     with pytest.raises(ValueError, match="prime"):
         make_linear_source([[[1, 0], [0, 1]]], p=4)
+
+
+P61 = (1 << 61) - 1
+
+
+def _table_sources():
+    rng = random.Random(41)
+    yield random_linear_source(rng, m=6, n_packets=7, p=P61)
+    yield random_linear_source(rng, m=7, n_packets=5, p=101)
+    # A user without rows, and two users with the same rows.
+    src = random_linear_source(rng, m=4, n_packets=5, p=7)
+    empty = FieldMatrix.from_rows([], 7, cols=5)
+    yield make_linear_source([src.matrices[0], empty, *src.matrices,
+                              src.matrices[2]], p=7, N=5)
+    # One user alone determines W: every subset holding it is cut short at
+    # rank N, both at the first user and in the middle of the order.
+    full = FieldMatrix.identity(5, P61)
+    rows = random_linear_source(rng, m=4, n_packets=5, p=P61).matrices
+    yield make_linear_source([full, *rows], p=P61, N=5)
+    yield make_linear_source(
+        [rows[0], rows[1], full, rows[2], FieldMatrix.from_rows([], P61, cols=5)],
+        p=P61, N=5)
+
+
+def test_table_fills_every_subset_with_its_rank():
+    for src in _table_sources():
+        oracle = EntropyOracle(src)
+        oracle.table()
+        assert oracle.oracle_queries() == oracle.full_mask
+        assert oracle.calls == 0
+        for mask in range(1, oracle.full_mask + 1):
+            expected = len(src.stacked(mask)._echelon()[1])
+            assert oracle.entropy(mask) == expected, (src.m, mask)
+        assert oracle.oracle_queries() == oracle.full_mask
+
+
+def test_table_skips_pmf_and_table_sources():
+    pmf = np.random.RandomState(3).dirichlet(np.ones(8)).reshape((2, 2, 2))
+    table = TableSource(m=2, entries={0b01: 1, 0b10: 1, 0b11: 2})
+    for src in (make_dmms_source((2, 2, 2), pmf), table):
+        oracle = EntropyOracle(src)
+        oracle.table()
+        assert oracle.oracle_queries() == 0
+
+
+def test_counters_after_sum_rate_are_unchanged():
+    # calls and oracle_queries() after rco_sum_rate, as counted by the
+    # lazy per-subset oracle before the depth-first table existed.
+    for name in ("example1", "figure1"):
+        oracle = EntropyOracle(load_problem(str(fixtures.path(name))).source)
+        rco_sum_rate(oracle)
+        assert (oracle.calls, oracle.oracle_queries()) == (39, 7)
+    rng = random.Random(31)
+    expected = [(121, 31), (296, 63), (699, 127), (556, 127)]
+    for (m, p), want in zip(((5, 7), (6, 101), (7, P61), (7, 11)), expected):
+        oracle = EntropyOracle(random_linear_source(rng, m=m, p=p))
+        rco_sum_rate(oracle)
+        assert (oracle.calls, oracle.oracle_queries()) == want
