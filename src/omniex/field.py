@@ -153,6 +153,19 @@ class FieldMatrix:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "_data", data)
 
+    @classmethod
+    def _reduced(cls, rows: int, cols: int, p: int,
+                 data: Sequence[int]) -> "FieldMatrix":
+        """Wrap rows*cols entries that are already reduced modulo an already
+        validated prime p, skipping the checks of ``__init__``; for results
+        built from other matrices."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "_data", tuple(data))
+        return self
+
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("FieldMatrix is immutable")
 
@@ -236,7 +249,7 @@ class FieldMatrix:
                 for j, b in enumerate(brow):
                     if b:
                         out[base + j] = (out[base + j] + a * b) % p
-        return FieldMatrix(self.rows, other.cols, self.p, out)
+        return FieldMatrix._reduced(self.rows, other.cols, p, out)
 
     def mul_vector(self, vec: Sequence[int]) -> tuple[int, ...]:
         if len(vec) != self.cols:
@@ -363,7 +376,7 @@ def stack(parts: Sequence[FieldMatrix], *, cols: Optional[int] = None,
     flat: list[int] = []
     for m in parts:
         flat.extend(m._data)
-    return FieldMatrix(sum(m.rows for m in parts), first.cols, first.p, flat)
+    return FieldMatrix._reduced(sum(m.rows for m in parts), first.cols, first.p, flat)
 
 
 def rank(matrix: FieldMatrix) -> int:
@@ -397,4 +410,4 @@ def kron_block(n: int, a: FieldMatrix) -> FieldMatrix:
             base = (roff + r) * width + coff
             for c in range(cols):
                 out[base + c] = src[c]
-    return FieldMatrix(n * rows, n * cols, a.p, out)
+    return FieldMatrix._reduced(n * rows, n * cols, a.p, out)

@@ -147,20 +147,23 @@ class TransmissionScheme:
         return tuple(self.broadcast_matrix(src, i) for i in range(self.m))
 
 
-def _receiver_stack(src: LinearSource, scheme: TransmissionScheme,
-                    receiver: int) -> ff.FieldMatrix:
-    parts = [ff.kron_block(scheme.n, src.matrices[receiver])]
-    parts.extend(scheme.broadcast_matrix(src, i)
-                 for i in range(src.m) if i != receiver)
-    return ff.stack(parts, cols=scheme.n * src.N, p=src.p)
-
-
 def receiver_ranks(src: LinearSource, scheme: TransmissionScheme
                    ) -> list[tuple[int, int]]:
-    """Per receiver: (achieved stacked rank, required rank n*N)."""
+    """Per receiver: (achieved stacked rank, required rank n*N).
+
+    Each sender's broadcast matrix is built once and stacked into the
+    system of every receiver but itself, below the receiver's own
+    block-expanded observations.
+    """
     scheme.check_source(src)
     need = scheme.n * src.N
-    return [(_receiver_stack(src, scheme, j).rank(), need) for j in range(src.m)]
+    sent = scheme.broadcast_matrices(src)
+    ranks = []
+    for j in range(src.m):
+        parts = [ff.kron_block(scheme.n, src.matrices[j])]
+        parts.extend(t for i, t in enumerate(sent) if i != j)
+        ranks.append((ff.stack(parts, cols=need, p=src.p).rank(), need))
+    return ranks
 
 
 def verify_omniscience(src: LinearSource, scheme: TransmissionScheme) -> bool:

@@ -19,6 +19,19 @@ Three layers build on that sweep:
 * block-length-n solutions round beta to the nearest feasible multiples of
   1/n and keep the cheaper one.
 
+Each inner minimization is one scan over subset sums.  As each user is
+fixed, the sums of the coordinates found so far are extended to the
+visited prefix by doubling, one addition per new subset.  A candidate
+set then costs one memo read and one subtraction.  For an exact budget
+beta = num/den the candidates are compared by integer keys,
+den * (f(S, beta) - Z(S)) less a constant, and the ties are OR-ed into
+their union, so no Fraction is built in the loop.  Float oracles use the
+same tables and scan the candidates in ``iter_submasks`` order under the
+DELTA tie rule; the chosen set's coefficients are summed member by member
+as before, so printed floats do not move.  ``verify_feasible`` likewise
+checks every cut against one doubling table of rate sums, integers once
+exact rates are scaled to their common denominator.
+
 Every sweep records how many candidate sets its inner minimizations
 evaluated, which callers use as a complexity regression ceiling.
 
@@ -32,6 +45,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import compress, islice, repeat
+from operator import eq, or_
 from typing import Optional, Sequence
 
 from .errors import (
@@ -49,7 +65,6 @@ from .setfun import (
     bit,
     check_costs,
     members,
-    iter_submasks,
     order_by_weight,
     sfm_constrained,
     value_eq,
@@ -107,12 +122,6 @@ class RateVector:
         total = 0
         for v in self.values:
             total = total + v
-        return total
-
-    def of(self, mask: int) -> Value:
-        total = 0
-        for i in members(mask):
-            total = total + self.values[i]
         return total
 
 
@@ -198,6 +207,23 @@ def _merge_block(blocks: list[int], new: int) -> None:
     blocks[:] = keep
 
 
+def _widened_union(subs: Sequence[int], keys: Sequence[float]) -> int:
+    """Union of the float minimizers, widened by DELTA ties as the keys are
+    scanned in ``iter_submasks`` order (descending masks); best tracks the
+    true minimum."""
+    best = None
+    union = 0
+    for sub, v in sorted(zip(subs, keys), reverse=True):
+        if best is None or v < best - DELTA:
+            best, union = v, sub
+        else:
+            if v <= best + DELTA:
+                union |= sub
+            if v < best:
+                best = v
+    return union
+
+
 def modified_edmond(oracle: EntropyOracle, beta: Value,
                     alpha: Optional[Sequence[Value]] = None,
                     ordering: str = "descending",
@@ -242,43 +268,34 @@ def modified_edmond(oracle: EntropyOracle, beta: Value,
     tight: list[int] = []
     blocks: list[int] = []
     evaluations = 0
-    seen = 0
+    # Keys are den * (f(S, beta) - Z(S)) - shift: integers for a linear
+    # source, and the float value of f(S, beta) - Z(S) - shift otherwise.
+    num, den = (beta.numerator, beta.denominator) if exact else (beta, 1)
+    shift = num - total * den
+    # Subset sums over the visited prefix, doubled as each user is fixed:
+    # subs[i] is a submask of the prefix and zsum[i] = den * Z(subs[i]).
+    subs = [0]
+    zsum: list[Value] = [0]
 
     for j in order:
-        best: Value | None = None
-        union = 0
-        for sub in iter_submasks(seen):
-            s = sub | bit(j)
-            bb = 1
-            cc = oracle.entropy(s) - total
-            for k in members(sub):
-                bb -= b_coef[k]
-                cc = cc - c_coef[k]
-            v = bb * beta + cc
-            evaluations += 1
-            if best is None:
-                best, union = v, s
-            elif exact:
-                if v < best:
-                    best, union = v, s
-                elif v == best:
-                    union |= s
-            else:
-                if v < best - DELTA:
-                    best, union = v, s
-                else:
-                    if v <= best + DELTA:
-                        union |= s
-                    if v < best:
-                        best = v
-        rest = union & ~bit(j)
+        bj = bit(j)
+        heights = oracle.entropies([sub | bj for sub in subs])
+        evaluations += len(subs)
+        keys = [h * den - w for h, w in zip(heights, zsum)]
+        if exact:
+            best = min(keys)
+            union = reduce(or_, compress(subs, map(eq, keys, repeat(best))), bj)
+        else:
+            union = _widened_union(subs, keys) | bj
+        rest = union & ~bj
         bu = 1
         cu = oracle.entropy(union) - total
         for k in members(rest):
             bu -= b_coef[k]
             cu = cu - c_coef[k]
         vu = bu * beta + cu
-        if exact and vu != best:
+        zj = bu * num + cu * den if exact else vu
+        if exact and zj != best + shift:
             raise NonConvergence(
                 "union of minimizers is not a minimizer; the oracle violates "
                 "intersecting submodularity")
@@ -286,7 +303,9 @@ def modified_edmond(oracle: EntropyOracle, beta: Value,
         z[j] = vu
         tight.append(union)
         _merge_block(blocks, union)
-        seen |= bit(j)
+        if len(tight) < m:   # the last user's doubling would go unread
+            zsum += [w + zj for w in zsum]
+            subs += [sub | bj for sub in subs]
 
     g_value = zero
     for v in z:
@@ -576,7 +595,14 @@ def ilp_rates(oracle: EntropyOracle, alpha: Sequence[Value], n: int,
 
 
 def verify_feasible(oracle: EntropyOracle, rates: RateVector) -> bool:
-    """Check R(S) >= H(X_S | X_{S^c}) for every nonempty proper subset."""
+    """Check R(S) >= H(X_S | X_{S^c}) for every nonempty proper subset.
+
+    The rates are summed over all subsets in one doubling table, so each
+    cut is the comparison (H(X_M) - H(X_{S^c})) * D <= D * R(S).  Exact
+    rates are scaled to their common denominator D and summed as integers;
+    otherwise D = 1 and each R(S) is summed from 0 in ascending member
+    order.
+    """
     if oracle.m > FEASIBILITY_CAP:
         raise TooLarge(f"feasibility check capped at m={FEASIBILITY_CAP}")
     if rates.m != oracle.m:
@@ -585,7 +611,15 @@ def verify_feasible(oracle: EntropyOracle, rates: RateVector) -> bool:
     oracle.table()
     exact = oracle.exact
     full = oracle.full_mask
-    for s in range(1, full):
-        if not value_le(oracle.cond_entropy(s), rates.of(s), exact):
-            return False
-    return True
+    values = rates.values
+    scaled = exact and not any(isinstance(v, float) for v in values)
+    scale = math.lcm(*(v.denominator for v in values)) if scaled else 1
+    sums = [0]   # sums[S] = D * R(S), user i on bit i
+    for v in values:
+        r = v.numerator * (scale // v.denominator) if scaled else v
+        sums += [t + r for t in sums]
+    need = oracle.total() * scale
+    # H(X_{S^c}) for S = 1 .. full - 1, whose complements run full - 1 .. 1.
+    rest = oracle.entropies(range(full - 1, 0, -1))
+    return all(value_le(need - h * scale, t, exact)
+               for h, t in zip(rest, islice(sums, 1, full)))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -205,6 +205,18 @@ class EntropyOracle:
         value = self._compute(mask)
         self._cache[mask] = value
         return value
+
+    def entropies(self, masks: Sequence[int]) -> list[Value]:
+        """H(X_S) for every mask in ``masks``, counted and memoized as that
+        many ``entropy`` calls.  Reads the memo directly when it holds every
+        mask (a filled table, or a warm oracle) and falls back to ``entropy``
+        per mask otherwise."""
+        try:
+            values = list(map(self._cache.__getitem__, masks))
+        except KeyError:
+            return list(map(self.entropy, masks))
+        self.calls += len(masks)
+        return values
 
     def _compute(self, mask: int) -> Value:
         src = self.source

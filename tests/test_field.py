@@ -246,3 +246,31 @@ def test_row_space_try_add_and_copy():
     assert space.try_add([0, 0, 1]) and space.rank == 2
     with pytest.raises(DimensionMismatch):
         space.try_add([1, 2])
+
+
+def test_public_constructors_reduce_entries_and_check_the_modulus():
+    assert FieldMatrix(1, 3, 7, [-1, 8, -15]).to_rows() == [[6, 1, 6]]
+    assert FieldMatrix.from_rows([[-1, 8], [7, -7]], 7).to_rows() == [[6, 1], [0, 0]]
+    for p in (4, 9, 1, MAX_MODULUS + 1):
+        with pytest.raises(ValueError):
+            FieldMatrix(1, 1, p, [1])
+        with pytest.raises(ValueError):
+            FieldMatrix.from_rows([[1]], p)
+
+
+def test_derived_matrices_equal_their_validated_rebuilds():
+    # stack, kron_block and mul skip re-validating entries they take from
+    # reduced matrices; the results must equal a full rebuild.
+    rng = random.Random(53)
+    for p in (2, 7, P61):
+        a = FieldMatrix.random(3, 4, p, rng)
+        b = FieldMatrix.from_rows([[rng.randrange(-p, 2 * p) for _ in range(4)]
+                                   for _ in range(2)], p)
+        c = FieldMatrix.random(4, 5, p, rng)
+        derived_matrices = (stack([a, b]), kron_block(3, a), a.mul(c),
+                            kron_block(2, b).mul(kron_block(2, c)))
+        for derived in derived_matrices:
+            rebuilt = FieldMatrix(derived.rows, derived.cols, p,
+                                  [x for row in derived.to_rows() for x in row])
+            assert derived == rebuilt
+            assert all(0 <= x < p for row in derived.to_rows() for x in row)

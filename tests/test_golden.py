@@ -3,15 +3,19 @@
 ``omniex rates``, ``ilp`` and ``code`` run on the bundled fixtures and on a
 small seeded linear corpus, and the sha256 of each standard output must
 equal a digest recorded from the per-subset elimination oracle.  For
-``code`` the digest also covers the scheme file it writes.  This is the
-byte-identical gate for changes to the rank kernel, the entropy oracle or
-the solvers: any change in a single output byte fails here, where
+``code`` the digest also covers the scheme file it writes.  A few seeded
+binary pmf documents go through ``omniex rates`` too, so the float path of
+the sweep is gated as well.  This is the byte-identical gate for changes
+to the rank kernel, the entropy oracle or the solvers: any change in a
+single output byte fails here, where
 ``test_outputs_are_byte_identical_across_runs`` only compares two runs of
 the same build.
 """
 
 import hashlib
+import itertools
 import json
+import math
 import random
 
 import pytest
@@ -22,6 +26,7 @@ from omniex.cli import main
 from conftest import random_linear_source
 
 CORPUS_SEED = 8101
+PMF_SEED = 8102
 P61 = (1 << 61) - 1
 
 # (m, N, p) per corpus document; p > m so that ``code`` applies.
@@ -34,6 +39,14 @@ SHAPES = (
     (7, 8, 101),
     (5, 7, P61),
     (7, 6, P61),
+)
+
+# (m, weighted) per binary pmf document.
+PMF_SHAPES = (
+    (4, False),
+    (5, True),
+    (6, False),
+    (6, True),
 )
 
 GOLDEN = {
@@ -97,7 +110,33 @@ GOLDEN = {
         "0f6ba7e61444f7c9bad1af57edd80812b478939e61e5a3b5cc0556fcfdf161b2",
     "corpus7 code":
         "1f5887ebc5f337dd7ab1fc3581d56b99c60d733e1c80bba69429d30cc786f84a",
+    "pmf0 rates":
+        "790c5612774d07e1ac6840652a2606e0d5fce8a42141c9ea10c02c875ca5fc4a",
+    "pmf1 rates":
+        "681a47125dc2191c069d49ff24b658a7ef703151d25d06be8eedaea31857e556",
+    "pmf2 rates":
+        "ab1f23fc3d41e2710cb2d91c0fcffde10ed6807043075fe838741e052edc9568",
+    "pmf3 rates":
+        "5c1a0ae24d83dc390ec6855ba6e7d50ad813bb36c3f9962643b5fe246a917e64",
 }
+
+
+def pmf_documents() -> dict[str, dict]:
+    """Full-support binary pmfs with skewed outcome weights, so the users'
+    observations are correlated and the sweeps meet proper partitions."""
+    rng = random.Random(PMF_SEED)
+    out = {}
+    for k, (m, weighted) in enumerate(PMF_SHAPES):
+        outcomes = list(itertools.product(range(2), repeat=m))
+        raw = [rng.random() ** 4 + 1e-6 for _ in outcomes]
+        total = math.fsum(raw)
+        doc = {"source": {"kind": "pmf", "alphabets": [2] * m,
+                          "entries": {",".join(map(str, o)): w / total
+                                      for o, w in zip(outcomes, raw)}}}
+        if weighted:
+            doc["weights"] = [rng.randint(1, 4) for _ in range(m)]
+        out[f"pmf{k}"] = doc
+    return out
 
 
 def corpus_documents() -> dict[str, dict]:
@@ -120,6 +159,7 @@ def corpus_documents() -> dict[str, dict]:
 DOCUMENTS = ["example1", "figure1", *corpus_documents()]
 CASES = [f"{doc} {command}" for doc in DOCUMENTS
          for command in ("rates", "ilp", "code")]
+CASES += [f"{doc} rates" for doc in pmf_documents()]
 
 
 def run_case(case: str, tmp_path, monkeypatch, capsys) -> bytes:
@@ -129,8 +169,9 @@ def run_case(case: str, tmp_path, monkeypatch, capsys) -> bytes:
         problem = str(fixtures.path(name))
     else:
         problem = str(tmp_path / f"{name}.json")
+        documents = {**corpus_documents(), **pmf_documents()}
         with open(problem, "w", encoding="utf-8") as fh:
-            json.dump(corpus_documents()[name], fh)
+            json.dump(documents[name], fh)
     monkeypatch.chdir(tmp_path)
     argv = [command, problem]
     if command == "code":

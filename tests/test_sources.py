@@ -237,3 +237,24 @@ def test_counters_after_sum_rate_are_unchanged():
         oracle = EntropyOracle(random_linear_source(rng, m=m, p=p))
         rco_sum_rate(oracle)
         assert (oracle.calls, oracle.oracle_queries()) == want
+
+
+def test_entropies_read_like_per_mask_calls():
+    # The batch read of the sweep counts and memoizes exactly as the same
+    # per-mask ``entropy`` calls would, on a cold and on a filled memo.
+    rng = random.Random(59)
+    src = random_linear_source(rng, m=5, n_packets=6, p=101)
+    pmf = np.random.RandomState(61).dirichlet(np.ones(16)).reshape((2,) * 4)
+    masks = [0b00011, 0b10110, 0b00011, 0b11111, 0]
+    for source in (src, make_dmms_source((2,) * 4, pmf)):
+        m = source.m
+        batch, single = EntropyOracle(source), EntropyOracle(source)
+        subset = [mask & ((1 << m) - 1) for mask in masks]
+        assert batch.entropies(subset) == [single.entropy(s) for s in subset]
+        assert (batch.calls, batch.oracle_queries()) == (
+            single.calls, single.oracle_queries())
+        batch.table()
+        full = list(range(1, 1 << m))
+        assert batch.entropies(full) == [single.entropy(s) for s in full]
+        assert (batch.calls, batch.oracle_queries()) == (
+            single.calls, single.oracle_queries())
