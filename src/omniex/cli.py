@@ -242,6 +242,9 @@ def _selfcheck_entries(doc: docs.ProblemDocument, oracle, sample_rng
            "pass" if setfun.value_eq(oracle.entropy(0), 0, oracle.exact) else "fail")
 
     full = oracle.full_mask
+    # The checks below read every subset; a pmf oracle computes them in one
+    # batch.
+    oracle.entropies(range(1, full + 1))
     if exhaustive:
         pairs = [(s, s | (1 << i))
                  for s in range(full + 1) for i in range(m) if not s >> i & 1]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional, Union
@@ -121,22 +122,32 @@ def _parse_pmf(data: dict, where: str) -> DmmsSource:
     entries = _expect(data, "entries", where)
     if not isinstance(entries, dict):
         raise ValidationError(f"{where}.entries: expected an outcome->probability map")
-    table = np.zeros(alphabets, dtype=float)
+    try:
+        table = np.zeros(alphabets, dtype=float)
+    except (ValueError, MemoryError):
+        raise ValidationError(
+            f"{where}.alphabets: a pmf table of {math.prod(alphabets)} outcomes "
+            f"does not fit in memory")
+    users = len(alphabets)
     for key, prob in entries.items():
-        kwhere = f"{where}.entries[{key!r}]"
         parts = key.split(",")
-        if len(parts) != len(alphabets):
-            raise ValidationError(f"{kwhere}: outcome needs {len(alphabets)} symbols")
+        if len(parts) != users:
+            raise _entry_error(where, key, f"outcome needs {users} symbols")
         try:
-            idx = tuple(int(s) for s in parts)
+            idx = tuple(map(int, parts))
         except ValueError:
-            raise ValidationError(f"{kwhere}: outcome symbols must be integers")
-        if any(not 0 <= x < a for x, a in zip(idx, alphabets)):
-            raise ValidationError(f"{kwhere}: outcome outside the alphabets")
+            raise _entry_error(where, key, "outcome symbols must be integers")
+        for x, a in zip(idx, alphabets):
+            if not 0 <= x < a:
+                raise _entry_error(where, key, "outcome outside the alphabets")
         if not isinstance(prob, (int, float)) or isinstance(prob, bool):
-            raise ValidationError(f"{kwhere}: probability must be a number")
+            raise _entry_error(where, key, "probability must be a number")
         table[idx] = float(prob)
     return make_dmms_source(alphabets, table)
+
+
+def _entry_error(where: str, key: str, what: str) -> ValidationError:
+    return ValidationError(f"{where}.entries[{key!r}]: {what}")
 
 
 def _parse_table(data: dict, where: str) -> TableSource:

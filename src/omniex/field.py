@@ -12,7 +12,8 @@ form, one row at a time, with no back-substitution.  ``FieldMatrix.rank``,
 the subset-rank table of the entropy oracle and the row selections of
 ``netcode`` all go through it.  The reduced row echelon form of
 ``FieldMatrix._echelon`` is kept only for ``solve`` and ``inv``, which
-need the back-substituted rows.
+need the back-substituted rows; ``solve_with_rank`` also counts the rank
+from the pivots of that one elimination, for a caller that needs both.
 """
 
 from __future__ import annotations
@@ -265,7 +266,8 @@ class FieldMatrix:
     def _echelon(self) -> tuple[list[list[int]], list[int]]:
         """Reduced row echelon form; returns (rows, pivot column indices).
 
-        Used by ``solve`` and ``inv``; ranks go through ``RowSpace``.
+        Used by ``solve_with_rank`` and ``inv``; ranks alone go through
+        ``RowSpace``.
         """
         p = self.p
         work = [list(self.row(r)) for r in range(self.rows)]
@@ -300,6 +302,11 @@ class FieldMatrix:
     def solve(self, y: Sequence[int]) -> Optional[tuple[int, ...]]:
         """Solve M x = y; returns x with free variables set to 0, or None
         when the system is inconsistent."""
+        return self.solve_with_rank(y)[1]
+
+    def solve_with_rank(self, y: Sequence[int]) -> tuple[int, Optional[tuple[int, ...]]]:
+        """rank(M) and ``solve(y)`` from one elimination of [M | y]: the rank
+        is the number of pivots left of the last column."""
         if len(y) != self.rows:
             raise DimensionMismatch(f"rhs length {len(y)} != rows {self.rows}")
         aug = FieldMatrix.from_rows(
@@ -307,11 +314,11 @@ class FieldMatrix:
             self.p, cols=self.cols + 1)
         ech, pivots = aug._echelon()
         if self.cols in pivots:
-            return None
+            return len(pivots) - 1, None
         x = [0] * self.cols
         for row, c in zip(ech, pivots):
             x[c] = row[-1]
-        return tuple(x)
+        return len(pivots), tuple(x)
 
     def det(self) -> int:
         if self.rows != self.cols:

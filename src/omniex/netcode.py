@@ -214,10 +214,10 @@ def decode(src: LinearSource, scheme: TransmissionScheme, receiver: int,
         parts.append(t)
         rhs.extend(broadcasts[i])
     system = ff.stack(parts, cols=scheme.n * src.N, p=src.p)
-    if system.rank() < scheme.n * src.N:
+    rank, solution = system.solve_with_rank(rhs)
+    if rank < system.cols:
         raise InconsistentObservations(
             "received symbols do not determine the packet block uniquely")
-    solution = system.solve(rhs)
     if solution is None:
         raise InconsistentObservations("received symbols are contradictory")
     return solution

@@ -10,13 +10,17 @@ selfcheck command exercise a hand-edited (possibly non-submodular) "H".
 Oracles memoize per subset mask.  For a linear source, ``table`` fills the
 memo for every subset in one depth-first pass, each subset extending its
 parent's row space by one user's rows; the solvers call it where they are
-about to query every subset anyway.  Evaluation is pure, and the table
-writes only the values a lazy query computes, the same on every fill, so
-the cache is safe to share between readers.
+about to query every subset anyway.  For a pmf source, ``entropies``
+computes every mask it misses in one batch of numpy gathers, whose values
+equal the per-mask ``pmf.sum(axis=drop)`` marginals bit for bit; a single
+``entropy`` miss goes through the same kernel.  Evaluation is pure, and
+both fills write only the values a lazy query computes, the same on every
+fill, so the cache is safe to share between readers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence, Union
@@ -102,7 +106,7 @@ def make_linear_source(matrices, p: int, N: Optional[int] = None) -> LinearSourc
 
 def make_dmms_source(alphabets, pmf) -> DmmsSource:
     alphabets = tuple(int(a) for a in alphabets)
-    table = np.asarray(pmf, dtype=float)
+    table = np.ascontiguousarray(pmf, dtype=float)
     if table.shape != alphabets:
         table = table.reshape(alphabets)
     return DmmsSource(alphabets=alphabets, pmf=table)
@@ -167,7 +171,7 @@ class EntropyOracle:
     exact rationals (linear sources) or tolerance-compared floats.
     """
 
-    __slots__ = ("source", "m", "unit", "exact", "_cache", "calls")
+    __slots__ = ("source", "m", "unit", "exact", "_cache", "calls", "_marginals")
 
     def __init__(self, source: Source):
         problems = validate(source)
@@ -186,6 +190,8 @@ class EntropyOracle:
             self.exact = source.exact
         self._cache: dict[int, Value] = {}
         self.calls = 0
+        self._marginals = (_PmfMarginals(source.pmf)
+                           if isinstance(source, DmmsSource) else None)
 
     @property
     def full_mask(self) -> int:
@@ -209,12 +215,18 @@ class EntropyOracle:
     def entropies(self, masks: Sequence[int]) -> list[Value]:
         """H(X_S) for every mask in ``masks``, counted and memoized as that
         many ``entropy`` calls.  Reads the memo directly when it holds every
-        mask (a filled table, or a warm oracle) and falls back to ``entropy``
-        per mask otherwise."""
+        mask (a filled table, or a warm oracle).  Otherwise a pmf oracle
+        computes the distinct nonzero masks it misses in one batch, and the
+        other oracles fall back to ``entropy`` per mask."""
+        cache = self._cache
         try:
-            values = list(map(self._cache.__getitem__, masks))
+            values = list(map(cache.__getitem__, masks))
         except KeyError:
-            return list(map(self.entropy, masks))
+            if self._marginals is None:
+                return list(map(self.entropy, masks))
+            missing = list(dict.fromkeys(s for s in masks if s and s not in cache))
+            cache.update(zip(missing, self._marginals.entropies(missing)))
+            values = [cache[s] if s else 0.0 for s in masks]
         self.calls += len(masks)
         return values
 
@@ -226,12 +238,7 @@ class EntropyOracle:
             return src.stacked(mask).rank()
         if isinstance(src, TableSource):
             return src.entries[mask]
-        keep = members(mask)
-        drop = tuple(i for i in range(self.m) if i not in keep)
-        marg = src.pmf.sum(axis=drop) if drop else src.pmf
-        q = marg.reshape(-1)
-        q = q[q > 0.0]
-        return float(-(q * np.log2(q)).sum())
+        return self._marginals.entropies([mask])[0]
 
     def table(self) -> None:
         """Fill the memo for every nonempty subset of a linear source.
@@ -298,6 +305,159 @@ class EntropyOracle:
 
     def entropy_setfunction(self) -> SetFunction:
         return SetFunction(self.m, self.entropy, exact=self.exact)
+
+
+# Bounds on the working arrays of the pmf kernel: the most masks one pass
+# groups, and the most entries one block of marginals holds or one gather
+# reads.
+PASS_MASKS = 1 << 10
+GATHER_ENTRIES = 1 << 13
+
+
+class _PmfMarginals:
+    """Subset entropies of one joint pmf, computed many masks at a time.
+
+    On a C-contiguous table, ``pmf.sum(axis=drop)`` is numpy's pairwise sum
+    over the trailing run of dropped axes, then a left fold in C order over
+    the other dropped axes.  This kernel takes the same two steps, so its
+    values equal the per-mask sums bit for bit:
+
+    * one pairwise-summed table per length of the trailing run, built once;
+    * masks whose marginals have the same shape form a group, whose entries
+      are gathered from that table as (dropped, mask, kept) arrays, in whole
+      rows along the last axis left (which is always kept), and folded over
+      the first axis by ``np.add.reduce``.
+
+    Size-1 axes are squeezed out first, as numpy leaves them out of its
+    loops, and each entropy is the same ``-(q * log2 q).sum()`` over the
+    positive entries of one marginal.  A table that is not C-contiguous is
+    read as its C-ordered copy.
+    """
+
+    __slots__ = ("users", "sizes", "runs", "strides", "_summed", "_digits")
+
+    def __init__(self, pmf: np.ndarray):
+        table = np.ascontiguousarray(pmf, dtype=float)
+        axes = [i for i, a in enumerate(table.shape) if a > 1]
+        sizes = [table.shape[i] for i in axes]
+        n = len(sizes)
+        self.users = np.array(axes, dtype=np.int64)
+        self.sizes = np.array(sizes, dtype=np.int64)
+        # runs[t]: entries in the last t axes; strides[i]: C stride of axis i.
+        self.runs = [math.prod(sizes[n - t:]) for t in range(n + 1)]
+        self.strides = np.array([math.prod(sizes[i + 1:]) for i in range(n)],
+                                dtype=np.int64)
+        self._summed = {0: table.reshape(-1)}
+        self._digits: dict[tuple[int, ...], np.ndarray] = {}
+
+    def summed(self, t: int) -> np.ndarray:
+        """The flat table with its last t axes pairwise-summed out."""
+        table = self._summed.get(t)
+        if table is None:
+            table = self._summed[0].reshape(-1, self.runs[t]).sum(axis=1)
+            self._summed[t] = table
+        return table
+
+    def offsets(self, strides: np.ndarray, shape: list[int]) -> np.ndarray:
+        """Flat offsets of every multi-index over ``shape`` in C order, one
+        row per row of ``strides`` (a mask's strides along those axes).
+        The digit table of each shape of up to ``GATHER_ENTRIES``
+        multi-indices is built once; a larger shape is split at its first
+        axis."""
+        if math.prod(shape) > GATHER_ENTRIES:
+            head = strides[:, :1] * np.arange(shape[0])
+            tail = self.offsets(strides[:, 1:], shape[1:])
+            return (head[:, :, None] + tail[:, None, :]).reshape(len(strides), -1)
+        key = tuple(shape)
+        digits = self._digits.get(key)
+        if digits is None:
+            digits = np.indices(key).reshape(len(key), -1) if key else \
+                np.zeros((0, 1), dtype=np.int64)
+            self._digits[key] = digits
+        return strides @ digits
+
+    def entropies(self, masks: Sequence[int]) -> list[float]:
+        """H(X_S) in bits for distinct nonzero masks, in passes of at most
+        ``PASS_MASKS`` masks."""
+        out: list[float] = []
+        for start in range(0, len(masks), PASS_MASKS):
+            out += self._pass(masks[start:start + PASS_MASKS])
+        return out
+
+    def _pass(self, masks: Sequence[int]) -> list[float]:
+        n = len(self.sizes)
+        keep = (np.array(masks, dtype=np.int64)[:, None] >> self.users & 1).astype(bool)
+        kept = keep.sum(axis=1)
+        # lead: the axes left once the trailing run of dropped axes is summed.
+        lead = (keep * np.arange(1, n + 1)).max(axis=1, initial=0)
+        # Each row lists the kept axes, then the dropped ones, in order.
+        order = np.argsort(~keep, axis=1, kind="stable")
+        shape = np.where(np.arange(n) < lead[:, None], self.sizes[order], 0)
+        keys = np.column_stack([lead, kept, shape])
+        perm = np.lexsort(keys.T[::-1])
+        keys = keys[perm]
+        starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
+        out = np.empty(len(perm))
+        for rows, (lead_g, kept_g, *shape_g) in zip(np.split(perm, starts[1:]),
+                                                    keys[starts].tolist()):
+            out[rows] = self._group(order[rows, :lead_g], kept_g, shape_g[:lead_g])
+        return out.tolist()
+
+    def _group(self, axes: np.ndarray, kept: int, shape: list[int]) -> np.ndarray:
+        """Entropies of masks with the same marginal shape; row i of ``axes``
+        lists a mask's kept axes, then its dropped axes before the trailing
+        run, and ``shape`` their sizes."""
+        lead = len(shape)
+        table = self.summed(len(self.sizes) - lead)
+        if kept == 0:
+            # Only size-1 axes kept: the sum of the whole table.
+            return _row_entropies(table[None, :])
+        # The last axis left is always kept, so whole rows along it are
+        # gathered: offsets count rows of its size.
+        width = shape[kept - 1]
+        rows = table.reshape(-1, width)
+        strides = self.strides[:lead - 1] // (self.runs[len(self.sizes) - lead] * width)
+        at_kept, at_drop = strides[axes[:, :kept - 1]], strides[axes[:, kept:]]
+        size = math.prod(shape[:kept])
+        folds = math.prod(shape[kept:])
+        # Offsets and entropies go by blocks of masks whose marginals and
+        # fold offsets each fit in GATHER_ENTRIES, one mask at least.  A
+        # gather covers as many masks of a block as fit in GATHER_ENTRIES,
+        # or else as many folded slices of one mask, one at least; a mask
+        # split over gathers carries its running sum.
+        block = max(1, GATHER_ENTRIES // max(size, folds))
+        step = max(1, GATHER_ENTRIES // (folds * size))
+        span = max(1, GATHER_ENTRIES // size)
+        out = np.empty(len(axes))
+        for b in range(0, len(axes), block):
+            at_row = self.offsets(at_kept[b:b + block], shape[:kept - 1])
+            at_fold = self.offsets(at_drop[b:b + block], shape[kept:]).T
+            marg = np.empty((len(at_row), at_row.shape[1], width))
+            for a in range(0, len(at_row), step):
+                acc = None
+                for d in range(0, folds, span):
+                    part = np.take(rows, at_fold[d:d + span, a:a + step, None]
+                                   + at_row[a:a + step], axis=0)
+                    if acc is not None:
+                        part = np.concatenate([acc[None], part])
+                    acc = np.add.reduce(part, axis=0)
+                marg[a:a + step] = acc
+            out[b:b + block] = _row_entropies(marg.reshape(len(at_row), -1))
+        return out
+
+
+def _row_entropies(marg: np.ndarray) -> np.ndarray:
+    """-(q * log2 q).sum() over the positive entries q of each row.  All
+    rows go through one call; a row holding a zero or a negative entry
+    comes out NaN there and is redone over its positive entries alone."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.log2(marg)
+        terms *= marg
+    out = -terms.sum(axis=1)
+    for i in np.flatnonzero(np.isnan(out)):
+        q = marg[i][marg[i] > 0.0]
+        out[i] = -(q * np.log2(q)).sum()
+    return out
 
 
 def oracle_for(source: Source) -> EntropyOracle:

@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import numpy as np
+
 from omniex import fixtures
 from omniex.cli import main
 
@@ -267,3 +269,50 @@ def test_rates_values_are_reduced_fractions(capsys):
     for v in doc["rates"]:
         f = Fraction(v)
         assert str(f) == v
+
+
+def test_oversize_pmf_table_exits_2(capsys, tmp_path, monkeypatch):
+    # numpy refuses a 10^40-entry table with ValueError; a table it could
+    # describe but not allocate raises MemoryError.  Both are input errors.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "source": {"kind": "pmf", "alphabets": [100000] * 8,
+                   "entries": {",".join(["0"] * 8): 1.0}}}))
+    code, out, err = run(capsys, "rates", str(path))
+    assert (code, out) == (2, "")
+    assert "alphabets: a pmf table of 10" in err and "does not fit" in err
+    assert "Traceback" not in err
+
+    real_zeros = np.zeros
+
+    def zeros(shape, *args, **kwargs):
+        if shape == (300, 300, 300):
+            raise MemoryError("Unable to allocate 206. MiB")
+        return real_zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", zeros)
+    path.write_text(json.dumps({
+        "source": {"kind": "pmf", "alphabets": [300] * 3,
+                   "entries": {"0,0,0": 1.0}}}))
+    code, out, err = run(capsys, "rates", str(path))
+    assert (code, out) == (2, "")
+    assert "a pmf table of 27000000 outcomes does not fit in memory" in err
+
+
+def test_selfcheck_passes_on_pmf_documents(capsys, tmp_path):
+    # m = 3 runs the exhaustive checks and m = 9 the sampled ones; both read
+    # every subset entropy through one batch of the pmf oracle first.
+    rng = np.random.RandomState(17)
+    for m in (3, 9):
+        raw = rng.random_sample((2,) * m) ** 4 + 1e-3
+        raw /= raw.sum()
+        entries = {",".join(str(i >> (m - 1 - k) & 1) for k in range(m)): float(p)
+                   for i, p in enumerate(raw.reshape(-1))}
+        path = tmp_path / f"pmf{m}.json"
+        path.write_text(json.dumps(
+            {"source": {"kind": "pmf", "alphabets": [2] * m, "entries": entries}}))
+        code, report = run_json(capsys, "selfcheck", str(path))
+        assert code == 0
+        assert report["ok"] is True
+        names = {c["name"] for c in report["checks"]}
+        assert ("entropy-submodular" if m <= 8 else "entropy-submodular-sampled") in names

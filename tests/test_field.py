@@ -233,6 +233,29 @@ def test_rank_equals_echelon_pivot_count(p, rows, cols, data):
     assert m.rank() == len(m._echelon()[1])
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((2, 5, 101, P61)), st.integers(0, 8), st.integers(0, 6),
+       st.data())
+def test_solve_with_rank_gives_the_rank_and_a_solution(p, rows, cols, data):
+    entry = st.one_of(st.integers(0, 1), st.integers(0, p - 1))
+    m = FieldMatrix(rows, cols, p, data.draw(
+        st.lists(entry, min_size=rows * cols, max_size=rows * cols)))
+    # Half the right-hand sides lie in the column space, half are drawn.
+    if data.draw(st.booleans()):
+        y = m.mul_vector(data.draw(st.lists(entry, min_size=cols, max_size=cols)))
+    else:
+        y = data.draw(st.lists(entry, min_size=rows, max_size=rows))
+    rank, x = m.solve_with_rank(y)
+    assert rank == m.rank()
+    assert x == m.solve(y)
+    aug = FieldMatrix.from_rows([list(m.row(r)) + [y[r]] for r in range(rows)],
+                                p, cols=cols + 1)
+    if x is None:
+        assert aug.rank() == rank + 1
+    else:
+        assert list(m.mul_vector(x)) == [v % p for v in y]
+
+
 def test_row_space_try_add_and_copy():
     space = RowSpace(3, 5)
     assert space.try_add([0, 2, 4])

@@ -4,7 +4,7 @@
 small seeded linear corpus, and the sha256 of each standard output must
 equal a digest recorded from the per-subset elimination oracle.  For
 ``code`` the digest also covers the scheme file it writes.  A few seeded
-binary pmf documents go through ``omniex rates`` too, so the float path of
+pmf documents go through ``omniex rates`` too, so the float path of
 the sweep is gated as well.  This is the byte-identical gate for changes
 to the rank kernel, the entropy oracle or the solvers: any change in a
 single output byte fails here, where
@@ -47,6 +47,16 @@ PMF_SHAPES = (
     (5, True),
     (6, False),
     (6, True),
+)
+
+# (alphabets, weighted, share of outcomes left out) per further pmf
+# document: ternary, mixed with a size-1 axis and zero entries, and a
+# weighted binary one of 256 outcomes.  Drawn from their own seed so the
+# documents above stay as they were.
+PMF_MORE = (
+    ((3,) * 5, False, 0.0),
+    ((3, 1, 2, 4, 2), False, 0.3),
+    ((2,) * 8, True, 0.0),
 )
 
 GOLDEN = {
@@ -118,12 +128,19 @@ GOLDEN = {
         "ab1f23fc3d41e2710cb2d91c0fcffde10ed6807043075fe838741e052edc9568",
     "pmf3 rates":
         "5c1a0ae24d83dc390ec6855ba6e7d50ad813bb36c3f9962643b5fe246a917e64",
+    "pmf4 rates":
+        "504dc3668c70f481e4c1c87fb15eaf953995b44236db555f0519fb82341d85dc",
+    "pmf5 rates":
+        "90664f25ebbe303426fbdb5ae0074e43e4a5d0e8c8de637d53d1c19ed12edbd4",
+    "pmf6 rates":
+        "17cff72b666d5531d586139d6b58a4eaadc22a89b0ff5eb6750e6a84acbf97fe",
 }
 
 
 def pmf_documents() -> dict[str, dict]:
-    """Full-support binary pmfs with skewed outcome weights, so the users'
-    observations are correlated and the sweeps meet proper partitions."""
+    """pmfs with skewed outcome weights, so the users' observations are
+    correlated and the sweeps meet proper partitions: full-support binary
+    ones, then the ``PMF_MORE`` shapes."""
     rng = random.Random(PMF_SEED)
     out = {}
     for k, (m, weighted) in enumerate(PMF_SHAPES):
@@ -135,6 +152,18 @@ def pmf_documents() -> dict[str, dict]:
                                       for o, w in zip(outcomes, raw)}}}
         if weighted:
             doc["weights"] = [rng.randint(1, 4) for _ in range(m)]
+        out[f"pmf{k}"] = doc
+    rng = random.Random(PMF_SEED + 1)
+    for k, (alphabets, weighted, dropped) in enumerate(PMF_MORE, len(out)):
+        outcomes = [o for o in itertools.product(*map(range, alphabets))
+                    if rng.random() >= dropped]
+        raw = [rng.random() ** 4 + 1e-6 for _ in outcomes]
+        total = math.fsum(raw)
+        doc = {"source": {"kind": "pmf", "alphabets": list(alphabets),
+                          "entries": {",".join(map(str, o)): w / total
+                                      for o, w in zip(outcomes, raw)}}}
+        if weighted:
+            doc["weights"] = [rng.randint(1, 4) for _ in alphabets]
         out[f"pmf{k}"] = doc
     return out
 

@@ -235,6 +235,29 @@ def test_decode_detects_tampering():
             pass
 
 
+def test_decode_reports_underdetermined_before_contradictory():
+    # User 1 observes x1 of W = (x1, x2); user 2 observes all of W.  User 1
+    # broadcasts x1 and user 2 broadcasts x1 too, each once.
+    src = make_linear_source([[[1, 0]], [[1, 0], [0, 1]]], p=5)
+    scheme = TransmissionScheme(n=1, p=5, coefficients=(
+        FieldMatrix.from_rows([[1]], 5), FieldMatrix.from_rows([[1, 0]], 5)))
+    w = [3, 4]
+    casts = broadcast_symbols(src, scheme, w)
+    assert [list(c) for c in casts] == [[3], [3]]
+    side = user_observation(src, 0, w, 1)
+    underdetermined = "do not determine the packet block uniquely"
+    with pytest.raises(InconsistentObservations, match=underdetermined):
+        decode(src, scheme, 0, side, casts)
+    # A tampered broadcast makes user 1's system contradictory as well, and
+    # the rank is still reported first.
+    with pytest.raises(InconsistentObservations, match=underdetermined):
+        decode(src, scheme, 0, side, [[3], [1]])
+    full = user_observation(src, 1, w, 1)
+    assert list(decode(src, scheme, 1, full, casts)) == w
+    with pytest.raises(InconsistentObservations, match="contradictory"):
+        decode(src, scheme, 1, full, [[1], [3]])
+
+
 def test_greedy_row_selection_example_instance():
     sel = greedy_row_selection(example1_source(), 0)
     assert sel.ordering == (0, 1, 2)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from omniex import (
+    DmmsSource,
     EntropyOracle,
     FieldMatrix,
     TableSource,
@@ -258,3 +259,82 @@ def test_entropies_read_like_per_mask_calls():
         assert batch.entropies(full) == [single.entropy(s) for s in full]
         assert (batch.calls, batch.oracle_queries()) == (
             single.calls, single.oracle_queries())
+
+
+def pmf_entropy_reference(pmf, mask):
+    # The per-mask marginal sum the batched pmf kernel must reproduce.
+    drop = tuple(i for i in range(pmf.ndim) if not mask >> i & 1)
+    marg = pmf.sum(axis=drop) if drop else pmf
+    q = marg.reshape(-1)
+    q = q[q > 0.0]
+    return float(-(q * np.log2(q)).sum())
+
+
+def skewed_pmf(shape, seed, zeros=0.0, order="C"):
+    rng = np.random.RandomState(seed)
+    raw = rng.random_sample(shape) ** 4 + 1e-6
+    raw[rng.random_sample(shape) < zeros] = 0.0
+    return np.asarray(raw / raw.sum(), order=order)
+
+
+PMF_KERNEL_CASES = [
+    ((2,) * 8, 0.0, "C"),
+    ((2,) * 11, 0.0, "C"),
+    ((3,) * 7, 0.0, "C"),
+    ((3,) * 8, 0.0, "C"),
+    ((3,) * 9, 0.0, "C"),          # 19683 entries
+    ((4,) * 7, 0.0, "C"),          # 16384 entries
+    ((4,) * 5, 0.0, "C"),
+    ((5,) * 4, 0.0, "C"),
+    ((3, 1, 2, 4, 2), 0.3, "C"),
+    ((7, 2, 3, 2), 0.25, "C"),
+    ((2, 3, 1, 5, 1, 2), 0.2, "F"),
+    ((2,) * 9, 0.05, "F"),
+    ((1, 2, 1, 3), 0.0, "C"),      # masks 0b0101 keep only size-1 axes
+    ((1, 1, 1), 0.0, "C"),
+    ((100, 100, 3), 0.1, "C"),     # offsets and folds split over gathers
+]
+
+
+@pytest.mark.parametrize("shape, zeros, order", PMF_KERNEL_CASES)
+def test_batched_pmf_entropies_equal_the_per_mask_sums(shape, zeros, order):
+    # Bit for bit, on every mask, so the pmf golden digests cannot move.
+    pmf = skewed_pmf(shape, seed=len(shape) * 31 + sum(shape), zeros=zeros,
+                     order=order)
+    src = make_dmms_source(shape, pmf)
+    assert src.pmf.flags.c_contiguous
+    masks = list(range(1, 1 << len(shape)))
+    got = EntropyOracle(src).entropies(masks)
+    assert got == [pmf_entropy_reference(src.pmf, s) for s in masks]
+    if order == "F":
+        # A table built directly is read as its C-ordered copy.
+        raw = EntropyOracle(DmmsSource(alphabets=shape, pmf=pmf))
+        assert raw.entropies(masks) == got
+
+
+def test_single_pmf_entropy_on_a_cold_oracle():
+    pmf = skewed_pmf((3, 1, 2, 4, 2), seed=5, zeros=0.3)
+    src = make_dmms_source(pmf.shape, pmf)
+    for mask in range(1, 1 << src.m):
+        oracle = EntropyOracle(src)
+        value = oracle.entropy(mask)
+        assert type(value) is float
+        assert value == pmf_entropy_reference(src.pmf, mask)
+        assert (oracle.calls, oracle.oracle_queries()) == (1, 1)
+
+
+def test_cold_pmf_batch_memoizes_the_distinct_nonzero_masks():
+    src = make_dmms_source((2, 3, 2, 2), skewed_pmf((2, 3, 2, 2), seed=7, zeros=0.2))
+    oracle = EntropyOracle(src)
+    masks = [0b0101, 0, 0b0101, 0b1111, 0b0010, 0, 0b1111]
+    values = oracle.entropies(masks)
+    assert values == [pmf_entropy_reference(src.pmf, s) if s else 0.0 for s in masks]
+    assert type(values[1]) is float
+    assert (oracle.calls, oracle.oracle_queries()) == (7, 3)
+    # A partly warm batch computes only its new masks.
+    more = [0b1111, 0b1000, 0b1000, 0]
+    assert oracle.entropies(more) == [
+        pmf_entropy_reference(src.pmf, s) if s else 0.0 for s in more]
+    assert (oracle.calls, oracle.oracle_queries()) == (11, 4)
+    assert oracle.entropies([]) == []
+    assert (oracle.calls, oracle.oracle_queries()) == (11, 4)
