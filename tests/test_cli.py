@@ -190,6 +190,24 @@ def test_malformed_documents_exit_2(capsys, tmp_path):
     assert "matrices[0]" in err
 
 
+def test_non_finite_and_oversized_probabilities_exit_2(capsys, tmp_path):
+    # NaN passes both the sign and the sum check unless it is looked for,
+    # and a JSON integer beyond the float range does not convert.
+    nan_doc = tmp_path / "nan.json"
+    nan_doc.write_text(json.dumps({
+        "source": {"kind": "pmf", "alphabets": [2, 2],
+                   "entries": {"0,0": float("nan"), "1,1": 1.0}}}))
+    huge_doc = tmp_path / "huge.json"
+    huge_doc.write_text('{"source": {"kind": "pmf", "alphabets": [2, 2], '
+                        '"entries": {"0,0": 1' + "0" * 400 + ', "1,1": 1.0}}}')
+    for path, what in ((nan_doc, "non-finite"), (huge_doc, "float range")):
+        code, out, err = run(capsys, "rates", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and what in err
+        assert "Traceback" not in err
+
+
 def test_rates_on_pmf_document(capsys, tmp_path):
     doc = {
         "source": {"kind": "pmf", "alphabets": [2, 2],

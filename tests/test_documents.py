@@ -51,6 +51,12 @@ def test_pmf_probability_must_be_a_number(prob):
     assert message == "$.source.entries['1,1']: probability must be a number"
 
 
+def test_pmf_probability_beyond_the_float_range_is_refused():
+    for prob in (10 ** 400, -(10 ** 400)):
+        message = parse_error(pmf([2, 2], {"0,0": 0.5, "1,1": prob}))
+        assert message == "$.source.entries['1,1']: probability out of the float range"
+
+
 def test_pmf_checks_run_in_order():
     # One entry breaking several rules reports the first of: symbol count,
     # integer symbols, range, probability type; entries go in map order.

@@ -297,3 +297,116 @@ def test_derived_matrices_equal_their_validated_rebuilds():
                                   [x for row in derived.to_rows() for x in row])
             assert derived == rebuilt
             assert all(0 <= x < p for row in derived.to_rows() for x in row)
+
+
+def _worst_case_rows(p, cols):
+    """Rows that drive every lane of a packed ``RowSpace`` to its largest
+    value: pivots at columns 0..cols-2 with every tail entry 1 (so every
+    stored negated tail entry is p - 1), then a row whose leading entry is
+    p - 1 at every step of its reduction, so each step adds (p - 1)^2 to
+    every lane on its right, and the last lane starts at p - 1."""
+    pivots = [[0] * c + [1] * (cols - c) for c in range(cols - 1)]
+    probe = [(-(c + 1)) % p for c in range(cols - 1)] + [p - 1] * (cols > 0)
+    return pivots, probe
+
+
+@pytest.mark.parametrize("p", (2, 3, P61))
+@pytest.mark.parametrize("cols", (0, 1, 2, 3, 5, 8, 17, 33, 64))
+def test_row_space_worst_case_lane_growth(p, cols):
+    pivots, probe = _worst_case_rows(p, cols)
+    rows = pivots + [probe] * (cols > 0)
+    space = RowSpace(cols, p)
+    for k, row in enumerate(rows):
+        before = FieldMatrix.from_rows(rows[:k], p, cols=cols).rank()
+        after = len(FieldMatrix.from_rows(rows[:k + 1], p, cols=cols)._echelon()[1])
+        assert space.try_add(row) == (after > before)
+    assert space.rank == len(FieldMatrix.from_rows(rows, p, cols=cols)._echelon()[1])
+    # The leading coefficient at every reduction step is p - 1.
+    if cols > 1:
+        last = [x % p for x in probe]
+        for c in range(cols - 1):
+            assert last[c] == p - 1
+            last = [(x - (p - 1) * (k >= c)) % p for k, x in enumerate(last)]
+
+
+@pytest.mark.parametrize("p", (2, 3, 101, P61))
+@pytest.mark.parametrize("cols", (1, 2, 7, 64))
+def test_row_space_lane_width_holds_the_largest_lane(p, cols):
+    # A lane starts below p and gets at most one addition of at most
+    # (p - 1)^2 from each pivot on its left.
+    space = RowSpace(cols, p)
+    largest = p - 1 + cols * (p - 1) ** 2
+    assert space.lane == largest.bit_length()
+    assert space.pack([p - 1] * cols) == sum(
+        (p - 1) << (space.lane * k) for k in range(cols))
+
+
+def test_row_space_with_no_columns():
+    space = RowSpace(0, 7)
+    assert not space.try_add([])
+    space.extend([[], []])
+    assert space.rank == 0 and space.copy().rank == 0
+    with pytest.raises(DimensionMismatch):
+        space.try_add([1])
+    assert FieldMatrix.zeros(3, 0, 7).rank() == 0
+    assert FieldMatrix.zeros(3, 0, 7).solve_with_rank([0, 0, 0]) == (0, ())
+    assert FieldMatrix.zeros(2, 0, 7).solve_with_rank([0, 1]) == (0, None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((2, 3, 5, 101, P61)), st.integers(0, 14),
+       st.integers(20, 48), st.data())
+def test_row_space_matches_echelon_on_wide_rows(p, rows, cols, data):
+    # Dependent rows at every modulus: combinations of a few base rows,
+    # some of them with raw entries outside 0..p-1.
+    k = data.draw(st.integers(0, max(rows, 1)))
+    entry = st.one_of(st.integers(0, 2), st.integers(0, p - 1),
+                      st.integers(-3 * p, 3 * p))
+    base = [data.draw(st.lists(entry, min_size=cols, max_size=cols))
+            for _ in range(k)]
+    mat = []
+    for _ in range(rows):
+        coeffs = data.draw(st.lists(entry, min_size=k, max_size=k))
+        mat.append([sum(a * b[c] for a, b in zip(coeffs, base)) + p * data.draw(
+            st.integers(-2, 2)) for c in range(cols)])
+    space = RowSpace(cols, p)
+    fork_at = data.draw(st.integers(0, rows))
+    fork = None
+    for n, row in enumerate(mat):
+        if n == fork_at:
+            fork = space.copy()
+        expected = len(FieldMatrix.from_rows(mat[:n + 1], p, cols=cols)._echelon()[1])
+        grows = expected > space.rank
+        assert space.try_add(row) == grows
+        assert space.rank == expected
+    # A copy taken part way keeps its own rank and grows independently.
+    if fork is not None:
+        assert fork.rank == len(FieldMatrix.from_rows(mat[:fork_at], p, cols=cols)._echelon()[1])
+        fork.extend(mat[fork_at:])
+        assert fork.rank == space.rank
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((2, 5, 101, P61)), st.integers(0, 12), st.integers(0, 30),
+       st.data())
+def test_solve_with_rank_matches_the_echelon_solution(p, rows, cols, data):
+    # Under- and over-determined systems; the solution with free variables
+    # 0 is the one read off the reduced row echelon form.
+    entry = st.one_of(st.integers(0, 1), st.integers(0, p - 1))
+    m = FieldMatrix(rows, cols, p, data.draw(
+        st.lists(entry, min_size=rows * cols, max_size=rows * cols)))
+    if data.draw(st.booleans()):
+        y = m.mul_vector(data.draw(st.lists(entry, min_size=cols, max_size=cols)))
+    else:
+        y = data.draw(st.lists(entry, min_size=rows, max_size=rows))
+    aug = FieldMatrix.from_rows([list(m.row(r)) + [y[r]] for r in range(rows)],
+                                p, cols=cols + 1)
+    ech, pivots = aug._echelon()
+    rank, x = m.solve_with_rank(y)
+    if cols in pivots:
+        assert (rank, x) == (len(pivots) - 1, None)
+    else:
+        expected = [0] * cols
+        for row, c in zip(ech, pivots):
+            expected[c] = row[-1]
+        assert (rank, x) == (len(pivots), tuple(expected))

@@ -20,7 +20,7 @@ import random
 
 import pytest
 
-from omniex import fixtures
+from omniex import FieldMatrix, fixtures
 from omniex.cli import main
 
 from conftest import random_linear_source
@@ -39,6 +39,16 @@ SHAPES = (
     (7, 8, 101),
     (5, 7, P61),
     (7, 6, P61),
+)
+
+# (m, N, p) per larger linear document, run through ``omniex rates`` only:
+# a 2^m subset-rank table wide enough to exercise the rank kernel's packed
+# rows at a small and at a 61-bit modulus.  Drawn from their own seed so
+# the corpus above stays as it was.
+LARGE_SEED = 8103
+LARGE_SHAPES = (
+    (11, 22, 101),
+    (10, 20, P61),
 )
 
 # (m, weighted) per binary pmf document.
@@ -134,6 +144,10 @@ GOLDEN = {
         "90664f25ebbe303426fbdb5ae0074e43e4a5d0e8c8de637d53d1c19ed12edbd4",
     "pmf6 rates":
         "17cff72b666d5531d586139d6b58a4eaadc22a89b0ff5eb6750e6a84acbf97fe",
+    "large0 rates":
+        "cdfd35bed368dde70d55713b6a9076a14d66906f0fe7d8816faefc179f1109c6",
+    "large1 rates":
+        "bb35d0f2beee82dfb6dbecccdf9b0642025689bb71c26586122b0f45a26506e8",
 }
 
 
@@ -185,10 +199,42 @@ def corpus_documents() -> dict[str, dict]:
     return out
 
 
+def large_documents() -> dict[str, dict]:
+    """Users of one to four random rows, half of them with one more row
+    combining the previous user's first two, topped up with unit rows
+    until the users determine W: most subsets stay below rank N."""
+    rng = random.Random(LARGE_SEED)
+    out = {}
+    for k, (m, n_packets, p) in enumerate(LARGE_SHAPES):
+        users = []
+        for i in range(m):
+            rows = [[rng.randrange(p) for _ in range(n_packets)]
+                    for _ in range(rng.randint(1, 4))]
+            if users and len(users[-1]) > 1 and rng.random() < 0.5:
+                a, b = users[-1][:2]
+                rows.append([(2 * x + y) % p for x, y in zip(a, b)])
+            users.append(rows)
+        everyone = FieldMatrix.from_rows([r for rows in users for r in rows], p)
+        rank = everyone.rank()
+        for c in range(n_packets):
+            unit = [0] * n_packets
+            unit[c] = 1
+            grown = FieldMatrix.from_rows([*everyone.to_rows(), unit], p).rank()
+            if grown > rank:
+                users[c % m].append(unit)
+                everyone = FieldMatrix.from_rows([*everyone.to_rows(), unit], p)
+                rank = grown
+        out[f"large{k}"] = {
+            "source": {"kind": "linear", "p": p, "N": n_packets,
+                       "matrices": users}}
+    return out
+
+
 DOCUMENTS = ["example1", "figure1", *corpus_documents()]
 CASES = [f"{doc} {command}" for doc in DOCUMENTS
          for command in ("rates", "ilp", "code")]
 CASES += [f"{doc} rates" for doc in pmf_documents()]
+CASES += [f"{doc} rates" for doc in large_documents()]
 
 
 def run_case(case: str, tmp_path, monkeypatch, capsys) -> bytes:
@@ -198,7 +244,7 @@ def run_case(case: str, tmp_path, monkeypatch, capsys) -> bytes:
         problem = str(fixtures.path(name))
     else:
         problem = str(tmp_path / f"{name}.json")
-        documents = {**corpus_documents(), **pmf_documents()}
+        documents = {**corpus_documents(), **pmf_documents(), **large_documents()}
         with open(problem, "w", encoding="utf-8") as fh:
             json.dump(documents[name], fh)
     monkeypatch.chdir(tmp_path)

@@ -86,6 +86,12 @@ def test_validate_flags_bad_pmf():
     assert validate(ok) == []
 
 
+def test_validate_flags_non_finite_pmf_entries():
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        src = make_dmms_source((2, 2), [[bad, 0.0], [0.0, 1.0]])
+        assert validate(src) == ["pmf has non-finite entries"]
+
+
 def test_validate_flags_incomplete_table():
     src = TableSource(m=2, entries={0b01: 1})
     assert any("missing" in p for p in validate(src))
@@ -214,6 +220,35 @@ def test_table_fills_every_subset_with_its_rank():
             expected = len(src.stacked(mask)._echelon()[1])
             assert oracle.entropy(mask) == expected, (src.m, mask)
         assert oracle.oracle_queries() == oracle.full_mask
+
+
+def _wide_p61_sources():
+    """N = 40 at p = 2^61 - 1: random users, and users of six random rows
+    each plus a row repeating a combination of the previous user's rows,
+    so that many subsets stay below rank N."""
+    rng = random.Random(40)
+    yield random_linear_source(rng, m=6, n_packets=40, p=P61)
+    users = []
+    for i in range(7):
+        rows = [[rng.randrange(P61) for _ in range(40)] for _ in range(6)]
+        if users:
+            a, b = users[-1][0], users[-1][1]
+            rows.append([(3 * x + P61 - 1 - y) % P61 for x, y in zip(a, b)])
+        users.append(rows)
+    yield make_linear_source(users, p=P61, N=40)
+
+
+def test_table_matches_echelon_at_forty_packets_mod_p61():
+    for src in _wide_p61_sources():
+        oracle = EntropyOracle(src)
+        oracle.table()
+        assert oracle.oracle_queries() == oracle.full_mask
+        ranks = set()
+        for mask in range(1, oracle.full_mask + 1):
+            expected = len(src.stacked(mask)._echelon()[1])
+            assert oracle.entropy(mask) == expected, (src.m, mask)
+            ranks.add(expected)
+        assert len(ranks) > 5
 
 
 def test_table_skips_pmf_and_table_sources():
