@@ -12,6 +12,7 @@ input, 3 unit mismatch, 4 field too small, 5 construction failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -337,7 +338,10 @@ def cmd_selfcheck(args) -> int:
     return EXIT_OK if ok else EXIT_PROPERTY
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args`` does
+    not change it, and a build costs about 35 parses."""
     parser = argparse.ArgumentParser(
         prog="omniex",
         description="Minimum-cost rate allocation and code construction "

@@ -142,7 +142,10 @@ def _parse_pmf(data: dict, where: str) -> DmmsSource:
                 raise _entry_error(where, key, "outcome outside the alphabets")
         if not isinstance(prob, (int, float)) or isinstance(prob, bool):
             raise _entry_error(where, key, "probability must be a number")
-        table[idx] = float(prob)
+        try:
+            table[idx] = float(prob)
+        except OverflowError:
+            raise _entry_error(where, key, "probability out of the float range")
     return make_dmms_source(alphabets, table)
 
 

@@ -7,18 +7,22 @@ floating point.  Extension fields GF(p^k) are deliberately unsupported;
 every size requirement in this package can be met by picking a larger
 prime instead.
 
-There is one rank kernel, ``RowSpace``: forward elimination into echelon
-form, one row at a time, with no back-substitution.  ``FieldMatrix.rank``,
-the subset-rank table of the entropy oracle and the row selections of
-``netcode`` all go through it.  The reduced row echelon form of
-``FieldMatrix._echelon`` is kept only for ``solve`` and ``inv``, which
-need the back-substituted rows; ``solve_with_rank`` also counts the rank
-from the pivots of that one elimination, for a caller that needs both.
+There is one elimination kernel, ``RowSpace``: forward elimination into
+echelon form, one row at a time.  It packs a row into one Python int with
+one fixed-width lane per column, so reducing a row by a pivot is a single
+big-int multiply-add.  Lane invariant: a lane starts below p and receives
+at most one addition of at most (p - 1)^2 from each pivot on its left, so
+a lane of bit_length(p - 1 + cols * (p - 1)^2) bits never carries and
+never goes negative, and every value stays an exact Python int at every
+modulus below 2**61.  ``FieldMatrix.rank``, ``solve_with_rank`` (which
+back-substitutes the pivots), the subset-rank table of the entropy oracle
+and the row selections of ``netcode`` all go through it.  The reduced row
+echelon form of ``FieldMatrix._echelon`` is kept only for ``inv``, which
+needs the back-substituted rows of an augmented identity.
 """
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, ZeroInverse
@@ -81,54 +85,87 @@ def ff_inv(a: int, p: int) -> int:
 class RowSpace:
     """Row space over F_p, grown one row at a time by forward elimination.
 
-    Each pivot row is kept in echelon form under its leading column: scaled
-    so that the leading entry is 1 and stored as the tail after it.  A new
-    row is reduced left to right against the pivots whose columns it hits;
-    its first column without a pivot, if any, becomes a new pivot.  Pivot
-    rows are never changed once stored, so ``copy`` shares them and costs
-    O(cols).  ``p`` must be a prime; callers pass an already validated
-    modulus.
+    Rows are packed: one Python int per row with one ``lane`` bits wide
+    field per column, column 0 in the top lane, so lane k from the bottom
+    holds column ``cols - 1 - k``.  Each pivot is kept under its leading
+    column as the tail of its row scaled to a leading 1, negated mod p and
+    packed.  Reducing a row whose leading entry is f by that pivot is one
+    big-int multiply-add, ``w += f * tail``; the row's first column without
+    a pivot, if any, becomes a new pivot.
+
+    Lane invariant: ``pack`` reduces every entry, so a lane starts below p.
+    The leading lane is cleared at each step and the next one is strictly
+    to its right, so a lane receives at most one addition of
+    f * tail entry <= (p - 1)^2 from each pivot on its left, and never
+    exceeds p - 1 + cols * (p - 1)^2.  A lane of that bit length never
+    carries into its neighbour and no lane goes negative, so every lane
+    holds an exact nonnegative representative of its column's entry.  At
+    p = 2^61 - 1 a lane is about 128 bits wide.
+
+    Pivot tails are never changed once stored, so ``copy`` shares them and
+    costs O(cols).  ``p`` must be a prime; callers pass an already
+    validated modulus.
     """
 
-    __slots__ = ("cols", "p", "rank", "_pivots")
+    __slots__ = ("cols", "p", "rank", "lane", "_pivots")
 
     def __init__(self, cols: int, p: int):
         self.cols = cols
         self.p = p
         self.rank = 0
-        self._pivots: list[Optional[list[int]]] = [None] * cols
+        self.lane = (p - 1 + cols * (p - 1) ** 2).bit_length()
+        self._pivots: list[Optional[int]] = [None] * cols   # by lane
 
     def copy(self) -> "RowSpace":
-        other = RowSpace(self.cols, self.p)
+        other = object.__new__(RowSpace)
+        other.cols = self.cols
+        other.p = self.p
         other.rank = self.rank
+        other.lane = self.lane
         other._pivots = self._pivots.copy()
         return other
 
-    def try_add(self, row: Sequence[int]) -> bool:
-        """Add ``row`` to the space; True iff it was not already in it."""
+    def pack(self, row: Sequence[int]) -> int:
+        """``row``, a sequence of Python ints, as one int with its entries
+        reduced mod p, for ``add_packed``."""
         if len(row) != self.cols:
             raise DimensionMismatch(f"row length {len(row)} != cols {self.cols}")
+        p, lane = self.p, self.lane
+        w = 0
+        for x in row:
+            w = w << lane | x % p
+        return w
+
+    def add_packed(self, w: int) -> bool:
+        """Add the packed row ``w`` (every lane below p, as ``pack`` makes
+        it); True iff it was not already in the space."""
         if self.rank == self.cols:
             return False
-        p = self.p
-        pivots = self._pivots
-        work = [x % p for x in row]
-        base = 0    # work[k] holds column base + k; columns before it are zero
-        while True:
-            for k, f in enumerate(work):
-                if f:
-                    break
-            else:
-                return False
-            c = base + k
-            tail = pivots[c]
+        p, lane, pivots = self.p, self.lane, self._pivots
+        while w:
+            k = (w.bit_length() - 1) // lane
+            shift = k * lane
+            e = w >> shift
+            w -= e << shift
+            f = e % p
+            if not f:
+                continue        # the lane was a nonzero multiple of p
+            tail = pivots[k]
             if tail is None:
-                inv = pow(f, p - 2, p)
-                pivots[c] = [x * inv % p for x in islice(work, k + 1, None)]
+                neg = p - pow(f, p - 2, p)
+                mask = (1 << lane) - 1
+                tail = 0
+                for s in range(shift - lane, -1, -lane):
+                    tail = tail << lane | (w >> s & mask) * neg % p
+                pivots[k] = tail
                 self.rank += 1
                 return True
-            work = [(x - f * y) % p for x, y in zip(islice(work, k + 1, None), tail)]
-            base = c + 1
+            w += f * tail
+        return False
+
+    def try_add(self, row: Sequence[int]) -> bool:
+        """Add ``row`` to the space; True iff it was not already in it."""
+        return self.add_packed(self.pack(row))
 
     def extend(self, rows: Iterable[Sequence[int]]) -> None:
         for row in rows:
@@ -266,8 +303,8 @@ class FieldMatrix:
     def _echelon(self) -> tuple[list[list[int]], list[int]]:
         """Reduced row echelon form; returns (rows, pivot column indices).
 
-        Used by ``solve_with_rank`` and ``inv``; ranks alone go through
-        ``RowSpace``.
+        Used by ``inv``, which needs the back-substituted rows, and as the
+        tests' reference; ranks and solutions go through ``RowSpace``.
         """
         p = self.p
         work = [list(self.row(r)) for r in range(self.rows)]
@@ -305,20 +342,37 @@ class FieldMatrix:
         return self.solve_with_rank(y)[1]
 
     def solve_with_rank(self, y: Sequence[int]) -> tuple[int, Optional[tuple[int, ...]]]:
-        """rank(M) and ``solve(y)`` from one elimination of [M | y]: the rank
-        is the number of pivots left of the last column."""
+        """rank(M) and ``solve(y)`` from one forward elimination of [M | y].
+
+        A pivot in the last column means the system is inconsistent, and
+        the rank is the number of pivots left of it.  Otherwise the pivots
+        are back-substituted from right to left with free variables 0: the
+        pivot columns are those of the reduced row echelon form, so the
+        solution is the one read off it.
+        """
         if len(y) != self.rows:
             raise DimensionMismatch(f"rhs length {len(y)} != rows {self.rows}")
-        aug = FieldMatrix.from_rows(
-            [list(self.row(r)) + [y[r] % self.p] for r in range(self.rows)],
-            self.p, cols=self.cols + 1)
-        ech, pivots = aug._echelon()
-        if self.cols in pivots:
-            return len(pivots) - 1, None
-        x = [0] * self.cols
-        for row, c in zip(ech, pivots):
-            x[c] = row[-1]
-        return len(pivots), tuple(x)
+        n, p = self.cols, self.p
+        space = RowSpace(n + 1, p)
+        for r in range(self.rows):
+            space.try_add((*self.row(r), int(y[r] % p)))
+        tails = space._pivots           # lane k holds column n - k
+        if tails[0] is not None:
+            return space.rank - 1, None
+        lane = space.lane
+        mask = (1 << lane) - 1
+        x = [0] * n
+        for c in range(n - 1, -1, -1):
+            tail = tails[n - c]
+            if tail is None:
+                continue
+            # The stored tail is minus the scaled row: x_c = sum t_j x_j - t_y.
+            acc = -(tail & mask)
+            for j in range(c + 1, n):
+                if x[j]:
+                    acc += (tail >> (n - j) * lane & mask) * x[j]
+            x[c] = acc % p
+        return space.rank, tuple(x)
 
     def det(self) -> int:
         if self.rows != self.cols:

@@ -143,6 +143,9 @@ def validate(source: Source) -> list[str]:
             problems.append(
                 f"pmf table shape {source.pmf.shape} != alphabets {source.alphabets}")
             return problems
+        if not np.isfinite(source.pmf).all():
+            problems.append("pmf has non-finite entries")
+            return problems
         if float(source.pmf.min(initial=0.0)) < -DELTA:
             problems.append("pmf has negative entries")
         total = float(source.pmf.sum())
@@ -244,8 +247,9 @@ class EntropyOracle:
         """Fill the memo for every nonempty subset of a linear source.
 
         One depth-first pass over the subsets in ascending member order: a
-        child subset adds one user's rows to a copy of its parent's row
-        space, so at most m + 1 row spaces are alive at a time.  Once a
+        child subset adds one user's rows, packed once per fill, to a copy
+        of its parent's row space, so at most m + 1 row spaces are alive at
+        a time.  Once a
         row space reaches rank N, every superset in its subtree is set to N
         without elimination.  The values are those a lazy ``entropy`` call
         computes, and ``calls`` does not move.  Does nothing for pmf and
@@ -256,12 +260,14 @@ class EntropyOracle:
             return
         cache = self._cache
         n_packets = src.N
-        user_rows = [a.to_rows() for a in src.matrices]
+        root = ff.RowSpace(n_packets, src.p)
+        user_rows = [list(map(root.pack, a.to_rows())) for a in src.matrices]
 
         def visit(space: ff.RowSpace, mask: int, start: int) -> None:
             for j in range(start, self.m):
                 child = space.copy()
-                child.extend(user_rows[j])
+                for w in user_rows[j]:
+                    child.add_packed(w)
                 grown = mask | bit(j)
                 if child.rank == n_packets:
                     later = self.full_mask & ~(bit(j + 1) - 1)
@@ -271,7 +277,7 @@ class EntropyOracle:
                     cache[grown] = child.rank
                     visit(child, grown, j + 1)
 
-        visit(ff.RowSpace(n_packets, src.p), 0, 0)
+        visit(root, 0, 0)
 
     def total(self) -> Value:
         return self.entropy(self.full_mask)
