@@ -341,7 +341,7 @@ def cmd_selfcheck(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: ``parse_args`` does
-    not change it, and a build costs about 35 parses."""
+    not change it, and one build costs as much as dozens of parses."""
     parser = argparse.ArgumentParser(
         prog="omniex",
         description="Minimum-cost rate allocation and code construction "

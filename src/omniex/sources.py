@@ -249,11 +249,10 @@ class EntropyOracle:
         One depth-first pass over the subsets in ascending member order: a
         child subset adds one user's rows, packed once per fill, to a copy
         of its parent's row space, so at most m + 1 row spaces are alive at
-        a time.  Once a
-        row space reaches rank N, every superset in its subtree is set to N
-        without elimination.  The values are those a lazy ``entropy`` call
-        computes, and ``calls`` does not move.  Does nothing for pmf and
-        table sources, or when the memo is already full.
+        a time.  Once a row space reaches rank N, every superset in its
+        subtree is set to N without elimination.  The values are those a
+        lazy ``entropy`` call computes, and ``calls`` does not move.  Does
+        nothing for pmf and table sources, or when the memo is already full.
         """
         src = self.source
         if not isinstance(src, LinearSource) or len(self._cache) == self.full_mask:
