@@ -410,3 +410,38 @@ def test_solve_with_rank_matches_the_echelon_solution(p, rows, cols, data):
         for row, c in zip(ech, pivots):
             expected[c] = row[-1]
         assert (rank, x) == (len(pivots), tuple(expected))
+
+
+def test_inverse_agrees_with_fermat_inversion():
+    rng = random.Random(113)
+    for p in (2, 5, 101, P61):
+        for a in [rng.randrange(-3 * p, 3 * p) for _ in range(300)] + [1, p - 1, p + 1]:
+            if a % p == 0:
+                with pytest.raises(ZeroInverse, match=f"0 has no inverse mod {p}"):
+                    ff_inv(a, p)
+                continue
+            assert ff_inv(a, p) == pow(a % p, p - 2, p)
+
+
+def naive_product(a: FieldMatrix, b: FieldMatrix) -> list[list[int]]:
+    return [[sum(a.entry(i, k) * b.entry(k, j) for k in range(a.cols)) % a.p
+             for j in range(b.cols)] for i in range(a.rows)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from((2, 5, 101, P61)), st.integers(0, 5), st.integers(0, 5),
+       st.integers(0, 5), st.integers(1, 3), st.booleans(), st.data())
+def test_mul_equals_the_triple_loop(p, rows, inner, cols, n, blocks, data):
+    entry = st.one_of(st.integers(0, 2), st.integers(0, p - 1))
+    b = FieldMatrix(inner, cols, p, data.draw(
+        st.lists(entry, min_size=inner * cols, max_size=inner * cols)))
+    if blocks:
+        # A broadcast system's factor: n block-diagonal copies.
+        b = kron_block(n, b)
+    a_cols = b.rows
+    a = FieldMatrix(rows, a_cols, p, data.draw(
+        st.lists(entry, min_size=rows * a_cols, max_size=rows * a_cols)))
+    prod = a.mul(b)
+    assert prod.shape == (rows, b.cols)
+    assert prod.to_rows() == naive_product(a, b)
+    assert prod == FieldMatrix.from_rows(naive_product(a, b), p, cols=b.cols)

@@ -43,12 +43,14 @@ SHAPES = (
 
 # (m, N, p) per larger linear document, run through ``omniex rates`` only:
 # a 2^m subset-rank table wide enough to exercise the rank kernel's packed
-# rows at a small and at a 61-bit modulus.  Drawn from their own seed so
-# the corpus above stays as it was.
+# rows at a small and at a 61-bit modulus, and one of 2^13 subsets for the
+# sweep over the flat table.  Drawn from their own seed so the corpus above
+# stays as it was.
 LARGE_SEED = 8103
 LARGE_SHAPES = (
     (11, 22, 101),
     (10, 20, P61),
+    (13, 26, 101),
 )
 
 # (m, weighted) per binary pmf document.
@@ -60,13 +62,14 @@ PMF_SHAPES = (
 )
 
 # (alphabets, weighted, share of outcomes left out) per further pmf
-# document: ternary, mixed with a size-1 axis and zero entries, and a
-# weighted binary one of 256 outcomes.  Drawn from their own seed so the
-# documents above stay as they were.
+# document: ternary, mixed with a size-1 axis and zero entries, and
+# weighted binary ones of 256 and of 4096 outcomes.  Drawn from their own
+# seed so the documents above stay as they were.
 PMF_MORE = (
     ((3,) * 5, False, 0.0),
     ((3, 1, 2, 4, 2), False, 0.3),
     ((2,) * 8, True, 0.0),
+    ((2,) * 12, True, 0.0),
 )
 
 GOLDEN = {
@@ -144,10 +147,14 @@ GOLDEN = {
         "90664f25ebbe303426fbdb5ae0074e43e4a5d0e8c8de637d53d1c19ed12edbd4",
     "pmf6 rates":
         "17cff72b666d5531d586139d6b58a4eaadc22a89b0ff5eb6750e6a84acbf97fe",
+    "pmf7 rates":
+        "137a20d32cee58ec62d3168a4ce15ed26a53da17d6027b9ee26de962778564a6",
     "large0 rates":
         "cdfd35bed368dde70d55713b6a9076a14d66906f0fe7d8816faefc179f1109c6",
     "large1 rates":
         "bb35d0f2beee82dfb6dbecccdf9b0642025689bb71c26586122b0f45a26506e8",
+    "large2 rates":
+        "dd825802e4606507d08d59b52f7498126302b7be6707825f6d11f271722c21f4",
 }
 
 

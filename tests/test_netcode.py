@@ -423,3 +423,24 @@ def test_optimal_rates_are_always_codable():
         for j in range(src.m):
             side = user_observation(src, j, w, denom)
             assert list(decode(src, scheme, j, side, casts)) == w
+
+
+def test_receiver_ranks_equal_the_stacked_system_ranks():
+    # Random coefficient matrices, of random heights including zero, at
+    # block lengths 1 to 3: each receiver's rank is the rank of its own
+    # expanded rows stacked over every other user's broadcast matrix.
+    rng = random.Random(127)
+    for trial in range(40):
+        src = random_linear_source(rng, m_max=5, n_max=5, primes=(2, 5, 7, 101))
+        n = rng.randint(1, 3)
+        coeffs = tuple(
+            FieldMatrix.random(rng.randint(0, n * a.rows), n * a.rows, src.p, rng)
+            for a in src.matrices)
+        scheme = TransmissionScheme(n=n, p=src.p, coefficients=coeffs)
+        sent = scheme.broadcast_matrices(src)
+        expected = []
+        for j in range(src.m):
+            parts = [kron_block(n, src.matrices[j])]
+            parts += [t for i, t in enumerate(sent) if i != j]
+            expected.append((stack(parts, cols=n * src.N, p=src.p).rank(), n * src.N))
+        assert receiver_ranks(src, scheme) == expected, trial
