@@ -23,6 +23,7 @@ needs the back-substituted rows of an augmented identity.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, ZeroInverse
@@ -33,6 +34,7 @@ MAX_MODULUS = 1 << 61
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+@lru_cache(maxsize=32)
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -79,7 +81,7 @@ def ff_inv(a: int, p: int) -> int:
     a %= p
     if a == 0:
         raise ZeroInverse(f"0 has no inverse mod {p}")
-    return pow(a, p - 2, p)
+    return pow(a, -1, p)
 
 
 class RowSpace:
@@ -152,7 +154,7 @@ class RowSpace:
                 continue        # the lane was a nonzero multiple of p
             tail = pivots[k]
             if tail is None:
-                neg = p - pow(f, p - 2, p)
+                neg = p - pow(f, -1, p)
                 mask = (1 << lane) - 1
                 tail = 0
                 for s in range(shift - lane, -1, -lane):
@@ -276,17 +278,18 @@ class FieldMatrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.shape} by {other.shape}")
         p = self.p
-        out = [0] * (self.rows * other.cols)
+        # The nonzero (column, value) pairs of each row of the right factor,
+        # listed once: a block-diagonal factor has few of them.
+        nonzero = [[(j, b) for j, b in enumerate(other.row(k)) if b]
+                   for k in range(other.rows)]
+        out: list[int] = []
         for i in range(self.rows):
-            arow = self.row(i)
-            base = i * other.cols
-            for k, a in enumerate(arow):
-                if a == 0:
-                    continue
-                brow = other.row(k)
-                for j, b in enumerate(brow):
-                    if b:
-                        out[base + j] = (out[base + j] + a * b) % p
+            acc = [0] * other.cols
+            for a, pairs in zip(self.row(i), nonzero):
+                if a:
+                    for j, b in pairs:
+                        acc[j] += a * b
+            out.extend(x % p for x in acc)
         return FieldMatrix._reduced(self.rows, other.cols, p, out)
 
     def mul_vector(self, vec: Sequence[int]) -> tuple[int, ...]:

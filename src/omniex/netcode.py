@@ -151,18 +151,24 @@ def receiver_ranks(src: LinearSource, scheme: TransmissionScheme
                    ) -> list[tuple[int, int]]:
     """Per receiver: (achieved stacked rank, required rank n*N).
 
-    Each sender's broadcast matrix is built once and stacked into the
-    system of every receiver but itself, below the receiver's own
+    Each sender's broadcast rows are built and packed once, then added to
+    the row space of every receiver but itself, after the receiver's own
     block-expanded observations.
     """
     scheme.check_source(src)
     need = scheme.n * src.N
-    sent = scheme.broadcast_matrices(src)
+    root = ff.RowSpace(need, src.p)
+    sent = [list(map(root.pack, t.to_rows())) for t in scheme.broadcast_matrices(src)]
     ranks = []
     for j in range(src.m):
-        parts = [ff.kron_block(scheme.n, src.matrices[j])]
-        parts.extend(t for i, t in enumerate(sent) if i != j)
-        ranks.append((ff.stack(parts, cols=need, p=src.p).rank(), need))
+        space = root.copy()
+        for w in map(root.pack, ff.kron_block(scheme.n, src.matrices[j]).to_rows()):
+            space.add_packed(w)
+        for i, rows in enumerate(sent):
+            if i != j:
+                for w in rows:
+                    space.add_packed(w)
+        ranks.append((space.rank, need))
     return ranks
 
 

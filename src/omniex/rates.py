@@ -19,18 +19,27 @@ Three layers build on that sweep:
 * block-length-n solutions round beta to the nearest feasible multiples of
   1/n and keep the cheaper one.
 
-Each inner minimization is one scan over subset sums.  As each user is
-fixed, the sums of the coordinates found so far are extended to the
-visited prefix by doubling, one addition per new subset.  A candidate
-set then costs one memo read and one subtraction.  For an exact budget
-beta = num/den the candidates are compared by integer keys,
-den * (f(S, beta) - Z(S)) less a constant, and the ties are OR-ed into
-their union, so no Fraction is built in the loop.  Float oracles use the
-same tables and scan the candidates in ``iter_submasks`` order under the
-DELTA tie rule; the chosen set's coefficients are summed member by member
-as before, so printed floats do not move.  ``verify_feasible`` likewise
-checks every cut against one doubling table of rate sums, integers once
-exact rates are scaled to their common denominator.
+Each inner minimization is one scan over subset sums, run as whole-array
+numpy operations on the oracle's table of every H(X_S), one array indexed
+by mask (``EntropyOracle.array``).  As each user is fixed, the sums of
+the coordinates found so far are extended to the visited prefix by
+doubling, one vectorised addition; the OR of the prefix masks with the
+new user, written into the same buffer, gives both the masks read at this
+step and the next doubling.  For an exact budget beta = num/den the
+candidates are compared by integer keys, den * (f(S, beta) - Z(S)) less a
+constant, and the minimizers are OR-ed into their union, so no Fraction
+is built per subset.  The keys are int64 while den * max|H| + max|zsum|
+stays below 2^62, checked at each step and before each doubling, and
+Python ints (dtype object) from then on: linear sources stay exact and never touch a float.
+Float oracles use the same tables under the DELTA tie rule, vectorised
+over the ``iter_submasks`` scan order with the scalar scan's IEEE
+comparisons; the chosen set's coefficients are summed member by member as
+before, so printed floats do not move.  Above ``FEASIBILITY_CAP`` users
+the oracle stays lazy and each step's heights come from
+``oracle.entropies``, into the same kernel.  ``verify_feasible`` likewise
+checks every cut at once against one doubling table of rate sums, int64
+(or Python ints, by the same rule) once exact rates are scaled to their
+common denominator.
 
 Every sweep records how many candidate sets its inner minimizations
 evaluated, which callers use as a complexity regression ceiling.
@@ -45,10 +54,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from itertools import compress, islice, repeat
-from operator import eq, or_
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import (
     DimensionMismatch,
@@ -71,10 +79,10 @@ from .setfun import (
     value_le,
     value_lt,
 )
-from .sources import EntropyOracle
+from .sources import INT64_SAFE, EntropyOracle
 
 MAX_WEIGHTED_ITERATIONS = 10_000
-FEASIBILITY_CAP = 20
+FEASIBILITY_CAP = 22
 PARTITION_FORMULA_CAP = 12
 
 
@@ -207,21 +215,43 @@ def _merge_block(blocks: list[int], new: int) -> None:
     blocks[:] = keep
 
 
-def _widened_union(subs: Sequence[int], keys: Sequence[float]) -> int:
+def _widened_union(subs: np.ndarray, keys: np.ndarray) -> int:
     """Union of the float minimizers, widened by DELTA ties as the keys are
-    scanned in ``iter_submasks`` order (descending masks); best tracks the
-    true minimum."""
-    best = None
-    union = 0
-    for sub, v in sorted(zip(subs, keys), reverse=True):
-        if best is None or v < best - DELTA:
-            best, union = v, sub
-        else:
-            if v <= best + DELTA:
-                union |= sub
-            if v < best:
-                best = v
-    return union
+    scanned in ``iter_submasks`` order (descending masks).
+
+    The scan tracks the running minimum of the keys seen so far (a NaN
+    key leaves it as it is; a NaN first key makes it NaN for good).  A key
+    more than DELTA below it restarts the union, and a later key within
+    DELTA of it joins, so the union is the last restart's set OR-ed with
+    every joining set after it.  The comparisons are the scalar scan's,
+    in the same IEEE arithmetic.
+    """
+    order = np.argsort(subs)[::-1]
+    sub, v = subs[order], keys[order]
+    if v[0] != v[0]:
+        return int(sub[0])
+    prev = np.empty_like(v)
+    prev[0] = np.inf
+    np.fmin.accumulate(v[:-1], out=prev[1:])
+    restart = v < prev - DELTA
+    restart[0] = True
+    r = int(np.flatnonzero(restart)[-1])
+    joins = v[r + 1:] <= prev[r + 1:] + DELTA
+    return int(sub[r] | np.bitwise_or.reduce(sub[r + 1:][joins]))
+
+
+def _int64_peak(values: np.ndarray) -> Optional[int]:
+    """max |value| of an int64 array; None for any other dtype."""
+    if values.dtype != np.int64:
+        return None
+    return max(int(values.max()), -int(values.min()))
+
+
+def _narrow(peak: Optional[int], scale: int, span: int) -> bool:
+    """True when scale * peak + span stays below INT64_SAFE, so that keys
+    built from int64 values of size at most peak, scaled by scale, less
+    sums of size at most span, fit int64."""
+    return peak is not None and scale * max(peak, 1) + span < INT64_SAFE
 
 
 def modified_edmond(oracle: EntropyOracle, beta: Value,
@@ -255,10 +285,10 @@ def modified_edmond(oracle: EntropyOracle, beta: Value,
     else:
         raise ValueError(f"ordering must be 'descending' or 'ascending', got {ordering!r}")
 
-    if m <= FEASIBILITY_CAP:
-        # The sweep below queries every nonempty subset; above the cap the
-        # oracle stays lazy rather than allocate the 2^m table up front.
-        oracle.table()
+    # The sweep reads every nonempty subset, so it reads them from the
+    # table; above the cap the oracle stays lazy rather than allocate it.
+    table = oracle.array() if m <= FEASIBILITY_CAP else None
+    peak = _int64_peak(table) if table is not None else None
     exact = oracle.exact and not isinstance(beta, float)
     total = oracle.total()
     zero = _zero(exact)
@@ -274,42 +304,74 @@ def modified_edmond(oracle: EntropyOracle, beta: Value,
     shift = num - total * den
     # Subset sums over the visited prefix, doubled as each user is fixed:
     # subs[i] is a submask of the prefix and zsum[i] = den * Z(subs[i]).
-    subs = [0]
-    zsum: list[Value] = [0]
+    # Exact keys stay int64 (narrow) while den * max|H| + max|zsum| stays
+    # below INT64_SAFE; zhi and zlo bound zsum from above and below.  Both
+    # are allocated in full up to the cap, and grow with the prefix above.
+    size = 1 << min(m, FEASIBILITY_CAP)
+    subs = np.zeros(size, dtype=np.int64)
+    zsum = np.zeros(size // 2, dtype=np.int64 if exact else np.float64)
+    narrow = exact
+    zhi = zlo = ztotal = 0
+    k = 1
 
     for j in order:
         bj = bit(j)
-        heights = oracle.entropies([sub | bj for sub in subs])
-        evaluations += len(subs)
-        keys = [h * den - w for h, w in zip(heights, zsum)]
+        if 2 * k > len(subs):
+            subs = np.resize(subs, 2 * k)
+        cands = subs[:k]
+        # The sets read now are the next doubling of subs.
+        heights = oracle.gather(np.bitwise_or(cands, bj, out=subs[k:2 * k]))
+        evaluations += k
         if exact:
-            best = min(keys)
-            union = reduce(or_, compress(subs, map(eq, keys, repeat(best))), bj)
+            if table is None:
+                peak = _int64_peak(heights)
+            if narrow and not _narrow(peak, den, max(zhi, -zlo)):
+                narrow, zsum = False, zsum.astype(object)
+            # heights is a fresh array: the keys are built in it.
+            keys = heights if narrow else heights.astype(object)
+            np.multiply(keys, den, out=keys)
+            np.subtract(keys, zsum[:k], out=keys)
+            best = np.minimum.reduce(keys)
+            best = int(best) if narrow else best
+            union = int(np.bitwise_or.reduce(cands[keys == best])) | bj
         else:
-            union = _widened_union(subs, keys) | bj
+            keys = np.asarray(heights * den - zsum[:k], dtype=np.float64)
+            union = _widened_union(cands, keys) | bj
         rest = union & ~bj
         bu = 1
         cu = oracle.entropy(union) - total
-        for k in members(rest):
-            bu -= b_coef[k]
-            cu = cu - c_coef[k]
-        vu = bu * beta + cu
-        zj = bu * num + cu * den if exact else vu
-        if exact and zj != best + shift:
-            raise NonConvergence(
-                "union of minimizers is not a minimizer; the oracle violates "
-                "intersecting submodularity")
+        for i in members(rest):
+            bu -= b_coef[i]
+            cu = cu - c_coef[i]
+        if exact:
+            zj = bu * num + cu * den
+            if zj != best + shift:
+                raise NonConvergence(
+                    "union of minimizers is not a minimizer; the oracle violates "
+                    "intersecting submodularity")
+            z[j] = Fraction(zj, den) if isinstance(beta, Fraction) else zj
+            ztotal = ztotal + zj
+        else:
+            zj = z[j] = bu * beta + cu
         b_coef[j], c_coef[j] = bu, cu
-        z[j] = vu
         tight.append(union)
         _merge_block(blocks, union)
         if len(tight) < m:   # the last user's doubling would go unread
-            zsum += [w + zj for w in zsum]
-            subs += [sub | bj for sub in subs]
+            if narrow:
+                zhi, zlo = max(zhi, zhi + zj), min(zlo, zlo + zj)
+                if not _narrow(peak, den, max(zhi, -zlo)):
+                    narrow, zsum = False, zsum.astype(object)
+            if 2 * k > len(zsum):
+                zsum = np.resize(zsum, 2 * k)
+            np.add(zsum[:k], zj, out=zsum[k:2 * k])
+            k *= 2
 
-    g_value = zero
-    for v in z:
-        g_value = g_value + v
+    if exact:
+        g_value = Fraction(ztotal, den) if isinstance(beta, Fraction) else ztotal
+    else:
+        g_value = zero
+        for v in z:
+            g_value = g_value + v
     partition = PartitionResult(blocks=_sorted_blocks(blocks), g_value=g_value)
     segment = LinearSegment(b=tuple(b_coef), c=tuple(c_coef))
     return ModifiedEdmondResult(
@@ -598,28 +660,40 @@ def verify_feasible(oracle: EntropyOracle, rates: RateVector) -> bool:
     """Check R(S) >= H(X_S | X_{S^c}) for every nonempty proper subset.
 
     The rates are summed over all subsets in one doubling table, so each
-    cut is the comparison (H(X_M) - H(X_{S^c})) * D <= D * R(S).  Exact
-    rates are scaled to their common denominator D and summed as integers;
-    otherwise D = 1 and each R(S) is summed from 0 in ascending member
-    order.
+    cut is the comparison (H(X_M) - H(X_{S^c})) * D <= D * R(S), made for
+    every cut at once against the oracle's table.  Exact rates are scaled
+    to their common denominator D and summed as integers: in int64 while
+    D * max|H| + sum |D * R_i| stays below 2^62, and as Python ints
+    otherwise.  Float rates on a pmf oracle are summed in float64, and any
+    other mix as Python numbers; there D = 1 and each R(S) is summed from 0
+    in ascending member order.
     """
     if oracle.m > FEASIBILITY_CAP:
         raise TooLarge(f"feasibility check capped at m={FEASIBILITY_CAP}")
     if rates.m != oracle.m:
         raise DimensionMismatch(
             f"rate vector has {rates.m} entries, expected {oracle.m}")
-    oracle.table()
+    table = oracle.array()
     exact = oracle.exact
     full = oracle.full_mask
     values = rates.values
-    scaled = exact and not any(isinstance(v, float) for v in values)
-    scale = math.lcm(*(v.denominator for v in values)) if scaled else 1
-    sums = [0]   # sums[S] = D * R(S), user i on bit i
-    for v in values:
-        r = v.numerator * (scale // v.denominator) if scaled else v
-        sums += [t + r for t in sums]
-    need = oracle.total() * scale
+    if exact and not any(isinstance(v, float) for v in values):
+        scale = math.lcm(*(v.denominator for v in values))
+        steps = [v.numerator * (scale // v.denominator) for v in values]
+        narrow = _narrow(_int64_peak(table), scale, sum(map(abs, steps)))
+        dtype = np.int64 if narrow else object
+    else:
+        scale, steps = 1, values
+        floats = table.dtype == np.float64 and all(type(v) is float for v in values)
+        dtype = np.float64 if floats else object
+    sums = np.zeros(full + 1, dtype=dtype)   # sums[S] = D * R(S), user i on bit i
+    k = 1
+    for r in steps:
+        np.add(sums[:k], r, out=sums[k:2 * k])
+        k *= 2
     # H(X_{S^c}) for S = 1 .. full - 1, whose complements run full - 1 .. 1.
-    rest = oracle.entropies(range(full - 1, 0, -1))
-    return all(value_le(need - h * scale, t, exact)
-               for h, t in zip(rest, islice(sums, 1, full)))
+    need = table[full - 1:0:-1].astype(dtype)
+    np.multiply(need, scale, out=need)
+    np.subtract(oracle.total() * scale, need, out=need)
+    have = sums[1:full]
+    return bool(np.all(need <= have if exact else need <= have + DELTA))

@@ -7,15 +7,23 @@ by an explicit joint pmf table; entropies are floats in bits.  A raw
 entropy table is also accepted, mainly for diagnostics: it lets the
 selfcheck command exercise a hand-edited (possibly non-submodular) "H".
 
-Oracles memoize per subset mask.  For a linear source, ``table`` fills the
-memo for every subset in one depth-first pass, each subset extending its
-parent's row space by one user's rows; the solvers call it where they are
-about to query every subset anyway.  For a pmf source, ``entropies``
+Oracles memoize per subset mask: lazily in a dict, and then as one
+array indexed by mask once every subset is known (``array``): int64 for
+ints such as linear ranks, float64 for floats such as pmf entropies, and
+dtype object for Fractions, mixed kinds and ints of 2^62 or more.  The sweep and the
+feasibility check read that array with whole-array gathers.  For a
+linear source, ``table`` fills it in one depth-first pass, each subset
+extending its parent's row space by one user's rows, or copies a memo
+that already holds every subset.  For a pmf source, ``entropies``
 computes every mask it misses in one batch of numpy gathers, whose values
 equal the per-mask ``pmf.sum(axis=drop)`` marginals bit for bit; a single
-``entropy`` miss goes through the same kernel.  Evaluation is pure, and
-both fills write only the values a lazy query computes, the same on every
-fill, so the cache is safe to share between readers.
+``entropy`` miss goes through the same kernel, and ``array`` runs one
+batch over every subset the memo lacks.  Evaluation is pure, every fill
+writes only the values a lazy query computes, and the array replaces the
+dict only once it is complete, so readers never see a partial table and
+the cache is safe to share between them.  ``entropy``, ``entropies``,
+``calls`` and ``oracle_queries`` mean the same on either memo, and values
+leave the array as Python numbers.
 """
 
 from __future__ import annotations
@@ -29,9 +37,13 @@ import numpy as np
 
 from . import field as ff
 from .errors import UnitMismatch, ValidationError
-from .setfun import DELTA, SetFunction, Value, bit, iter_submasks, members
+from .setfun import DELTA, SetFunction, Value, bit, members
 
 UNIT_BITS = "bits"
+
+# Integers below this in size are kept in int64 arrays; sums of two such
+# values and differences of them never overflow.
+INT64_SAFE = 1 << 62
 
 
 def linear_unit(p: int) -> str:
@@ -174,7 +186,8 @@ class EntropyOracle:
     exact rationals (linear sources) or tolerance-compared floats.
     """
 
-    __slots__ = ("source", "m", "unit", "exact", "_cache", "calls", "_marginals")
+    __slots__ = ("source", "m", "unit", "exact", "_cache", "_table", "calls",
+                 "_marginals")
 
     def __init__(self, source: Source):
         problems = validate(source)
@@ -192,6 +205,7 @@ class EntropyOracle:
             self.unit = source.unit
             self.exact = source.exact
         self._cache: dict[int, Value] = {}
+        self._table: Optional[np.ndarray] = None
         self.calls = 0
         self._marginals = (_PmfMarginals(source.pmf)
                            if isinstance(source, DmmsSource) else None)
@@ -206,6 +220,9 @@ class EntropyOracle:
 
     def entropy(self, mask: int) -> Value:
         self.calls += 1
+        table = self._table
+        if table is not None:
+            return table.item(mask)
         if mask == 0:
             return 0 if self.exact else 0.0
         cached = self._cache.get(mask)
@@ -217,10 +234,14 @@ class EntropyOracle:
 
     def entropies(self, masks: Sequence[int]) -> list[Value]:
         """H(X_S) for every mask in ``masks``, counted and memoized as that
-        many ``entropy`` calls.  Reads the memo directly when it holds every
-        mask (a filled table, or a warm oracle).  Otherwise a pmf oracle
-        computes the distinct nonzero masks it misses in one batch, and the
-        other oracles fall back to ``entropy`` per mask."""
+        many ``entropy`` calls.  Reads the table or the memo directly when
+        it holds every mask (a filled table, or a warm oracle).  Otherwise a
+        pmf oracle computes the distinct nonzero masks it misses in one
+        batch, and the other oracles fall back to ``entropy`` per mask."""
+        table = self._table
+        if table is not None:
+            self.calls += len(masks)
+            return table[np.asarray(masks, dtype=np.int64)].tolist()
         cache = self._cache
         try:
             values = list(map(cache.__getitem__, masks))
@@ -233,6 +254,17 @@ class EntropyOracle:
         self.calls += len(masks)
         return values
 
+    def gather(self, masks: np.ndarray) -> np.ndarray:
+        """H(X_S) for an int64 array of masks, as a new array, counted as
+        that many ``entropy`` calls: gathered from the table once it is
+        complete, or else read through ``entropies`` and typed as the
+        table would be."""
+        table = self._table
+        if table is None:
+            return _value_array(self.entropies(masks.tolist()))
+        self.calls += len(masks)
+        return table[masks]
+
     def _compute(self, mask: int) -> Value:
         src = self.source
         if isinstance(src, LinearSource):
@@ -244,21 +276,27 @@ class EntropyOracle:
         return self._marginals.entropies([mask])[0]
 
     def table(self) -> None:
-        """Fill the memo for every nonempty subset of a linear source.
+        """Fill the table of every subset of a linear source.
 
         One depth-first pass over the subsets in ascending member order: a
         child subset adds one user's rows, packed once per fill, to a copy
         of its parent's row space, so at most m + 1 row spaces are alive at
         a time.  Once a row space reaches rank N, every superset in its
-        subtree is set to N without elimination.  The values are those a
-        lazy ``entropy`` call computes, and ``calls`` does not move.  Does
-        nothing for pmf and table sources, or when the memo is already full.
+        subtree is set to N without elimination: those masks are one
+        strided slice of the table.  A memo that already holds every subset
+        is copied into the table instead.  The values are those a lazy
+        ``entropy`` call computes, and ``calls`` does not move.  Does
+        nothing for pmf and table sources, or when the table exists.
         """
         src = self.source
-        if not isinstance(src, LinearSource) or len(self._cache) == self.full_mask:
+        if not isinstance(src, LinearSource) or self._table is not None:
             return
-        cache = self._cache
+        if len(self._cache) == self.full_mask:
+            self._publish(self._memo_array())
+            return
         n_packets = src.N
+        table = np.zeros(1 << self.m, dtype=np.int64)
+        ranks = memoryview(table)
         root = ff.RowSpace(n_packets, src.p)
         user_rows = [list(map(root.pack, a.to_rows())) for a in src.matrices]
 
@@ -269,14 +307,46 @@ class EntropyOracle:
                     child.add_packed(w)
                 grown = mask | bit(j)
                 if child.rank == n_packets:
-                    later = self.full_mask & ~(bit(j + 1) - 1)
-                    for extra in iter_submasks(later):
-                        cache[grown | extra] = n_packets
+                    # grown with any set of the users after j.
+                    table[grown::bit(j + 1)] = n_packets
                 else:
-                    cache[grown] = child.rank
+                    ranks[grown] = child.rank
                     visit(child, grown, j + 1)
 
         visit(root, 0, 0)
+        self._publish(table)
+
+    def array(self) -> np.ndarray:
+        """H(X_S) for every subset, one array indexed by mask S; built on
+        the first call and then kept as the memo.  A linear source fills it
+        with ``table``, a pmf source computes every subset the memo lacks
+        in one batch, and a table source copies its entries.  Building it
+        counts no calls."""
+        if self._table is None:
+            src = self.source
+            if isinstance(src, LinearSource):
+                self.table()
+            elif isinstance(src, DmmsSource):
+                cache = self._cache
+                missing = [s for s in range(1, self.full_mask + 1) if s not in cache]
+                cache.update(zip(missing, self._marginals.entropies(missing)))
+                self._publish(self._memo_array())
+            else:
+                entries = src.entries
+                self._publish(_value_array(
+                    [0 if self.exact else 0.0,
+                     *map(entries.__getitem__, range(1, self.full_mask + 1))]))
+        return self._table
+
+    def _memo_array(self) -> np.ndarray:
+        cache = self._cache
+        return _value_array([0 if self.exact else 0.0,
+                             *map(cache.__getitem__, range(1, self.full_mask + 1))])
+
+    def _publish(self, table: np.ndarray) -> None:
+        """Make the complete table the memo: readers see it only now."""
+        self._table = table
+        self._cache = {}
 
     def total(self) -> Value:
         return self.entropy(self.full_mask)
@@ -288,7 +358,7 @@ class EntropyOracle:
 
     def oracle_queries(self) -> int:
         """Distinct subsets evaluated so far (cache misses)."""
-        return len(self._cache)
+        return self.full_mask if self._table is not None else len(self._cache)
 
     def f_beta(self, beta: Value, unit: Optional[str] = None) -> SetFunction:
         """The shifted cut function f(S) = beta - H(X_M) + H(X_S) for
@@ -463,6 +533,19 @@ def _row_entropies(marg: np.ndarray) -> np.ndarray:
         q = marg[i][marg[i] > 0.0]
         out[i] = -(q * np.log2(q)).sum()
     return out
+
+
+def _value_array(values: list) -> np.ndarray:
+    """``values`` as one array: int64 when every value is an int below
+    ``INT64_SAFE`` in size, float64 when every value is a float, and
+    dtype object otherwise (Fractions, mixed kinds, larger ints), so that
+    every value reads back as it was."""
+    kinds = set(map(type, values))
+    if kinds == {int} and max(map(abs, values)) < INT64_SAFE:
+        return np.array(values, dtype=np.int64)
+    if kinds == {float}:
+        return np.array(values, dtype=np.float64)
+    return np.array(values, dtype=object)
 
 
 def oracle_for(source: Source) -> EntropyOracle:

@@ -20,6 +20,7 @@ from omniex import (
     EntropyOracle,
     RateVector,
     make_dmms_source,
+    minimize_weighted,
     modified_edmond,
     modified_edmond_setfn,
     rco_sum_rate,
@@ -98,12 +99,18 @@ def dens_around(limit: int, span_at, spread: int = 24) -> list[int]:
     return [d for d in range(lo - spread, hi + spread) if d > 0]
 
 
+@pytest.mark.parametrize("cap", (None, 2))
 @pytest.mark.parametrize("ordering", ORDERINGS)
-def test_exact_sweep_across_the_int64_boundary(ordering):
+def test_exact_sweep_across_the_int64_boundary(ordering, cap, monkeypatch):
+    if cap is not None:
+        # Above the cap the heights come lazily, step by step.
+        monkeypatch.setattr(rates_mod, "FEASIBILITY_CAP", cap)
     rng = random.Random(97)
     for oracle in exact_oracles():
         alpha = tuple(rng.randint(1, 5) for _ in range(oracle.m))
-        for x in (Fraction(1, 3), oracle.total() * Fraction(5, 7), oracle.total() + 1):
+        # Budgets far above H(X_M) make den * Z(S), not den * H, the span.
+        for x in (Fraction(1, 3), oracle.total() * Fraction(5, 7), oracle.total() + 1,
+                  (oracle.total() + 1) * 2 ** 20):
             for limit in (INT64_SAFE, 2 * INT64_SAFE):
                 dens = dens_around(
                     limit, lambda d: key_span(oracle, budget(x, d), alpha, ordering))
@@ -120,6 +127,26 @@ def test_exact_sweep_across_the_int64_boundary(ordering):
                     assert res.partition == partition
                     assert res.segment.rates_at(beta) == res.z
                     assert res.evaluations == evaluations
+
+
+@pytest.mark.parametrize("ordering", ORDERINGS)
+def test_exact_sweep_keeps_the_type_of_the_budget(ordering):
+    # An int budget gives int coordinates and an int g on an integer
+    # table, and a Fraction budget gives Fractions, as the reference does.
+    # Budgets beyond int64 make the first coordinate alone too large for
+    # the int64 sums, though every key of the first step fits.
+    rng = random.Random(149)
+    for oracle in exact_oracles():
+        alpha = tuple(rng.randint(1, 5) for _ in range(oracle.m))
+        total = oracle.total()
+        for beta in (0, total, total + 3, Fraction(total), Fraction(2 * total + 1, 3),
+                     2 ** 70, Fraction(2 ** 64 + 1, 3)):
+            res = modified_edmond(oracle, beta, alpha, ordering=ordering)
+            z, _, partition, _ = modified_edmond_setfn(
+                oracle.f_beta(beta), alpha, ordering=ordering)
+            assert res.z == z
+            assert [type(v) for v in res.z] == [type(v) for v in z], beta
+            assert type(res.g_value) is type(partition.g_value), beta
 
 
 def reference_feasible(oracle: EntropyOracle, values) -> bool:
@@ -264,3 +291,24 @@ def test_table_on_a_warm_memo_runs_no_elimination(monkeypatch):
     assert (warm.calls, warm.oracle_queries()) == (calls, warm.full_mask)
     assert {mask: warm.entropy(mask) for mask in range(1 << src.m)} == expected
     assert all(type(v) is int for v in warm.entropies(range(1 << src.m)))
+
+
+def test_lazy_sweep_above_the_cap_matches_the_table_sweep(monkeypatch):
+    # Above FEASIBILITY_CAP the sweep reads the oracle through entropies
+    # and grows its buffers with the prefix; results and counters are
+    # those of the sweep over the table.
+    rng = random.Random(131)
+    pmf = np.random.RandomState(137).dirichlet(np.full(64, 0.3)).reshape((2,) * 6)
+    sources = [random_linear_source(rng, m=6, n_packets=7, p=101),
+               fraction_table(139, 5).source,
+               make_dmms_source((2,) * 6, pmf)]
+    for src in sources:
+        alpha = tuple(rng.randint(1, 5) for _ in range(src.m))
+        runs = []
+        for cap in (rates_mod.FEASIBILITY_CAP, 2):
+            monkeypatch.setattr(rates_mod, "FEASIBILITY_CAP", cap)
+            oracle = EntropyOracle(src)
+            rco = rco_sum_rate(oracle)
+            weighted = minimize_weighted(oracle, alpha, rco=rco)
+            runs.append((rco, weighted, oracle.calls, oracle.oracle_queries()))
+        assert runs[0] == runs[1]
