@@ -30,8 +30,8 @@ candidates are compared by integer keys, den * (f(S, beta) - Z(S)) less a
 constant, and the minimizers are OR-ed into their union, so no Fraction
 is built per subset.  The keys are int64 while den * max|H| + max|zsum|
 stays below 2^62, checked at each step and before each doubling, and
-Python ints (dtype object) from then on: linear sources stay exact and never touch a float.
-Float oracles use the same tables under the DELTA tie rule, vectorised
+Python ints (dtype object) from then on: linear sources stay exact and
+never touch a float.  Float oracles use the same tables under the DELTA tie rule, vectorised
 over the ``iter_submasks`` scan order with the scalar scan's IEEE
 comparisons; the chosen set's coefficients are summed member by member as
 before, so printed floats do not move.  Above ``FEASIBILITY_CAP`` users

@@ -10,9 +10,9 @@ selfcheck command exercise a hand-edited (possibly non-submodular) "H".
 Oracles memoize per subset mask: lazily in a dict, and then as one
 array indexed by mask once every subset is known (``array``): int64 for
 ints such as linear ranks, float64 for floats such as pmf entropies, and
-dtype object for Fractions, mixed kinds and ints of 2^62 or more.  The sweep and the
-feasibility check read that array with whole-array gathers.  For a
-linear source, ``table`` fills it in one depth-first pass, each subset
+dtype object for Fractions, mixed kinds and ints of 2^62 or more.  The
+sweep and the feasibility check read that array with whole-array
+gathers.  For a linear source, ``table`` fills it in one depth-first pass, each subset
 extending its parent's row space by one user's rows, or copies a memo
 that already holds every subset.  For a pmf source, ``entropies``
 computes every mask it misses in one batch of numpy gathers, whose values
@@ -292,7 +292,7 @@ class EntropyOracle:
         if not isinstance(src, LinearSource) or self._table is not None:
             return
         if len(self._cache) == self.full_mask:
-            self._publish(self._memo_array())
+            self._publish(self._full_array(self._cache))
             return
         n_packets = src.N
         table = np.zeros(1 << self.m, dtype=np.int64)
@@ -330,18 +330,15 @@ class EntropyOracle:
                 cache = self._cache
                 missing = [s for s in range(1, self.full_mask + 1) if s not in cache]
                 cache.update(zip(missing, self._marginals.entropies(missing)))
-                self._publish(self._memo_array())
+                self._publish(self._full_array(cache))
             else:
-                entries = src.entries
-                self._publish(_value_array(
-                    [0 if self.exact else 0.0,
-                     *map(entries.__getitem__, range(1, self.full_mask + 1))]))
+                self._publish(self._full_array(src.entries))
         return self._table
 
-    def _memo_array(self) -> np.ndarray:
-        cache = self._cache
+    def _full_array(self, values: dict[int, Value]) -> np.ndarray:
+        """The table of a map holding every nonempty subset."""
         return _value_array([0 if self.exact else 0.0,
-                             *map(cache.__getitem__, range(1, self.full_mask + 1))])
+                             *map(values.__getitem__, range(1, self.full_mask + 1))])
 
     def _publish(self, table: np.ndarray) -> None:
         """Make the complete table the memo: readers see it only now."""

@@ -153,8 +153,8 @@ def reference_feasible(oracle: EntropyOracle, values) -> bool:
     """R(S) >= H(X_M) - H(X_{S^c}) cut by cut, summed afresh per subset."""
     full = oracle.full_mask
     total = oracle.entropy(full)
-    return all(total - oracle.entropy(full & ~s) <= sum((values[i] for i in members(s)), 0)
-               for s in range(1, full))
+    return all(total - oracle.entropy(full & ~s)
+               <= sum((values[i] for i in members(s)), 0) for s in range(1, full))
 
 
 def cut_span(oracle, values) -> int:
