@@ -31,15 +31,15 @@ constant, and the minimizers are OR-ed into their union, so no Fraction
 is built per subset.  The keys are int64 while den * max|H| + max|zsum|
 stays below 2^62, checked at each step and before each doubling, and
 Python ints (dtype object) from then on: linear sources stay exact and
-never touch a float.  Float oracles use the same tables under the DELTA tie rule, vectorised
-over the ``iter_submasks`` scan order with the scalar scan's IEEE
-comparisons; the chosen set's coefficients are summed member by member as
-before, so printed floats do not move.  Above ``FEASIBILITY_CAP`` users
-the oracle stays lazy and each step's heights come from
-``oracle.entropies``, into the same kernel.  ``verify_feasible`` likewise
-checks every cut at once against one doubling table of rate sums, int64
-(or Python ints, by the same rule) once exact rates are scaled to their
-common denominator.
+never touch a float.  Float oracles use the same tables under the DELTA
+tie rule, vectorised over the ``iter_submasks`` scan order with the
+scalar scan's IEEE comparisons; the chosen set's coefficients are summed
+member by member as before, so printed floats do not move.  Above
+``FEASIBILITY_CAP`` users the oracle stays lazy and each step's heights
+come from ``oracle.entropies``, into the same kernel.  ``verify_feasible``
+likewise checks every cut at once against one doubling table of rate
+sums, int64 (or Python ints, by the same rule) once exact rates are
+scaled to their common denominator.
 
 Every sweep records how many candidate sets its inner minimizations
 evaluated, which callers use as a complexity regression ceiling.
@@ -247,7 +247,7 @@ def _int64_peak(values: np.ndarray) -> Optional[int]:
     return max(int(values.max()), -int(values.min()))
 
 
-def _narrow(peak: Optional[int], scale: int, span: int) -> bool:
+def _fits_int64(peak: Optional[int], scale: int, span: int) -> bool:
     """True when scale * peak + span stays below INT64_SAFE, so that keys
     built from int64 values of size at most peak, scaled by scale, less
     sums of size at most span, fit int64."""
@@ -305,8 +305,9 @@ def modified_edmond(oracle: EntropyOracle, beta: Value,
     # Subset sums over the visited prefix, doubled as each user is fixed:
     # subs[i] is a submask of the prefix and zsum[i] = den * Z(subs[i]).
     # Exact keys stay int64 (narrow) while den * max|H| + max|zsum| stays
-    # below INT64_SAFE; zhi and zlo bound zsum from above and below.  Both
-    # are allocated in full up to the cap, and grow with the prefix above.
+    # below INT64_SAFE; zhi and zlo are zsum's largest and smallest entries.
+    # Both buffers are allocated in full up to the cap, and grow with the
+    # prefix above it.
     size = 1 << min(m, FEASIBILITY_CAP)
     subs = np.zeros(size, dtype=np.int64)
     zsum = np.zeros(size // 2, dtype=np.int64 if exact else np.float64)
@@ -325,7 +326,7 @@ def modified_edmond(oracle: EntropyOracle, beta: Value,
         if exact:
             if table is None:
                 peak = _int64_peak(heights)
-            if narrow and not _narrow(peak, den, max(zhi, -zlo)):
+            if narrow and not _fits_int64(peak, den, max(zhi, -zlo)):
                 narrow, zsum = False, zsum.astype(object)
             # heights is a fresh array: the keys are built in it.
             keys = heights if narrow else heights.astype(object)
@@ -359,7 +360,7 @@ def modified_edmond(oracle: EntropyOracle, beta: Value,
         if len(tight) < m:   # the last user's doubling would go unread
             if narrow:
                 zhi, zlo = max(zhi, zhi + zj), min(zlo, zlo + zj)
-                if not _narrow(peak, den, max(zhi, -zlo)):
+                if not _fits_int64(peak, den, max(zhi, -zlo)):
                     narrow, zsum = False, zsum.astype(object)
             if 2 * k > len(zsum):
                 zsum = np.resize(zsum, 2 * k)
@@ -680,7 +681,7 @@ def verify_feasible(oracle: EntropyOracle, rates: RateVector) -> bool:
     if exact and not any(isinstance(v, float) for v in values):
         scale = math.lcm(*(v.denominator for v in values))
         steps = [v.numerator * (scale // v.denominator) for v in values]
-        narrow = _narrow(_int64_peak(table), scale, sum(map(abs, steps)))
+        narrow = _fits_int64(_int64_peak(table), scale, sum(map(abs, steps)))
         dtype = np.int64 if narrow else object
     else:
         scale, steps = 1, values
