@@ -4,11 +4,13 @@ for broadcast data exchange among users with correlated side information.
 The public surface groups into:
 
 * ``field``    exact linear algebra over prime fields;
-* ``setfun``   set-function machinery (submodularity, greedy vertices,
-  brute-force minimization, Dilworth truncation);
+* ``setfun``   set functions over subset masks and value comparisons;
 * ``sources``  entropy oracles for linear, pmf and raw-table sources;
 * ``rates``    the rate optimizers (sum rate, weighted, fixed denominator);
 * ``netcode``  transmission scheme construction, verification, decoding;
+* ``reference`` brute-force and independent oracles that check the above
+  (submodularity, greedy vertices, brute-force minimization, Dilworth
+  truncation, the multicast transfer-matrix view); no solver calls them;
 * ``cli``      the ``omniex`` command line tool and document formats.
 """
 
@@ -34,20 +36,13 @@ from .errors import (
 )
 from .field import FieldMatrix, ff_inv, is_prime, kron_block, rank, solve, stack
 from .netcode import (
-    ExpandedTransferMatrix,
     GreedySelection,
-    MulticastNetwork,
-    Slot,
     TransmissionScheme,
     broadcast_symbols,
-    build_network,
     construct_code,
     decode,
-    expanded_transfer_matrix,
     greedy_row_selection,
     receiver_ranks,
-    scheme_assignment,
-    transfer_matrix,
     user_observation,
     verify_omniscience,
 )
@@ -63,33 +58,37 @@ from .rates import (
     ilp_rates,
     minimize_weighted,
     modified_edmond,
-    modified_edmond_setfn,
     optimal_partition,
     rco_partition_formula,
     rco_sum_rate,
     verify_feasible,
 )
-from .setfun import (
-    GroundSet,
-    SetFunction,
+from .reference import (
+    ExpandedTransferMatrix,
+    MulticastNetwork,
+    Slot,
+    build_network,
     dilworth_bruteforce,
+    dmms_from_linear,
     dual,
     edmond_greedy,
+    expanded_transfer_matrix,
     in_polyhedron,
     is_intersecting_submodular,
     is_submodular,
+    modified_edmond_setfn,
+    scheme_assignment,
     sfm_constrained,
+    transfer_matrix,
 )
-from .minnorm import sfm_minnorm
+from .setfun import GroundSet, SetFunction
 from .sources import (
     DmmsSource,
     EntropyOracle,
     LinearSource,
     TableSource,
-    dmms_from_linear,
     make_dmms_source,
     make_linear_source,
-    oracle_for,
     validate,
 )
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import documents as docs
-from . import netcode, rates, setfun, sources
+from . import netcode, rates, reference, setfun, sources
 from .errors import (
     ConstructionFailed,
     FieldTooSmall,
@@ -36,6 +36,16 @@ EXIT_INVALID = 2
 EXIT_UNIT = 3
 EXIT_FIELD = 4
 EXIT_CONSTRUCTION = 5
+
+# Exit code of each error kind, tried in order: the first matching entry
+# wins, so the catch-all OmniexError comes last.
+EXIT_CODES = (
+    ((ValidationError, InvalidN, NonIntegerRates, NegativeWeight), EXIT_INVALID),
+    (UnitMismatch, EXIT_UNIT),
+    (FieldTooSmall, EXIT_FIELD),
+    (ConstructionFailed, EXIT_CONSTRUCTION),
+    (OmniexError, EXIT_PROPERTY),
+)
 
 
 def _parse_alpha(text: str, m: int) -> tuple:
@@ -157,6 +167,12 @@ def cmd_ilp(args) -> int:
     return EXIT_OK
 
 
+def _receivers(ranks: list[tuple[int, int]]) -> list[dict]:
+    return [{"receiver": j + 1, "achieved_rank": got, "required_rank": need,
+             "status": "pass" if got == need else "fail"}
+            for j, (got, need) in enumerate(ranks)]
+
+
 def cmd_code(args) -> int:
     doc = docs.load_problem(args.problem)
     if not isinstance(doc.source, sources.LinearSource):
@@ -183,11 +199,7 @@ def cmd_code(args) -> int:
         "sum_rate": docs.format_value(result.rates.total()),
         "broadcast_rows": [c.rows for c in scheme.coefficients],
         "scheme_file": args.out,
-        "receivers": [
-            {"receiver": j + 1, "achieved_rank": got, "required_rank": need,
-             "status": "pass" if got == need else "fail"}
-            for j, (got, need) in enumerate(ranks)
-        ],
+        "receivers": _receivers(ranks),
         "diagnostics": {"entropy_queries": oracle.oracle_queries()},
     })
     _emit(out, args)
@@ -211,11 +223,7 @@ def cmd_verify(args) -> int:
         "scheme_file": args.scheme,
         "n": scheme.n,
         "broadcast_rows": [c.rows for c in scheme.coefficients],
-        "receivers": [
-            {"receiver": j + 1, "achieved_rank": got, "required_rank": need,
-             "status": "pass" if got == need else "fail"}
-            for j, (got, need) in enumerate(ranks)
-        ],
+        "receivers": _receivers(ranks),
         "omniscience": ok,
     })
     _emit(out, args)
@@ -262,9 +270,9 @@ def _selfcheck_entries(doc: docs.ProblemDocument, oracle, sample_rng
     record("entropy-monotone" if exhaustive else "entropy-monotone-sampled",
            "pass" if mono_ok else "fail")
 
-    hfun = oracle.entropy_setfunction()
+    hfun = setfun.SetFunction(m, oracle.entropy, exact=oracle.exact)
     if exhaustive:
-        sub_ok = setfun.is_submodular(hfun)
+        sub_ok = reference.is_submodular(hfun)
     else:
         sub_ok = True
         for _ in range(512):
@@ -289,10 +297,10 @@ def _selfcheck_entries(doc: docs.ProblemDocument, oracle, sample_rng
 
     if exhaustive:
         record("budget-function-intersecting-submodular",
-               "pass" if setfun.is_intersecting_submodular(oracle.f_beta(0))
+               "pass" if reference.is_intersecting_submodular(oracle.f_beta(0))
                else "fail")
         record("budget-function-submodular-at-total",
-               "pass" if setfun.is_submodular(oracle.f_beta(oracle.total()))
+               "pass" if reference.is_submodular(oracle.f_beta(oracle.total()))
                else "fail")
 
     rco = rates.rco_sum_rate(oracle)
@@ -312,7 +320,7 @@ def _selfcheck_entries(doc: docs.ProblemDocument, oracle, sample_rng
         dil_ok = True
         for beta in betas:
             sweep = rates.modified_edmond(oracle, beta)
-            ref, _part = setfun.dilworth_bruteforce(oracle.f_beta(beta), full)
+            ref, _part = reference.dilworth_bruteforce(oracle.f_beta(beta), full)
             if not setfun.value_eq(sweep.g_value, ref, oracle.exact):
                 dil_ok = False
         record("dilworth-cross-check", "pass" if dil_ok else "fail")
@@ -395,21 +403,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, InvalidN, NonIntegerRates, NegativeWeight) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except UnitMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNIT
-    except FieldTooSmall as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FIELD
-    except ConstructionFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONSTRUCTION
     except OmniexError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PROPERTY
+        return next(code for kinds, code in EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

@@ -18,7 +18,8 @@ modulus below 2**61.  ``FieldMatrix.rank``, ``solve_with_rank`` (which
 back-substitutes the pivots), the subset-rank table of the entropy oracle
 and the row selections of ``netcode`` all go through it.  The reduced row
 echelon form of ``FieldMatrix._echelon`` is kept only for ``inv``, which
-needs the back-substituted rows of an augmented identity.
+needs the back-substituted rows of an augmented identity, and for the
+tests, which check ranks against it.
 """
 
 from __future__ import annotations

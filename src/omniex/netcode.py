@@ -9,9 +9,8 @@ Construction draws the coefficient matrices uniformly at random with a
 seeded generator and verifies deterministically, retrying up to a budget;
 for tiny instances over small fields an exhaustive coefficient search is
 the fallback.  The classical multicast conversion (super node, sender and
-relay nodes, expanded transfer matrices) is kept as an independent
-verification view: the determinant of a completed expanded transfer
-matrix is nonzero exactly when the corresponding receiver can decode.
+relay nodes, expanded transfer matrices), an independent verification
+view, lives in ``omniex.reference``.
 """
 
 from __future__ import annotations
@@ -30,13 +29,12 @@ from .errors import (
     DimensionMismatch,
     FieldTooSmall,
     InconsistentObservations,
-    InfeasibleRates,
     InvalidN,
     NonIntegerRates,
     UnknownReceiver,
 )
-from .rates import RateVector, verify_feasible
-from .sources import EntropyOracle, LinearSource
+from .rates import RateVector
+from .sources import LinearSource
 
 EXHAUSTIVE_SLOT_CAP = 16
 
@@ -53,59 +51,6 @@ def _integer_tx_counts(rates: RateVector, n: int, m: int) -> tuple[int, ...]:
             raise NonIntegerRates(f"n*R_{i + 1} = {scaled} is not a nonnegative integer")
         counts.append(int(scaled))
     return tuple(counts)
-
-
-@dataclass(frozen=True)
-class MulticastNetwork:
-    """Multicast model of the exchange: a super node S feeding sender
-    nodes s_i, relay nodes t_i enforcing the broadcast constraint, and
-    receiver nodes r_i.  Capacities are in F_p symbols per n-block."""
-
-    m: int
-    n: int
-    N: int
-    p: int
-    lengths: tuple[int, ...]       # observation rows per user (per instance)
-    tx: tuple[int, ...]            # n * R_i, integers
-
-    @property
-    def node_count(self) -> int:
-        return 3 * self.m + 1
-
-    def edges(self) -> list[tuple[str, int, Optional[int], int]]:
-        """Deterministic edge list as (kind, i, j, capacity)."""
-        out: list[tuple[str, int, Optional[int], int]] = []
-        for i in range(self.m):
-            out.append(("source", i, None, self.n * self.lengths[i]))
-            out.append(("side", i, None, self.n * self.lengths[i]))
-            out.append(("relay_in", i, None, self.tx[i]))
-            for j in range(self.m):
-                if j != i:
-                    out.append(("relay_out", i, j, self.tx[i]))
-        return out
-
-    def unit_edges(self) -> list[tuple[str, int, Optional[int], int]]:
-        """One entry per F_p symbol: (kind, i, j, slot-within-edge)."""
-        out: list[tuple[str, int, Optional[int], int]] = []
-        for kind, i, j, cap in self.edges():
-            out.extend((kind, i, j, k) for k in range(cap))
-        return out
-
-
-def build_network(src: LinearSource, rates: RateVector, n: int) -> MulticastNetwork:
-    """Multicast network for the given integer rate point.
-
-    Edge capacities: S->s_i and s_i->r_i carry the full observation block
-    n*l_i, s_i->t_i carries the n*R_i broadcast symbols, and t_i->r_j
-    copies them to every other receiver.  Zero-rate users keep their relay
-    node with empty edges so indexing stays uniform.
-    """
-    tx = _integer_tx_counts(rates, n, src.m)
-    oracle = EntropyOracle(src)
-    if not verify_feasible(oracle, rates):
-        raise InfeasibleRates("rate vector violates a cut constraint")
-    return MulticastNetwork(m=src.m, n=n, N=src.N, p=src.p,
-                            lengths=src.lengths, tx=tx)
 
 
 @dataclass(frozen=True)
@@ -344,238 +289,3 @@ def greedy_row_selection(src: LinearSource, receiver: int,
     rates = tuple(len(selections[i]) for i in range(src.m))
     return GreedySelection(ordering=ordering, selections=tuple(selections),
                            ranks=tuple(ranks), rates=rates)
-
-
-# ---------------------------------------------------------------------------
-# Expanded transfer matrices (verification cross-check)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Slot:
-    """Identifier of one unresolved coding coefficient.
-
-    kind "code": entry (row, col) of user ``user``'s coefficient matrix;
-    shared by every receiver's matrix.  kind "dec": receiver ``user``'s
-    decoder coefficient from its local incoming symbol ``row`` to output
-    ``col``.  ``negated`` marks occurrences inside I - Gamma; assignments
-    are always keyed by the plain (un-negated) slot.
-    """
-
-    kind: str
-    user: int
-    row: int
-    col: int
-    negated: bool = False
-
-    def key(self) -> "Slot":
-        if not self.negated:
-            return self
-        return Slot(self.kind, self.user, self.row, self.col)
-
-
-@dataclass(frozen=True)
-class ExpandedTransferMatrix:
-    """Square matrix [[A, 0], [I - Gamma, B(r)]] for one receiver.
-
-    Entries are field elements or Slot placeholders; after a full
-    assignment the matrix is nonsingular exactly when the receiver can
-    decode.  Coding slots are shared across receivers, so completing all
-    m matrices at once is the multicast code design problem.
-    """
-
-    receiver: int
-    p: int
-    grid: tuple[tuple[object, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.grid)
-
-    def unassigned_slots(self) -> list[Slot]:
-        out: list[Slot] = []
-        seen = set()
-        for row in self.grid:
-            for x in row:
-                if isinstance(x, Slot):
-                    k = x.key()
-                    if k not in seen:
-                        seen.add(k)
-                        out.append(k)
-        return out
-
-    def substitute(self, assignment: dict[Slot, int]) -> "ExpandedTransferMatrix":
-        p = self.p
-
-        def resolve(x):
-            if not isinstance(x, Slot):
-                return x
-            v = assignment.get(x.key())
-            if v is None:
-                return x
-            return (-v) % p if x.negated else v % p
-
-        grid = tuple(tuple(resolve(x) for x in row) for row in self.grid)
-        return ExpandedTransferMatrix(receiver=self.receiver, p=p, grid=grid)
-
-    def to_field_matrix(self) -> ff.FieldMatrix:
-        remaining = self.unassigned_slots()
-        if remaining:
-            raise ConstraintViolation(
-                f"{len(remaining)} coefficients are still unassigned")
-        flat = [int(x) for row in self.grid for x in row]
-        return ff.FieldMatrix(self.size, self.size, self.p, flat)
-
-    def det(self) -> int:
-        return self.to_field_matrix().det()
-
-
-def _receiver_incoming(net: MulticastNetwork, receiver: int) -> list[tuple]:
-    """Unit edges entering one receiver: own side link first, then relay
-    links from the other users in ascending order."""
-    incoming = [("side", receiver, None, k)
-                for k in range(net.n * net.lengths[receiver])]
-    for i in range(net.m):
-        if i != receiver:
-            incoming.extend(("relay_out", i, receiver, k) for k in range(net.tx[i]))
-    return incoming
-
-
-def _network_blocks(net: MulticastNetwork, src: LinearSource):
-    """Shared structure: unit-edge index, source block A and Gamma with
-    coding slots in place."""
-    if src.m != net.m or src.p != net.p or src.lengths != net.lengths:
-        raise DimensionMismatch("network was built from a different source")
-    units = net.unit_edges()
-    index = {e: k for k, e in enumerate(units)}
-    ell = len(units)
-    dim = net.n * net.N
-
-    expanded = [ff.kron_block(net.n, src.matrices[i]) for i in range(net.m)]
-    a_grid = [[0] * ell for _ in range(dim)]
-    gamma: list[list[object]] = [[0] * ell for _ in range(ell)]
-    for e, col in index.items():
-        kind, i, _j, k = e
-        if kind == "source":
-            obs_row = expanded[i].row(k)
-            for w in range(dim):
-                a_grid[w][col] = obs_row[w]
-        elif kind == "side":
-            gamma[index[("source", i, None, k)]][col] = 1
-        elif kind == "relay_in":
-            for obs in range(net.n * net.lengths[i]):
-                gamma[index[("source", i, None, obs)]][col] = Slot("code", i, k, obs)
-        elif kind == "relay_out":
-            gamma[index[("relay_in", i, None, k)]][col] = 1
-    return index, ell, dim, a_grid, gamma
-
-
-def expanded_transfer_matrix(net: MulticastNetwork, src: LinearSource,
-                             receiver: int,
-                             assignment: Optional[dict[Slot, int]] = None
-                             ) -> ExpandedTransferMatrix:
-    """Build [[A, 0], [I - Gamma, B(r)]] for one receiver.
-
-    A injects the fixed observation blocks on the super-node edges; Gamma
-    forwards side links and relay copies verbatim and carries the coding
-    coefficients on the s_i -> t_i links; B reads the receiver's incoming
-    symbols through decoder coefficients.  Unassigned coefficients appear
-    as Slot placeholders.
-    """
-    if not 0 <= receiver < net.m:
-        raise UnknownReceiver(f"receiver {receiver} outside 1..{net.m}")
-    index, ell, dim, a_grid, gamma = _network_blocks(net, src)
-    p = net.p
-
-    incoming = _receiver_incoming(net, receiver)
-    b_grid: list[list[object]] = [[0] * dim for _ in range(ell)]
-    for local, e in enumerate(incoming):
-        row = index[e]
-        for c in range(dim):
-            b_grid[row][c] = Slot("dec", receiver, local, c)
-
-    grid: list[tuple[object, ...]] = []
-    for r in range(dim):
-        grid.append(tuple(a_grid[r] + [0] * dim))
-    for r in range(ell):
-        row: list[object] = []
-        for c in range(ell):
-            g = gamma[r][c]
-            diag = 1 if r == c else 0
-            if isinstance(g, Slot):
-                row.append(Slot(g.kind, g.user, g.row, g.col, negated=True))
-            else:
-                row.append((diag - g) % p)
-        row.extend(b_grid[r])
-        grid.append(tuple(row))
-    etm = ExpandedTransferMatrix(receiver=receiver, p=p, grid=tuple(grid))
-    if assignment:
-        etm = etm.substitute(assignment)
-    return etm
-
-
-def scheme_assignment(net: MulticastNetwork, src: LinearSource,
-                      scheme: TransmissionScheme) -> dict[Slot, int]:
-    """Full slot assignment induced by a concrete scheme.
-
-    Coding slots copy the scheme's coefficient matrices.  Decoder slots
-    select, per receiver, a greedy maximal independent subset of its
-    incoming symbols as outputs (a 0/1 selection), padding with zero
-    columns when the receiver cannot reach full rank.
-    """
-    scheme.check_source(src)
-    if scheme.tx != net.tx or scheme.n != net.n:
-        raise DimensionMismatch("scheme rates differ from the network capacities")
-    out: dict[Slot, int] = {}
-    for i in range(net.m):
-        c = scheme.coefficients[i]
-        for r in range(c.rows):
-            row = c.row(r)
-            for k in range(c.cols):
-                out[Slot("code", i, r, k)] = row[k]
-    dim = net.n * net.N
-    for j in range(net.m):
-        rows = ff.kron_block(net.n, src.matrices[j]).to_rows()
-        for i in range(net.m):
-            if i != j:
-                rows.extend(scheme.broadcast_matrix(src, i).to_rows())
-        tracker = ff.RowSpace(dim, net.p)
-        chosen = [local for local, row in enumerate(rows) if tracker.try_add(row)]
-        for c, local in enumerate(chosen[:dim]):
-            out[Slot("dec", j, local, c)] = 1
-        for local in range(len(rows)):
-            for c in range(dim):
-                out.setdefault(Slot("dec", j, local, c), 0)
-    return out
-
-
-def transfer_matrix(net: MulticastNetwork, src: LinearSource, receiver: int,
-                    assignment: dict[Slot, int]) -> ff.FieldMatrix:
-    """Concrete transfer matrix A @ (I - Gamma)^-1 @ B(r) for a fully
-    assigned code; its determinant matches the expanded matrix's up to
-    sign."""
-    if not 0 <= receiver < net.m:
-        raise UnknownReceiver(f"receiver {receiver} outside 1..{net.m}")
-    index, ell, dim, a_grid, gamma = _network_blocks(net, src)
-    p = net.p
-
-    def resolve(x) -> int:
-        if isinstance(x, Slot):
-            v = assignment.get(x.key())
-            if v is None:
-                raise ConstraintViolation(f"slot {x} is unassigned")
-            return v % p
-        return x % p
-
-    a_mat = ff.FieldMatrix(dim, ell, p, [x for row in a_grid for x in row])
-    i_minus_gamma = ff.FieldMatrix(
-        ell, ell, p,
-        [((1 if r == c else 0) - resolve(gamma[r][c])) % p
-         for r in range(ell) for c in range(ell)])
-    incoming = _receiver_incoming(net, receiver)
-    b = [[0] * dim for _ in range(ell)]
-    for local, e in enumerate(incoming):
-        row = index[e]
-        for c in range(dim):
-            b[row][c] = resolve(Slot("dec", receiver, local, c))
-    b_mat = ff.FieldMatrix(ell, dim, p, [x for row in b for x in row])
-    return a_mat.mul(i_minus_gamma.inv()).mul(b_mat)

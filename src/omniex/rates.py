@@ -68,13 +68,11 @@ from .errors import (
 )
 from .setfun import (
     DELTA,
-    SetFunction,
     Value,
     bit,
     check_costs,
     members,
     order_by_weight,
-    sfm_constrained,
     value_eq,
     value_le,
     value_lt,
@@ -378,32 +376,6 @@ def modified_edmond(oracle: EntropyOracle, beta: Value,
     return ModifiedEdmondResult(
         z=tuple(z), segment=segment, tight_sets=tuple(tight),
         partition=partition, g_value=g_value, evaluations=evaluations)
-
-
-def modified_edmond_setfn(f: SetFunction, alpha: Sequence[Value],
-                          ordering: str = "descending",
-                          ) -> tuple[tuple[Value, ...], tuple[int, ...], PartitionResult, int]:
-    """Sweep for a raw intersecting-submodular set function (no beta)."""
-    m = f.m
-    alpha = check_costs(alpha, m)
-    order = order_by_weight(alpha, descending=(ordering == "descending"))
-    z: list[Value] = [_zero(f.exact)] * m
-    tight: list[int] = []
-    blocks: list[int] = []
-    evaluations = 0
-    seen = 0
-    for j in order:
-        val, minimizer = sfm_constrained(f, z, j, seen | bit(j))
-        evaluations += 1 << bin(seen).count("1")
-        z[j] = val
-        tight.append(minimizer)
-        _merge_block(blocks, minimizer)
-        seen |= bit(j)
-    g_value = _zero(f.exact)
-    for v in z:
-        g_value = g_value + v
-    partition = PartitionResult(blocks=_sorted_blocks(blocks), g_value=g_value)
-    return tuple(z), tuple(tight), partition, evaluations
 
 
 def optimal_partition(oracle: EntropyOracle, beta: Value) -> PartitionResult:

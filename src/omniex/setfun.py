@@ -1,9 +1,9 @@
 """Set functions over a ground set {0, .., m-1} encoded as bitmasks.
 
-Provides submodularity tests, duality, the greedy vertex construction for
-submodular polyhedra, constrained brute-force submodular function
-minimization (the inner oracle of the rate algorithms) and exact Dilworth
-truncation by partition enumeration.
+Provides the mask helpers, the ``SetFunction`` wrapper, the value
+comparisons under the tolerance DELTA, and the validation and ordering of
+cost vectors that the greedy sweep of ``rates`` uses.  The brute-force
+checks over set functions live in ``omniex.reference``.
 
 Values are either exact (int / fractions.Fraction) or floats.  Exact
 values are never silently converted; float comparisons use the module
@@ -14,18 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
-from .errors import ConstraintViolation, NegativeWeight, TooLarge
+from .errors import NegativeWeight
 
 Value = Union[int, Fraction, float]
 
 DELTA = 1e-9
-
-SUBMODULARITY_CAP = 16
-POLYHEDRON_CAP = 20
-SFM_CAP = 22
-PARTITION_CAP = 12
 
 
 def value_eq(a: Value, b: Value, exact: bool = True) -> bool:
@@ -53,13 +48,6 @@ def members(mask: int) -> tuple[int, ...]:
         mask >>= 1
         i += 1
     return tuple(out)
-
-
-def mask_of(indices: Iterable[int]) -> int:
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m
 
 
 def iter_submasks(mask: int) -> Iterator[int]:
@@ -122,61 +110,6 @@ class SetFunction:
         return self._fn(self.ground.check(mask))
 
 
-def from_table(m: int, table: dict[int, Value], exact: bool = True) -> SetFunction:
-    """Set function backed by an explicit table keyed by subset mask."""
-    full = dict(table)
-    full.setdefault(0, 0 if exact else 0.0)
-    missing = [s for s in range(1 << m) if s not in full]
-    if missing:
-        raise ValueError(f"table is missing {len(missing)} subsets (e.g. {missing[0]:#x})")
-    return SetFunction(m, full.__getitem__, exact=exact)
-
-
-def _check_exchange(f: SetFunction, nonempty_base_only: bool) -> bool:
-    # Local exchange characterization: f is (intersecting) submodular iff
-    # f(S+i) + f(S+j) >= f(S+i+j) + f(S) for all S (nonempty S) and i != j
-    # outside S.  Equivalent to the pairwise definition but 2^m * m^2
-    # instead of 4^m checks.
-    m = f.m
-    exact = f.exact
-    for s in range(1 << m):
-        if nonempty_base_only and s == 0:
-            continue
-        outside = [i for i in range(m) if not s & bit(i)]
-        fs = f(s)
-        for a in range(len(outside)):
-            i = outside[a]
-            fsi = f(s | bit(i))
-            for b in range(a + 1, len(outside)):
-                j = outside[b]
-                lhs = fsi + f(s | bit(j))
-                rhs = f(s | bit(i) | bit(j)) + fs
-                if not value_le(rhs, lhs, exact):
-                    return False
-    return True
-
-
-def is_submodular(f: SetFunction) -> bool:
-    """Exhaustively check f(S)+f(T) >= f(S|T)+f(S&T) for all pairs."""
-    if f.m > SUBMODULARITY_CAP:
-        raise TooLarge(f"submodularity check capped at m={SUBMODULARITY_CAP}")
-    return _check_exchange(f, nonempty_base_only=False)
-
-
-def is_intersecting_submodular(f: SetFunction) -> bool:
-    """Check the submodular inequality for all pairs with S & T != empty."""
-    if f.m > SUBMODULARITY_CAP:
-        raise TooLarge(f"submodularity check capped at m={SUBMODULARITY_CAP}")
-    return _check_exchange(f, nonempty_base_only=True)
-
-
-def dual(f: SetFunction) -> SetFunction:
-    """Dual set function: dual(f)(S) = f(M) - f(M \\ S)."""
-    full = f.full_mask
-    total = f(full)
-    return SetFunction(f.m, lambda s: total - f(full & ~s), exact=f.exact)
-
-
 def check_costs(alpha: Sequence[Value], m: int) -> tuple[Value, ...]:
     if len(alpha) != m:
         raise NegativeWeight(f"cost vector has {len(alpha)} entries, expected {m}")
@@ -196,126 +129,3 @@ def order_by_weight(alpha: Sequence[Value], descending: bool) -> tuple[int, ...]
     if descending:
         return tuple(sorted(idx, key=lambda i: (-alpha[i], i)))
     return tuple(sorted(idx, key=lambda i: (alpha[i], i)))
-
-
-def edmond_greedy(f: SetFunction, alpha: Sequence[Value]) -> tuple[Value, ...]:
-    """Greedy vertex of P(f,<=) maximizing sum(alpha_i * Z_i).
-
-    Valid for submodular f: visits users by descending weight and assigns
-    each the marginal value of joining the prefix.  The output satisfies
-    sum(Z) = f(M).
-    """
-    alpha = check_costs(alpha, f.m)
-    order = order_by_weight(alpha, descending=True)
-    z: list[Value] = [0] * f.m
-    acc = 0
-    prev: Value = 0
-    for j in order:
-        acc |= bit(j)
-        cur = f(acc)
-        z[j] = cur - prev
-        prev = cur
-    return tuple(z)
-
-
-def sfm_constrained(f: SetFunction, z: Sequence[Value], j: int, a_mask: int,
-                    ) -> tuple[Value, int]:
-    """Minimize f(S) - Z(S) over {S : j in S, S subseteq A} by enumeration.
-
-    Returns the minimum and the inclusion-wise maximal minimizer (the
-    union of all minimizers, which is itself a minimizer whenever
-    f(S) - Z(S) is submodular on nonempty sets).
-    """
-    if not a_mask & bit(j):
-        raise ConstraintViolation(f"user {j} is not in the admissible set")
-    if bin(a_mask).count("1") > SFM_CAP:
-        raise TooLarge(f"brute-force SFM capped at |A| = {SFM_CAP}")
-    exact = f.exact
-    rest = a_mask & ~bit(j)
-    best: Value | None = None
-    union = 0
-    for sub in iter_submasks(rest):
-        s = sub | bit(j)
-        v = f(s)
-        for k in members(s):
-            v = v - z[k]
-        if best is None:
-            best, union = v, s
-        elif exact:
-            if v < best:
-                best, union = v, s
-            elif v == best:
-                union |= s
-        else:
-            # Tolerance ties widen the union; best tracks the true minimum.
-            if v < best - DELTA:
-                best, union = v, s
-            else:
-                if v <= best + DELTA:
-                    union |= s
-                if v < best:
-                    best = v
-    assert best is not None
-    return best, union
-
-
-def dilworth_bruteforce(f: SetFunction, s_mask: int) -> tuple[Value, tuple[int, ...]]:
-    """Exact Dilworth truncation value at S: the minimum of
-    sum(f(V) for V in P) over all set partitions P of S.
-
-    Returns the value and one minimizing partition (the lexicographically
-    smallest canonical form among minimizers) as a tuple of block masks.
-    """
-    elems = members(f.ground.check(s_mask))
-    if not elems:
-        return 0 if f.exact else 0.0, ()
-    if len(elems) > PARTITION_CAP:
-        raise TooLarge(f"partition enumeration capped at |S| = {PARTITION_CAP}")
-    exact = f.exact
-    best_val: Value | None = None
-    best_parts: tuple[tuple[int, ...], ...] | None = None
-
-    def canon(blocks: list[int]) -> tuple[tuple[int, ...], ...]:
-        return tuple(sorted(members(b) for b in blocks))
-
-    def recurse(i: int, blocks: list[int], acc: Value):
-        nonlocal best_val, best_parts
-        if i == len(elems):
-            if best_val is None or value_lt(acc, best_val, exact):
-                best_val, best_parts = acc, canon(blocks)
-            elif value_eq(acc, best_val, exact):
-                c = canon(blocks)
-                if acc < best_val:
-                    best_val = acc
-                if best_parts is None or c < best_parts:
-                    best_parts = c
-            return
-        e = bit(elems[i])
-        for k in range(len(blocks)):
-            old = blocks[k]
-            blocks[k] = old | e
-            recurse(i + 1, blocks, acc - f(old) + f(blocks[k]))
-            blocks[k] = old
-        blocks.append(e)
-        recurse(i + 1, blocks, acc + f(e))
-        blocks.pop()
-
-    recurse(1, [bit(elems[0])], f(bit(elems[0])))
-    assert best_val is not None and best_parts is not None
-    return best_val, tuple(mask_of(b) for b in best_parts)
-
-
-def in_polyhedron(f: SetFunction, z: Sequence[Value]) -> bool:
-    """Membership test Z(S) <= f(S) for every nonempty subset S."""
-    if f.m > POLYHEDRON_CAP:
-        raise TooLarge(f"polyhedron membership capped at m={POLYHEDRON_CAP}")
-    if len(z) != f.m:
-        raise ConstraintViolation(f"vector has {len(z)} entries, expected {f.m}")
-    exact = f.exact
-    for s in f.ground.subsets(include_empty=False):
-        total = 0
-        for k in members(s):
-            total = total + z[k]
-        if not value_le(total, f(s), exact):
-            return False
-    return True

@@ -167,9 +167,12 @@ def validate(source: Source) -> list[str]:
         if source.m < 1:
             problems.append("no users")
         full = (1 << source.m) - 1
-        missing = [s for s in range(1, full + 1) if s not in source.entries]
+        missing = full - sum(1 for s in source.entries if 0 < s <= full)
         if missing:
-            problems.append(f"entropy table is missing {len(missing)} subsets")
+            problems.append(f"entropy table is missing {missing} subsets")
+        if any(isinstance(v, float) and not math.isfinite(v)
+               for v in source.entries.values()):
+            problems.append("entropy table has non-finite entries")
         zero = source.entries.get(0, 0)
         if zero != 0:
             problems.append(f"entropy of the empty set must be 0, got {zero}")
@@ -375,9 +378,6 @@ class EntropyOracle:
 
         return SetFunction(self.m, fn, exact=exact)
 
-    def entropy_setfunction(self) -> SetFunction:
-        return SetFunction(self.m, self.entropy, exact=self.exact)
-
 
 # Bounds on the working arrays of the pmf kernel: the most masks one pass
 # groups, and the most entries one block of marginals holds or one gather
@@ -543,34 +543,3 @@ def _value_array(values: list) -> np.ndarray:
     if kinds == {float}:
         return np.array(values, dtype=np.float64)
     return np.array(values, dtype=object)
-
-
-def oracle_for(source: Source) -> EntropyOracle:
-    return EntropyOracle(source)
-
-
-def dmms_from_linear(src: LinearSource) -> DmmsSource:
-    """Push a uniform W through the observation matrices to get the joint
-    pmf of the user observations.  Feasible only for tiny p^N."""
-    if src.p ** src.N > 1 << 20:
-        raise ValidationError("p^N too large to tabulate the joint pmf")
-    lengths = src.lengths
-    alphabets = tuple(src.p ** l for l in lengths)
-    table = np.zeros(alphabets, dtype=float)
-    weight = 1.0 / src.p ** src.N
-    w = [0] * src.N
-    for _ in range(src.p ** src.N):
-        idx = []
-        for i in range(src.m):
-            obs = src.matrices[i].mul_vector(w)
-            code = 0
-            for sym in obs:
-                code = code * src.p + sym
-            idx.append(code)
-        table[tuple(idx)] += weight
-        for pos in range(src.N - 1, -1, -1):
-            w[pos] += 1
-            if w[pos] < src.p:
-                break
-            w[pos] = 0
-    return DmmsSource(alphabets=alphabets, pmf=table)

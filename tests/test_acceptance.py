@@ -18,13 +18,10 @@ from omniex import (
     broadcast_symbols,
     construct_code,
     decode,
-    dilworth_bruteforce,
-    edmond_greedy,
     h_eval,
     ilp_rates,
     minimize_weighted,
     modified_edmond,
-    modified_edmond_setfn,
     optimal_partition,
     rco_partition_formula,
     rco_sum_rate,
@@ -32,7 +29,12 @@ from omniex import (
     verify_feasible,
     verify_omniscience,
 )
-from omniex.setfun import from_table
+from omniex.reference import (
+    dilworth_bruteforce,
+    edmond_greedy,
+    from_table,
+    modified_edmond_setfn,
+)
 
 from conftest import (
     corpus,

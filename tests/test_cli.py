@@ -118,6 +118,12 @@ def test_code_rejects_small_field(capsys, tmp_path):
     assert "field" in err.lower()
 
 
+def test_code_without_tries_exits_5(capsys, tmp_path):
+    code, out, err = run(capsys, "code", EX1, "--max-tries", "0",
+                         "--out", str(tmp_path / "s.json"))
+    assert (code, out) == (5, "")
+    assert err.startswith("error: ") and "max_tries" in err
+
 def test_verify_bundled_fixture_schemes(capsys):
     code, report = run_json(capsys, "verify", EX1, EX1_SCHEME)
     assert code == 0
@@ -246,6 +252,30 @@ def test_selfcheck_passes_on_fixtures(capsys):
         assert "entropy-submodular" in names
         assert "sum-rate-partition-formula" in names
 
+
+def test_non_finite_table_entropies_exit_2(capsys, tmp_path):
+    # An infinite entropy used to reach the JSON writer and a NaN the
+    # feasibility check; both are input errors.
+    for value in (float("nan"), float("inf"), float("-inf")):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({
+            "source": {"kind": "table", "m": 2,
+                       "entropies": {"1": 1, "2": value, "1,2": 2}}}))
+        for command in ("rates", "ilp", "selfcheck"):
+            code, out, err = run(capsys, command, str(path))
+            assert (code, out) == (2, "")
+            assert "entropy table has non-finite entries" in err
+            assert "Traceback" not in err
+
+
+def test_table_with_many_missing_subsets_exits_2(capsys, tmp_path):
+    # Counting the missing subsets must not list all 2^40 of them.
+    path = tmp_path / "sparse.json"
+    path.write_text('{"source": {"kind": "table", "m": 40, "entropies": {"1": 1}}}')
+    code, out, err = run(capsys, "rates", str(path))
+    assert (code, out) == (2, "")
+    assert "entropy table is missing 1099511627774 subsets" in err
+    assert "Traceback" not in err
 
 def test_selfcheck_fails_on_nonsubmodular_table(capsys, tmp_path):
     doc = {

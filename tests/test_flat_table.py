@@ -22,12 +22,12 @@ from omniex import (
     make_dmms_source,
     minimize_weighted,
     modified_edmond,
-    modified_edmond_setfn,
     rco_sum_rate,
     verify_feasible,
 )
 from omniex import field as ff
 from omniex import rates as rates_mod
+from omniex.reference import modified_edmond_setfn
 from omniex.setfun import DELTA, iter_submasks, members, order_by_weight
 from omniex.sources import TableSource
 

@@ -16,10 +16,8 @@ from omniex import (
     RateVector,
     TransmissionScheme,
     broadcast_symbols,
-    build_network,
     construct_code,
     decode,
-    expanded_transfer_matrix,
     greedy_row_selection,
     ilp_rates,
     kron_block,
@@ -27,12 +25,16 @@ from omniex import (
     rank,
     rco_sum_rate,
     receiver_ranks,
-    scheme_assignment,
     stack,
-    transfer_matrix,
     user_observation,
     verify_feasible,
     verify_omniscience,
+)
+from omniex.reference import (
+    build_network,
+    expanded_transfer_matrix,
+    scheme_assignment,
+    transfer_matrix,
 )
 
 from conftest import example1_source, figure1_source, random_linear_source

@@ -11,19 +11,22 @@ from omniex import (
     NonTermination,
     RateVector,
     UnitMismatch,
-    dilworth_bruteforce,
     ilp_rates,
-    in_polyhedron,
     make_linear_source,
     modified_edmond,
-    modified_edmond_setfn,
     optimal_partition,
     rco_partition_formula,
     rco_sum_rate,
     verify_feasible,
 )
 from omniex import rates as rates_mod
-from omniex.setfun import from_table, members
+from omniex.reference import (
+    dilworth_bruteforce,
+    from_table,
+    in_polyhedron,
+    modified_edmond_setfn,
+)
+from omniex.setfun import members
 
 from conftest import (
     example1_source,

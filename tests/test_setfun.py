@@ -11,16 +11,18 @@ from omniex import (
     NegativeWeight,
     SetFunction,
     TooLarge,
+)
+from omniex.reference import (
     dilworth_bruteforce,
     dual,
     edmond_greedy,
+    from_table,
     in_polyhedron,
     is_intersecting_submodular,
     is_submodular,
     sfm_constrained,
-    sfm_minnorm,
 )
-from omniex.setfun import from_table, members, order_by_weight
+from omniex.setfun import members, order_by_weight
 
 from conftest import example1_source, random_linear_source
 
@@ -278,39 +280,3 @@ def test_in_polyhedron_against_definition(m, data):
     expected = all(sum(z[i] for i in members(s)) <= f(s)
                    for s in range(1, 1 << m))
     assert in_polyhedron(f, z) == expected
-
-
-def test_minnorm_fixed_example():
-    f = SetFunction(4, lambda s: len(members(s)) - (2 if s >> 2 & 1 else 0))
-    value, minimizer = sfm_minnorm(f)
-    assert value == -1
-    assert minimizer == 0b0100
-
-
-def test_minnorm_nonnegative_monotone_minimum_is_empty():
-    f = SetFunction(4, lambda s: 2 * len(members(s)))
-    value, minimizer = sfm_minnorm(f)
-    assert value == 0
-    assert minimizer == 0
-
-
-def test_minnorm_iteration_cap_raises():
-    from omniex import NonConvergence
-
-    f = SetFunction(3, lambda s: len(members(s)) - (2 if s & 1 else 0))
-    with pytest.raises(NonConvergence):
-        sfm_minnorm(f, max_iter=0)
-
-
-def test_minnorm_agrees_with_bruteforce_on_rank_functions():
-    rng = random.Random(47)
-    for _ in range(15):
-        m = rng.randint(3, 8)
-        oracle = EntropyOracle(random_linear_source(rng, m=m, n_packets=6, p=5))
-        shift = rng.randint(0, 3)
-        f = SetFunction(
-            m, lambda s, o=oracle, k=shift: o.entropy(s) - k * len(members(s)))
-        value, minimizer = sfm_minnorm(f)
-        expected = min(f(s) for s in range(1 << m))
-        assert value == expected
-        assert f(minimizer) == expected
