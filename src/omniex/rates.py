@@ -34,12 +34,12 @@ Python ints (dtype object) from then on: linear sources stay exact and
 never touch a float.  Float oracles use the same tables under the DELTA
 tie rule, vectorised over the ``iter_submasks`` scan order with the
 scalar scan's IEEE comparisons; the chosen set's coefficients are summed
-member by member as before, so printed floats do not move.  Above
-``FEASIBILITY_CAP`` users the oracle stays lazy and each step's heights
-come from ``oracle.entropies``, into the same kernel.  ``verify_feasible``
-likewise checks every cut at once against one doubling table of rate
-sums, int64 (or Python ints, by the same rule) once exact rates are
-scaled to their common denominator.
+member by member as before, so printed floats do not move.
+``verify_feasible`` likewise checks every cut at once against one
+doubling table of rate sums, int64 (or Python ints, by the same rule)
+once exact rates are scaled to their common denominator.  Above
+``sources.TABLE_CAP`` users the oracle refuses to build the table, so
+the sweep and the check raise ``TooLarge`` before any work.
 
 Every sweep records how many candidate sets its inner minimizations
 evaluated, which callers use as a complexity regression ceiling.
@@ -80,7 +80,6 @@ from .setfun import (
 from .sources import INT64_SAFE, EntropyOracle
 
 MAX_WEIGHTED_ITERATIONS = 10_000
-FEASIBILITY_CAP = 22
 PARTITION_FORMULA_CAP = 12
 
 
@@ -283,10 +282,8 @@ def modified_edmond(oracle: EntropyOracle, beta: Value,
     else:
         raise ValueError(f"ordering must be 'descending' or 'ascending', got {ordering!r}")
 
-    # The sweep reads every nonempty subset, so it reads them from the
-    # table; above the cap the oracle stays lazy rather than allocate it.
-    table = oracle.array() if m <= FEASIBILITY_CAP else None
-    peak = _int64_peak(table) if table is not None else None
+    # The sweep reads every nonempty subset, so it reads them from the table.
+    peak = _int64_peak(oracle.array())
     exact = oracle.exact and not isinstance(beta, float)
     total = oracle.total()
     zero = _zero(exact)
@@ -304,26 +301,19 @@ def modified_edmond(oracle: EntropyOracle, beta: Value,
     # subs[i] is a submask of the prefix and zsum[i] = den * Z(subs[i]).
     # Exact keys stay int64 (narrow) while den * max|H| + max|zsum| stays
     # below INT64_SAFE; zhi and zlo are zsum's largest and smallest entries.
-    # Both buffers are allocated in full up to the cap, and grow with the
-    # prefix above it.
-    size = 1 << min(m, FEASIBILITY_CAP)
-    subs = np.zeros(size, dtype=np.int64)
-    zsum = np.zeros(size // 2, dtype=np.int64 if exact else np.float64)
+    subs = np.zeros(1 << m, dtype=np.int64)
+    zsum = np.zeros(1 << (m - 1), dtype=np.int64 if exact else np.float64)
     narrow = exact
     zhi = zlo = ztotal = 0
     k = 1
 
     for j in order:
         bj = bit(j)
-        if 2 * k > len(subs):
-            subs = np.resize(subs, 2 * k)
         cands = subs[:k]
         # The sets read now are the next doubling of subs.
         heights = oracle.gather(np.bitwise_or(cands, bj, out=subs[k:2 * k]))
         evaluations += k
         if exact:
-            if table is None:
-                peak = _int64_peak(heights)
             if narrow and not _fits_int64(peak, den, max(zhi, -zlo)):
                 narrow, zsum = False, zsum.astype(object)
             # heights is a fresh array: the keys are built in it.
@@ -360,8 +350,6 @@ def modified_edmond(oracle: EntropyOracle, beta: Value,
                 zhi, zlo = max(zhi, zhi + zj), min(zlo, zlo + zj)
                 if not _fits_int64(peak, den, max(zhi, -zlo)):
                     narrow, zsum = False, zsum.astype(object)
-            if 2 * k > len(zsum):
-                zsum = np.resize(zsum, 2 * k)
             np.add(zsum[:k], zj, out=zsum[k:2 * k])
             k *= 2
 
@@ -641,8 +629,6 @@ def verify_feasible(oracle: EntropyOracle, rates: RateVector) -> bool:
     other mix as Python numbers; there D = 1 and each R(S) is summed from 0
     in ascending member order.
     """
-    if oracle.m > FEASIBILITY_CAP:
-        raise TooLarge(f"feasibility check capped at m={FEASIBILITY_CAP}")
     if rates.m != oracle.m:
         raise DimensionMismatch(
             f"rate vector has {rates.m} entries, expected {oracle.m}")

@@ -12,18 +12,20 @@ array indexed by mask once every subset is known (``array``): int64 for
 ints such as linear ranks, float64 for floats such as pmf entropies, and
 dtype object for Fractions, mixed kinds and ints of 2^62 or more.  The
 sweep and the feasibility check read that array with whole-array
-gathers.  For a linear source, ``table`` fills it in one depth-first pass, each subset
-extending its parent's row space by one user's rows, or copies a memo
-that already holds every subset.  For a pmf source, ``entropies``
-computes every mask it misses in one batch of numpy gathers, whose values
-equal the per-mask ``pmf.sum(axis=drop)`` marginals bit for bit; a single
-``entropy`` miss goes through the same kernel, and ``array`` runs one
-batch over every subset the memo lacks.  Evaluation is pure, every fill
-writes only the values a lazy query computes, and the array replaces the
-dict only once it is complete, so readers never see a partial table and
-the cache is safe to share between them.  ``entropy``, ``entropies``,
-``calls`` and ``oracle_queries`` mean the same on either memo, and values
-leave the array as Python numbers.
+gathers.  ``array``, the one way to the table, refuses more than
+``TABLE_CAP`` users before any work.  For a linear source it fills the
+table in one depth-first pass, each subset extending its parent's row
+space by one user's rows, or copies a memo that already holds every
+subset.  For a pmf source, ``entropies`` computes every mask it misses
+in one batch of numpy gathers, whose values equal the per-mask
+``pmf.sum(axis=drop)`` marginals bit for bit; a single ``entropy`` miss
+goes through the same kernel, and ``array`` runs one batch over every
+subset the memo lacks.  Evaluation is pure, every fill writes only the
+values a lazy query computes, and the array replaces the dict only once
+it is complete, so readers never see a partial table and the cache is
+safe to share between them.  ``entropy``, ``entropies``, ``calls`` and
+``oracle_queries`` mean the same on either memo, and values leave the
+array as Python numbers.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import field as ff
-from .errors import UnitMismatch, ValidationError
+from .errors import TooLarge, UnitMismatch, ValidationError
 from .setfun import DELTA, SetFunction, Value, bit, members
 
 UNIT_BITS = "bits"
@@ -44,6 +46,9 @@ UNIT_BITS = "bits"
 # Integers below this in size are kept in int64 arrays; sums of two such
 # values and differences of them never overflow.
 INT64_SAFE = 1 << 62
+
+# The most users whose table of all 2^m subset entropies is built.
+TABLE_CAP = 22
 
 
 def linear_unit(p: int) -> str:
@@ -187,6 +192,8 @@ class EntropyOracle:
     ``unit`` labels the measurement unit and is propagated to every rate
     quantity derived from the oracle; ``exact`` tells whether values are
     exact rationals (linear sources) or tolerance-compared floats.
+    ``calls`` is a plain counter whose ``+=`` may lose increments between
+    threads sharing the oracle; the values and the memo are unaffected.
     """
 
     __slots__ = ("source", "m", "unit", "exact", "_cache", "_table", "calls",
@@ -258,13 +265,9 @@ class EntropyOracle:
         return values
 
     def gather(self, masks: np.ndarray) -> np.ndarray:
-        """H(X_S) for an int64 array of masks, as a new array, counted as
-        that many ``entropy`` calls: gathered from the table once it is
-        complete, or else read through ``entropies`` and typed as the
-        table would be."""
-        table = self._table
-        if table is None:
-            return _value_array(self.entropies(masks.tolist()))
+        """H(X_S) for an int64 array of masks, as a new array gathered
+        from ``array``, counted as that many ``entropy`` calls."""
+        table = self.array()
         self.calls += len(masks)
         return table[masks]
 
@@ -279,7 +282,13 @@ class EntropyOracle:
         return self._marginals.entropies([mask])[0]
 
     def table(self) -> None:
-        """Fill the table of every subset of a linear source.
+        """Fill the table of a linear source through ``array``; does
+        nothing for pmf and table sources."""
+        if isinstance(self.source, LinearSource):
+            self.array()
+
+    def _ranks(self) -> np.ndarray:
+        """The rank of every subset of a linear source, as a new table.
 
         One depth-first pass over the subsets in ascending member order: a
         child subset adds one user's rows, packed once per fill, to a copy
@@ -287,16 +296,12 @@ class EntropyOracle:
         a time.  Once a row space reaches rank N, every superset in its
         subtree is set to N without elimination: those masks are one
         strided slice of the table.  A memo that already holds every subset
-        is copied into the table instead.  The values are those a lazy
-        ``entropy`` call computes, and ``calls`` does not move.  Does
-        nothing for pmf and table sources, or when the table exists.
+        is copied instead.  The values are those a lazy ``entropy`` call
+        computes, and ``calls`` does not move.
         """
         src = self.source
-        if not isinstance(src, LinearSource) or self._table is not None:
-            return
         if len(self._cache) == self.full_mask:
-            self._publish(self._full_array(self._cache))
-            return
+            return self._full_array(self._cache)
         n_packets = src.N
         table = np.zeros(1 << self.m, dtype=np.int64)
         ranks = memoryview(table)
@@ -317,31 +322,46 @@ class EntropyOracle:
                     visit(child, grown, j + 1)
 
         visit(root, 0, 0)
-        self._publish(table)
+        return table
 
     def array(self) -> np.ndarray:
         """H(X_S) for every subset, one array indexed by mask S; built on
         the first call and then kept as the memo.  A linear source fills it
-        with ``table``, a pmf source computes every subset the memo lacks
-        in one batch, and a table source copies its entries.  Building it
-        counts no calls."""
+        in one depth-first pass, a pmf source computes every subset the
+        memo lacks in one batch, and a table source copies its entries.
+        Building it counts no calls.  Raises ``TooLarge`` above
+        ``TABLE_CAP`` users, before it allocates or computes anything."""
         if self._table is None:
+            if self.m > TABLE_CAP:
+                raise TooLarge(f"{self.m} users: the table of 2^m subset "
+                               f"entropies is capped at m={TABLE_CAP}")
             src = self.source
             if isinstance(src, LinearSource):
-                self.table()
+                table = self._ranks()
             elif isinstance(src, DmmsSource):
                 cache = self._cache
                 missing = [s for s in range(1, self.full_mask + 1) if s not in cache]
                 cache.update(zip(missing, self._marginals.entropies(missing)))
-                self._publish(self._full_array(cache))
+                table = self._full_array(cache)
             else:
-                self._publish(self._full_array(src.entries))
+                table = self._full_array(src.entries)
+            self._publish(table)
         return self._table
 
     def _full_array(self, values: dict[int, Value]) -> np.ndarray:
-        """The table of a map holding every nonempty subset."""
-        return _value_array([0 if self.exact else 0.0,
-                             *map(values.__getitem__, range(1, self.full_mask + 1))])
+        """The table of a map holding every nonempty subset: int64 when
+        every value is an int below ``INT64_SAFE`` in size, float64 when
+        every value is a float, and dtype object otherwise (Fractions,
+        mixed kinds, larger ints), so that every value reads back as it
+        was."""
+        table = [0 if self.exact else 0.0,
+                 *map(values.__getitem__, range(1, self.full_mask + 1))]
+        kinds = set(map(type, table))
+        if kinds == {int} and max(map(abs, table)) < INT64_SAFE:
+            return np.array(table, dtype=np.int64)
+        if kinds == {float}:
+            return np.array(table, dtype=np.float64)
+        return np.array(table, dtype=object)
 
     def _publish(self, table: np.ndarray) -> None:
         """Make the complete table the memo: readers see it only now."""
@@ -530,16 +550,3 @@ def _row_entropies(marg: np.ndarray) -> np.ndarray:
         q = marg[i][marg[i] > 0.0]
         out[i] = -(q * np.log2(q)).sum()
     return out
-
-
-def _value_array(values: list) -> np.ndarray:
-    """``values`` as one array: int64 when every value is an int below
-    ``INT64_SAFE`` in size, float64 when every value is a float, and
-    dtype object otherwise (Fractions, mixed kinds, larger ints), so that
-    every value reads back as it was."""
-    kinds = set(map(type, values))
-    if kinds == {int} and max(map(abs, values)) < INT64_SAFE:
-        return np.array(values, dtype=np.int64)
-    if kinds == {float}:
-        return np.array(values, dtype=np.float64)
-    return np.array(values, dtype=object)

@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from omniex import fixtures
 from omniex.cli import main
@@ -364,3 +365,24 @@ def test_selfcheck_passes_on_pmf_documents(capsys, tmp_path):
         assert report["ok"] is True
         names = {c["name"] for c in report["checks"]}
         assert ("entropy-submodular" if m <= 8 else "entropy-submodular-sampled") in names
+
+
+def test_tolerance_must_be_finite_and_nonnegative(capsys, tmp_path):
+    # An infinite tolerance stopped the weighted bracket at once and
+    # returned a costlier endpoint; nan and negative values meant nothing.
+    doc = {"source": {"kind": "pmf", "alphabets": [2, 2],
+                      "entries": {"0,0": 0.375, "0,1": 0.125,
+                                  "1,0": 0.125, "1,1": 0.375}}}
+    path = tmp_path / "dsbs.json"
+    path.write_text(json.dumps(doc))
+    for command in ("rates", "ilp", "code"):
+        for bad in ("nan", "inf", "-1"):
+            with pytest.raises(SystemExit) as exit_info:
+                main([command, str(path), "--alpha", "5,1", "--tolerance", bad])
+            captured = capsys.readouterr()
+            assert (exit_info.value.code, captured.out) == (2, "")
+            assert "--tolerance" in captured.err and "finite number >= 0" in captured.err
+    default = run_json(capsys, "rates", str(path), "--alpha", "5,1")
+    for good in ("0", "1e-9"):
+        assert run_json(capsys, "rates", str(path), "--alpha", "5,1",
+                        "--tolerance", good) == default

@@ -11,6 +11,8 @@ table became an array.
 
 import math
 import random
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -99,12 +101,9 @@ def dens_around(limit: int, span_at, spread: int = 24) -> list[int]:
     return [d for d in range(lo - spread, hi + spread) if d > 0]
 
 
-@pytest.mark.parametrize("cap", (None, 2))
-@pytest.mark.parametrize("ordering", ORDERINGS)
-def test_exact_sweep_across_the_int64_boundary(ordering, cap, monkeypatch):
-    if cap is not None:
-        # Above the cap the heights come lazily, step by step.
-        monkeypatch.setattr(rates_mod, "FEASIBILITY_CAP", cap)
+# The ids keep the names these cases had beside a cap parameter.
+@pytest.mark.parametrize("ordering", ORDERINGS, ids=[f"{o}-None" for o in ORDERINGS])
+def test_exact_sweep_across_the_int64_boundary(ordering):
     rng = random.Random(97)
     for oracle in exact_oracles():
         alpha = tuple(rng.randint(1, 5) for _ in range(oracle.m))
@@ -293,22 +292,31 @@ def test_table_on_a_warm_memo_runs_no_elimination(monkeypatch):
     assert all(type(v) is int for v in warm.entropies(range(1 << src.m)))
 
 
-def test_lazy_sweep_above_the_cap_matches_the_table_sweep(monkeypatch):
-    # Above FEASIBILITY_CAP the sweep reads the oracle through entropies
-    # and grows its buffers with the prefix; results and counters are
-    # those of the sweep over the table.
+def test_threads_sharing_a_cold_oracle_match_a_serial_run():
+    # Four threads fill and read one oracle at once; each result equals
+    # the serial run's.  ``calls`` is not compared: its += may lose
+    # increments between threads.
     rng = random.Random(131)
     pmf = np.random.RandomState(137).dirichlet(np.full(64, 0.3)).reshape((2,) * 6)
-    sources = [random_linear_source(rng, m=6, n_packets=7, p=101),
+    sources = [random_linear_source(rng, m=7, n_packets=9, p=101),
                fraction_table(139, 5).source,
                make_dmms_source((2,) * 6, pmf)]
+
+    def solve(oracle, alpha):
+        rco = rco_sum_rate(oracle)
+        return rco, minimize_weighted(oracle, alpha, rco=rco)
+
     for src in sources:
         alpha = tuple(rng.randint(1, 5) for _ in range(src.m))
-        runs = []
-        for cap in (rates_mod.FEASIBILITY_CAP, 2):
-            monkeypatch.setattr(rates_mod, "FEASIBILITY_CAP", cap)
-            oracle = EntropyOracle(src)
-            rco = rco_sum_rate(oracle)
-            weighted = minimize_weighted(oracle, alpha, rco=rco)
-            runs.append((rco, weighted, oracle.calls, oracle.oracle_queries()))
-        assert runs[0] == runs[1]
+        serial = solve(EntropyOracle(src), alpha)
+        shared = EntropyOracle(src)
+        start = threading.Barrier(4)
+
+        def worker():
+            start.wait()
+            return solve(shared, alpha)
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            runs = [f.result() for f in [pool.submit(worker) for _ in range(4)]]
+        assert runs == [serial] * 4
+        assert shared.oracle_queries() == shared.full_mask
