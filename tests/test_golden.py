@@ -72,6 +72,22 @@ PMF_MORE = (
     ((2,) * 12, True, 0.0),
 )
 
+# One further pmf document whose outcome keys are spelled every way int()
+# accepts: signs, spaces, underscores, zero padding beyond 18 digits and
+# non-ASCII digits, so the slow path of the key parse is gated too.  Drawn
+# from its own seed so the documents above stay as they were.
+ODD_KEY_SEED = 8104
+ODD_KEY_ALPHABETS = (3, 2, 3, 2, 2)
+ODD_SPELLINGS = (
+    str,
+    lambda s: f"+{s}",
+    lambda s: f" {s}  ",
+    lambda s: "-0" if s == 0 else str(s),
+    lambda s: "0" * 30 + str(s),
+    lambda s: f"0_{s}",
+    lambda s: chr(0x0660 + s),
+)
+
 GOLDEN = {
     "example1 rates":
         "3d68b4f74c1e0dbcc5d80dc70039caa233ef16e0307a52a27057b2b2f4c1db93",
@@ -155,6 +171,8 @@ GOLDEN = {
         "bb35d0f2beee82dfb6dbecccdf9b0642025689bb71c26586122b0f45a26506e8",
     "large2 rates":
         "dd825802e4606507d08d59b52f7498126302b7be6707825f6d11f271722c21f4",
+    "oddkeys rates":
+        "a03450baf478a648746a5586ca5eb3964f03523778ac0a3c9fb7cba72011d0f8",
 }
 
 
@@ -187,6 +205,21 @@ def pmf_documents() -> dict[str, dict]:
             doc["weights"] = [rng.randint(1, 4) for _ in alphabets]
         out[f"pmf{k}"] = doc
     return out
+
+
+def odd_key_documents() -> dict[str, dict]:
+    """A weighted pmf on ``ODD_KEY_ALPHABETS`` with every outcome listed
+    once, each symbol spelled with a random choice of ``ODD_SPELLINGS``."""
+    rng = random.Random(ODD_KEY_SEED)
+    outcomes = list(itertools.product(*map(range, ODD_KEY_ALPHABETS)))
+    raw = [rng.random() ** 4 + 1e-6 for _ in outcomes]
+    total = math.fsum(raw)
+    entries = {",".join(rng.choice(ODD_SPELLINGS)(s) for s in o): w / total
+               for o, w in zip(outcomes, raw)}
+    return {"oddkeys": {
+        "source": {"kind": "pmf", "alphabets": list(ODD_KEY_ALPHABETS),
+                   "entries": entries},
+        "weights": [rng.randint(1, 4) for _ in ODD_KEY_ALPHABETS]}}
 
 
 def corpus_documents() -> dict[str, dict]:
@@ -242,6 +275,7 @@ CASES = [f"{doc} {command}" for doc in DOCUMENTS
          for command in ("rates", "ilp", "code")]
 CASES += [f"{doc} rates" for doc in pmf_documents()]
 CASES += [f"{doc} rates" for doc in large_documents()]
+CASES += [f"{doc} rates" for doc in odd_key_documents()]
 
 
 def run_case(case: str, tmp_path, monkeypatch, capsys) -> bytes:
@@ -251,7 +285,8 @@ def run_case(case: str, tmp_path, monkeypatch, capsys) -> bytes:
         problem = str(fixtures.path(name))
     else:
         problem = str(tmp_path / f"{name}.json")
-        documents = {**corpus_documents(), **pmf_documents(), **large_documents()}
+        documents = {**corpus_documents(), **pmf_documents(),
+                     **large_documents(), **odd_key_documents()}
         with open(problem, "w", encoding="utf-8") as fh:
             json.dump(documents[name], fh)
     monkeypatch.chdir(tmp_path)
