@@ -58,18 +58,25 @@ def format_value(v: Value) -> Union[str, float]:
 
 
 def parse_value(raw: Any, where: str) -> Value:
+    try:
+        return _value(raw)
+    except ValueError as exc:
+        raise ValidationError(f"{where}: {exc}")
+
+
+def _value(raw: Any) -> Value:
+    """``parse_value`` without the location, which callers format only
+    when they raise: a ValueError says what is wrong."""
     if isinstance(raw, bool):
-        raise ValidationError(f"{where}: expected a number, got a boolean")
-    if isinstance(raw, int):
-        return raw
-    if isinstance(raw, float):
+        raise ValueError("expected a number, got a boolean")
+    if isinstance(raw, (int, float)):
         return raw
     if isinstance(raw, str):
         try:
             return Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"{where}: invalid rational {raw!r} ({exc})")
-    raise ValidationError(f"{where}: expected a number or rational string")
+            raise ValueError(f"invalid rational {raw!r} ({exc})")
+    raise ValueError("expected a number or rational string")
 
 
 def _expect(mapping: Any, key: str, where: str) -> Any:
@@ -112,6 +119,25 @@ def _parse_linear(data: dict, where: str) -> LinearSource:
     return make_linear_source(mats, p=p, N=n_packets)
 
 
+# Outcome keys are parsed this many at a time, so that the scratch arrays
+# of one pass stay small whatever the size of the document.
+_PMF_CHUNK = 1024
+# A symbol of at most this many ASCII digits fits an int64.
+_PLAIN_DIGITS = 18
+# float() of an int overflows from here on: the midpoint between the
+# largest double and 2^1024 rounds up to 2^1024.
+_FLOAT_EDGE = 2 ** 1024 - 2 ** 970
+# The checks on one pmf entry, in the order they are reported.
+_PMF_CHECKS = (
+    "outcome needs {users} symbols",
+    "outcome symbols must be integers",
+    "outcome outside the alphabets",
+    "outcome listed twice",
+    "probability must be a number",
+    "probability out of the float range",
+)
+
+
 def _parse_pmf(data: dict, where: str) -> DmmsSource:
     raw_alpha = _expect(data, "alphabets", where)
     if (not isinstance(raw_alpha, list) or not raw_alpha
@@ -129,28 +155,127 @@ def _parse_pmf(data: dict, where: str) -> DmmsSource:
             f"{where}.alphabets: a pmf table of {math.prod(alphabets)} outcomes "
             f"does not fit in memory")
     users = len(alphabets)
-    for key, prob in entries.items():
-        parts = key.split(",")
-        if len(parts) != users:
-            raise _entry_error(where, key, f"outcome needs {users} symbols")
-        try:
-            idx = tuple(map(int, parts))
-        except ValueError:
-            raise _entry_error(where, key, "outcome symbols must be integers")
-        for x, a in zip(idx, alphabets):
-            if not 0 <= x < a:
-                raise _entry_error(where, key, "outcome outside the alphabets")
-        if not isinstance(prob, (int, float)) or isinstance(prob, bool):
-            raise _entry_error(where, key, "probability must be a number")
-        try:
-            table[idx] = float(prob)
-        except OverflowError:
-            raise _entry_error(where, key, "probability out of the float range")
+    sizes = np.array(alphabets, dtype=np.int64)
+    strides = np.array([math.prod(alphabets[u + 1:]) for u in range(users)],
+                       dtype=np.int64)
+    flat = table.reshape(-1)
+    seen = np.zeros(flat.size, dtype=bool)
+    keys, probs = list(entries), list(entries.values())
+    for lo in range(0, len(keys), _PMF_CHUNK):
+        chunk = keys[lo:lo + _PMF_CHUNK]
+        symbols, count_bad, int_bad = _outcome_symbols(chunk, users)
+        inside = ((symbols >= 0) & (symbols < sizes)).all(axis=1)
+        symbols[~inside] = 0
+        index = symbols @ strides
+        earliest = np.zeros(len(chunk), dtype=bool)
+        earliest[np.unique(index, return_index=True)[1]] = True
+        values, not_number, overflow = _probabilities(probs[lo:lo + _PMF_CHUNK])
+        # One row per check, one column per entry.  A check's verdict on an
+        # entry that failed an earlier one is meaningless but never read.
+        failed = np.stack([count_bad, int_bad, ~inside, ~earliest | seen[index],
+                           not_number, overflow])
+        if failed.any():
+            entry = int(failed.any(axis=0).argmax())
+            check = _PMF_CHECKS[int(failed[:, entry].argmax())]
+            raise _key_error(f"{where}.entries", chunk[entry],
+                             check.format(users=users))
+        seen[index] = True
+        flat[index] = values
     return make_dmms_source(alphabets, table)
 
 
-def _entry_error(where: str, key: str, what: str) -> ValidationError:
-    return ValidationError(f"{where}.entries[{key!r}]: {what}")
+def _outcome_symbols(keys: list[str], users: int
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The symbols of each outcome key, read in one pass over the keys
+    joined by commas.
+
+    Returns an (n, users) int64 array and two flags per key: a wrong number
+    of symbols, and a symbol that int() refuses.  A row means something only
+    where neither flag is set.  Symbols of 1 to ``_PLAIN_DIGITS`` ASCII
+    digits are folded in arrays.  The other keys with the right count go
+    through int() one symbol at a time, as Python reads them: signs, spaces,
+    underscores and non-ASCII digits included.  Their values beyond int64
+    are clamped to -1 or 2^62, outside every alphabet.
+    """
+    n = len(keys)
+    text = ",".join(keys) + ","
+    if text.isascii():
+        chars = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    else:
+        # One code point per character; all past ASCII read as non-digits.
+        wide = np.frombuffer(text.encode("utf-32-le", "surrogatepass"),
+                             dtype=np.uint32)
+        chars = np.minimum(wide, 0xFF).astype(np.uint8)
+    # Token t is chars[start[t]:stop[t]], each ended by a comma.  Key i
+    # owns the tokens first[i] up to after[i], the comma that joins it to
+    # the next key, at ends[i], ending its last one.
+    stop = np.flatnonzero(chars == ord(","))
+    start = np.empty_like(stop)
+    start[0], start[1:] = 0, stop[:-1] + 1
+    width = stop - start
+    ends = np.cumsum(np.fromiter(map(len, keys), dtype=np.int64, count=n) + 1) - 1
+    after = np.searchsorted(stop, ends) + 1
+    first = np.empty_like(after)
+    first[0], first[1:] = 0, after[:-1]
+    count_bad = after - first != users
+
+    plain = (width > 0) & (width <= _PLAIN_DIGITS)
+    digits = chars - ord("0") < 10
+    if np.count_nonzero(digits) + len(stop) < len(chars):
+        nondigits = np.zeros(len(chars) + 1, dtype=np.int64)
+        np.cumsum(~digits, out=nondigits[1:])
+        plain &= nondigits[stop] == nondigits[start]
+    value = chars[start].astype(np.int64) - ord("0")
+    width[~plain] = 0
+    for k in range(1, int(width.max(initial=0))):
+        t = np.flatnonzero(width > k)
+        value[t] = value[t] * 10 + (chars[start[t] + k] - ord("0"))
+    if count_bad.any():
+        symbols = value.take(first[:, None] + np.arange(users), mode="clip")
+    else:
+        symbols = value.reshape(n, users)
+
+    int_bad = np.zeros(n, dtype=bool)
+    if not plain.all():
+        odd = np.zeros(len(stop) + 1, dtype=np.int64)
+        np.cumsum(~plain, out=odd[1:])
+        slow = ~count_bad & (odd[after] != odd[first])
+        for i in np.flatnonzero(slow).tolist():
+            try:
+                row = [int(s) for s in keys[i].split(",")]
+            except ValueError:
+                int_bad[i] = True
+            else:
+                symbols[i] = [min(max(x, -1), 2 ** 62) for x in row]
+    return symbols, count_bad, int_bad
+
+
+def _probabilities(probs: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The float64 values of pmf probabilities and two flags per entry: not
+    an int or float (a bool is neither), and an int that float() cannot
+    hold.  The flagged entries' values are 0."""
+    n = len(probs)
+    kinds = set(map(type, probs))
+    if kinds == {float}:
+        none = np.zeros(n, dtype=bool)
+        return np.array(probs, dtype=np.float64), none, none
+    numbers = [k for k in kinds
+               if issubclass(k, (int, float)) and not issubclass(k, bool)]
+    # Types compare by identity, as numpy reads some type objects as arrays.
+    kind = np.fromiter(map(id, map(type, probs)), dtype=np.uint64, count=n)
+    number = np.isin(kind, [id(k) for k in numbers])
+    whole = np.isin(kind, [id(k) for k in numbers if issubclass(k, int)])
+    cells = np.fromiter(probs, dtype=object, count=n)
+    overflow = np.zeros(n, dtype=bool)
+    overflow[whole] = np.abs(cells[whole]) >= _FLOAT_EDGE
+    fits = number & ~overflow
+    values = np.zeros(n, dtype=np.float64)
+    values[fits] = cells[fits].astype(np.float64)
+    return values, ~number, overflow
+
+
+def _key_error(mapping: str, key: str, what: str) -> ValidationError:
+    return ValidationError(f"{mapping}[{key!r}]: {what}")
 
 
 def _parse_table(data: dict, where: str) -> TableSource:
@@ -163,17 +288,20 @@ def _parse_table(data: dict, where: str) -> TableSource:
         raise ValidationError(f"{where}.entropies: expected a subset->value map")
     entries: dict[int, Value] = {}
     for key, val in raw.items():
-        kwhere = f"{where}.entropies[{key!r}]"
         try:
-            users = sorted({int(s) for s in key.split(",") if s.strip() != ""})
+            users = {int(s) for s in key.split(",") if s.strip() != ""}
         except ValueError:
-            raise ValidationError(f"{kwhere}: subset must list user indices")
+            raise _key_error(f"{where}.entropies", key,
+                             "subset must list user indices")
         if any(not 1 <= u <= m for u in users):
-            raise ValidationError(f"{kwhere}: user index outside 1..{m}")
+            raise _key_error(f"{where}.entropies", key, f"user index outside 1..{m}")
         mask = 0
         for u in users:
             mask |= 1 << (u - 1)
-        entries[mask] = parse_value(val, kwhere)
+        try:
+            entries[mask] = _value(val)
+        except ValueError as exc:
+            raise _key_error(f"{where}.entropies", key, str(exc))
     return TableSource(m=m, entries=entries, unit=unit)
 
 
