@@ -4,6 +4,16 @@ All exact quantities (field elements, rationals) travel as strings or
 integers so nothing is squeezed through floating point; pmf probabilities
 are plain JSON numbers.  Parsing errors carry either the JSON line (for
 syntax errors) or the path of the offending field.
+
+A pmf outcome key lists one symbol per user, separated by commas, each
+read as ``int()`` reads it (signs, spaces, ``_``, zero padding and
+non-ASCII digits included).  The keys are parsed in chunks of
+``_PMF_CHUNK``, each in one array pass: plain decimal symbols are folded
+in arrays and only the other keys go through ``int()``.  Every entry
+passes six checks, reported for the first failing entry in map order
+and in this order: symbol count, integer symbols, alphabet range, an
+outcome not listed before, a number for the probability, and a
+probability within the float range.
 """
 
 from __future__ import annotations
@@ -150,6 +160,7 @@ def _parse_pmf(data: dict, where: str) -> DmmsSource:
         raise ValidationError(f"{where}.entries: expected an outcome->probability map")
     try:
         table = np.zeros(alphabets, dtype=float)
+        seen = np.zeros(table.size, dtype=bool)
     except (ValueError, MemoryError):
         raise ValidationError(
             f"{where}.alphabets: a pmf table of {math.prod(alphabets)} outcomes "
@@ -159,7 +170,6 @@ def _parse_pmf(data: dict, where: str) -> DmmsSource:
     strides = np.array([math.prod(alphabets[u + 1:]) for u in range(users)],
                        dtype=np.int64)
     flat = table.reshape(-1)
-    seen = np.zeros(flat.size, dtype=bool)
     keys, probs = list(entries), list(entries.values())
     for lo in range(0, len(keys), _PMF_CHUNK):
         chunk = keys[lo:lo + _PMF_CHUNK]
@@ -170,8 +180,9 @@ def _parse_pmf(data: dict, where: str) -> DmmsSource:
         earliest = np.zeros(len(chunk), dtype=bool)
         earliest[np.unique(index, return_index=True)[1]] = True
         values, not_number, overflow = _probabilities(probs[lo:lo + _PMF_CHUNK])
-        # One row per check, one column per entry.  A check's verdict on an
-        # entry that failed an earlier one is meaningless but never read.
+        # One row per check, one column per entry.  A verdict can be wrong
+        # only on an entry that failed an earlier check or that follows a
+        # failed entry, so the first failure found is the one to report.
         failed = np.stack([count_bad, int_bad, ~inside, ~earliest | seen[index],
                            not_number, overflow])
         if failed.any():
@@ -206,9 +217,9 @@ def _outcome_symbols(keys: list[str], users: int
         wide = np.frombuffer(text.encode("utf-32-le", "surrogatepass"),
                              dtype=np.uint32)
         chars = np.minimum(wide, 0xFF).astype(np.uint8)
-    # Token t is chars[start[t]:stop[t]], each ended by a comma.  Key i
-    # owns the tokens first[i] up to after[i], the comma that joins it to
-    # the next key, at ends[i], ending its last one.
+    # Token t is chars[start[t]:stop[t]], each ended by a comma.  Key i owns
+    # the tokens first[i] to after[i] - 1; the comma at ends[i] that joins
+    # it to the next key ends its last one.
     stop = np.flatnonzero(chars == ord(","))
     start = np.empty_like(stop)
     start[0], start[1:] = 0, stop[:-1] + 1
