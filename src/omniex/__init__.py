@@ -81,7 +81,7 @@ from .reference import (
     sfm_constrained,
     transfer_matrix,
 )
-from .setfun import GroundSet, SetFunction
+from .setfun import SetFunction
 from .sources import (
     DmmsSource,
     EntropyOracle,

@@ -309,6 +309,8 @@ def _parse_table(data: dict, where: str) -> TableSource:
         mask = 0
         for u in users:
             mask |= 1 << (u - 1)
+        if mask in entries:
+            raise _key_error(f"{where}.entropies", key, "subset listed twice")
         try:
             entries[mask] = _value(val)
         except ValueError as exc:

@@ -6,16 +6,15 @@ holds iff every receiver's side information stacked with all received
 broadcasts has full column rank n*N.
 
 Construction draws the coefficient matrices uniformly at random with a
-seeded generator and verifies deterministically, retrying up to a budget;
-for tiny instances over small fields an exhaustive coefficient search is
-the fallback.  The classical multicast conversion (super node, sender and
-relay nodes, expanded transfer matrices), an independent verification
-view, lives in ``omniex.reference``.
+seeded generator and verifies every receiver exactly, for at most a given
+number of draws, and fails after that.  The classical multicast
+conversion (super node, sender and relay nodes, expanded transfer
+matrices), an independent verification view, lives in
+``omniex.reference``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -35,8 +34,6 @@ from .errors import (
 )
 from .rates import RateVector
 from .sources import LinearSource
-
-EXHAUSTIVE_SLOT_CAP = 16
 
 
 def _integer_tx_counts(rates: RateVector, n: int, m: int) -> tuple[int, ...]:
@@ -201,11 +198,10 @@ def construct_code(src: LinearSource, rates: RateVector, n: int,
     Requires p > m (with p <= m some simultaneous completions provably do
     not exist).  Strategy: divide out gcd(n*R_1, .., n*R_m, n) and build at
     the reduced block length, drawing every coefficient uniformly at
-    random and verifying all receivers, with up to ``max_tries``
-    redraws.  On exhaustion, instances over small fields with at most
-    EXHAUSTIVE_SLOT_CAP coefficients are retried by exhaustive
-    enumeration; anything else fails, which signals either infeasible
-    rates or astronomically bad luck.
+    random and verifying all receivers, with at most ``max_tries`` draws.
+    When none verifies, raise ConstructionFailed.  With p > m every draw
+    at feasible rates succeeds with positive probability, so a failure
+    most likely means the rates are infeasible.
     """
     if src.p <= src.m:
         raise FieldTooSmall(
@@ -224,22 +220,6 @@ def construct_code(src: LinearSource, rates: RateVector, n: int,
         if verify_omniscience(src, scheme):
             return _repeat_scheme(src, scheme, g)
 
-    slots = sum(reduced_tx[i] * reduced_n * src.matrices[i].rows
-                for i in range(src.m))
-    if src.p <= 2 * src.m and slots <= EXHAUSTIVE_SLOT_CAP:
-        for assignment in itertools.product(range(src.p), repeat=slots):
-            coeffs = []
-            pos = 0
-            for i in range(src.m):
-                count = reduced_tx[i] * reduced_n * src.matrices[i].rows
-                coeffs.append(ff.FieldMatrix(
-                    reduced_tx[i], reduced_n * src.matrices[i].rows, src.p,
-                    assignment[pos:pos + count]))
-                pos += count
-            scheme = TransmissionScheme(n=reduced_n, p=src.p,
-                                        coefficients=tuple(coeffs))
-            if verify_omniscience(src, scheme):
-                return _repeat_scheme(src, scheme, g)
     raise ConstructionFailed(
         f"no valid scheme after {max_tries} random draws; the rate vector "
         f"is most likely infeasible")

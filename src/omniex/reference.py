@@ -180,7 +180,7 @@ def dilworth_bruteforce(f: SetFunction, s_mask: int) -> tuple[Value, tuple[int, 
     Returns the value and one minimizing partition (the lexicographically
     smallest canonical form among minimizers) as a tuple of block masks.
     """
-    elems = members(f.ground.check(s_mask))
+    elems = members(f.check(s_mask))
     if not elems:
         return 0 if f.exact else 0.0, ()
     if len(elems) > PARTITION_CAP:
@@ -226,7 +226,7 @@ def in_polyhedron(f: SetFunction, z: Sequence[Value]) -> bool:
     if len(z) != f.m:
         raise ConstraintViolation(f"vector has {len(z)} entries, expected {f.m}")
     exact = f.exact
-    for s in f.ground.subsets(include_empty=False):
+    for s in range(1, f.full_mask + 1):
         total = 0
         for k in members(s):
             total = total + z[k]

@@ -12,7 +12,6 @@ tolerance DELTA.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence, Union
 
@@ -60,54 +59,33 @@ def iter_submasks(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
-@dataclass(frozen=True)
-class GroundSet:
-    """Ground set {0, .., m-1}; subsets are bitmasks over the low m bits."""
-
-    m: int
-
-    def __post_init__(self):
-        if not 1 <= self.m <= 62:
-            raise ValueError(f"ground set size must be in [1, 62], got {self.m}")
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.m) - 1
-
-    def subsets(self, include_empty: bool = True) -> Iterator[int]:
-        start = 0 if include_empty else 1
-        for s in range(start, 1 << self.m):
-            yield s
-
-    def check(self, mask: int) -> int:
-        if mask < 0 or mask & ~self.full_mask:
-            raise ValueError(f"mask {mask:#x} uses bits outside the ground set")
-        return mask
-
-
 class SetFunction:
-    """Wraps a pure map subset-mask -> Value with f(empty) = 0."""
+    """Wraps a pure map subset-mask -> Value with f(empty) = 0.
 
-    __slots__ = ("ground", "exact", "_fn")
+    The ground set is {0, .., m-1}; subsets are bitmasks over the low m
+    bits, and ``check`` refuses any other mask.
+    """
+
+    __slots__ = ("m", "full_mask", "exact", "_fn")
 
     def __init__(self, m: int, fn: Callable[[int], Value], exact: bool = True):
-        self.ground = GroundSet(m)
+        if not 1 <= m <= 62:
+            raise ValueError(f"ground set size must be in [1, 62], got {m}")
+        self.m = m
+        self.full_mask = (1 << m) - 1
         self.exact = exact
         self._fn = fn
         z = fn(0)
         if not value_eq(z, 0, exact):
             raise ValueError(f"set function must satisfy f(empty)=0, got {z}")
 
-    @property
-    def m(self) -> int:
-        return self.ground.m
-
-    @property
-    def full_mask(self) -> int:
-        return self.ground.full_mask
+    def check(self, mask: int) -> int:
+        if mask < 0 or mask & ~self.full_mask:
+            raise ValueError(f"mask {mask:#x} uses bits outside the ground set")
+        return mask
 
     def __call__(self, mask: int) -> Value:
-        return self._fn(self.ground.check(mask))
+        return self._fn(self.check(mask))
 
 
 def check_costs(alpha: Sequence[Value], m: int) -> tuple[Value, ...]:

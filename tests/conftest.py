@@ -1,4 +1,5 @@
-"""Shared test helpers: seeded source corpora and independent oracles.
+"""Shared test helpers: seeded source corpora, independent oracles and a
+CLI runner in a child process.
 
 The oracles here (exact vertex enumeration, Fraction-valued Gaussian
 elimination, partition enumeration) deliberately avoid the library's own
@@ -8,9 +9,14 @@ solver paths so they can serve as ground truth.
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import omniex
 from omniex import (
     EntropyOracle,
     FieldMatrix,
@@ -20,6 +26,17 @@ from omniex import (
     stack,
     verify_feasible,
 )
+
+SRC_DIR = str(Path(omniex.__file__).resolve().parent.parent)
+
+
+def omniex_cli(*argv: str, cwd: Path) -> subprocess.CompletedProcess:
+    """Run the CLI in a child process, so that a command that does not end
+    fails the calling test with ``TimeoutExpired`` instead of hanging it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "omniex.cli", *argv], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=10)
 
 
 def random_matrix_rows(rng: random.Random, rows: int, cols: int, p: int):

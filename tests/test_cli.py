@@ -7,6 +7,8 @@ import pytest
 from omniex import fixtures
 from omniex.cli import main
 
+from conftest import omniex_cli
+
 FIG1 = str(fixtures.path("figure1"))
 FIG1_SCHEME = str(fixtures.path("figure1_scheme"))
 EX1 = str(fixtures.path("example1"))
@@ -124,6 +126,21 @@ def test_code_without_tries_exits_5(capsys, tmp_path):
                          "--out", str(tmp_path / "s.json"))
     assert (code, out) == (5, "")
     assert err.startswith("error: ") and "max_tries" in err
+
+
+@pytest.mark.parametrize("problem", [EX1, FIG1], ids=["example1", "figure1"])
+def test_code_makes_at_most_max_tries_draws(problem, tmp_path):
+    # Each run is a child process with a timeout, so a construction that
+    # keeps searching after its draws fails the test instead of hanging it.
+    for seed in range(10):
+        done = omniex_cli("code", problem, "--seed", str(seed), "--max-tries", "1",
+                          "--out", str(tmp_path / "s.json"), cwd=tmp_path)
+        assert done.returncode in (0, 5), (seed, done.stderr)
+        assert "Traceback" not in done.stderr
+        if (problem, seed) == (EX1, 2):
+            assert done.returncode == 5
+            assert "no valid scheme after 1 random draws" in done.stderr
+
 
 def test_verify_bundled_fixture_schemes(capsys):
     code, report = run_json(capsys, "verify", EX1, EX1_SCHEME)

@@ -138,6 +138,30 @@ def test_table_checks_run_in_order():
         assert parse_error(table(2, entropies)).endswith(tail)
 
 
+def test_table_subset_listed_twice_is_refused():
+    # "2,1" names the subset of "1,2".
+    doc = table(2, {"1": 1, "2": 1, "1,2": 2, "2,1": 5})
+    assert parse_error(doc) == "$.source.entropies['2,1']: subset listed twice"
+    # After the user range, before the value; blank keys name the empty set.
+    cases = [
+        ({"1": 1, "1,1": None}, "['1,1']: subset listed twice"),
+        ({"1": 1, "3": None, " 1": 1}, "['3']: user index outside 1..2"),
+        ({"": 0, " ": True}, "[' ']: subset listed twice"),
+    ]
+    for entropies, tail in cases:
+        assert parse_error(table(2, entropies)).endswith(tail)
+
+
+def test_table_subset_listed_twice_exits_2(capsys, tmp_path):
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(table(2, {"1": 1, "2": 1, "1,2": 2, "2,1": 5})))
+    code = main(["rates", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert f"{path}.source.entropies['2,1']: subset listed twice" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_table_parse_reads_subsets_and_values():
     # Blank parts are skipped and a user may repeat; the values keep their kind.
     doc = table(2, {"": 0, " 1 ": "1/2", "2,": 1, "2, 1,1": 1.5})

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -187,16 +188,39 @@ def test_gcd_prepass_repeats_the_reduced_scheme():
     assert scheme.coefficients[0] == kron_block(4, base.coefficients[0])
 
 
-def test_exhaustive_fallback_on_tiny_instance():
-    # Two users over F_3 (> m).  Seed 2 makes the single random draw fail
-    # (user 1 would broadcast 0*w1 + 0*w2), so the exhaustive coefficient
-    # enumeration must take over; it returns the first valid assignment in
-    # lexicographic order.
+def test_tiny_instance_takes_at_most_max_tries_draws():
+    # Two users over F_3 (> m).  Seed 2 makes the first random draw fail
+    # (user 1 would broadcast 0*w1 + 0*w2); with one draw allowed that is
+    # the end, and the default budget finds a scheme.
     src = make_linear_source([[[1, 0], [0, 1]], [[1, 0]]], p=3)
     rates = RateVector((1, 0), unit="F_3-symbols")
-    scheme = construct_code(src, rates, 1, seed=2, max_tries=1)
-    assert verify_omniscience(src, scheme)
-    assert scheme.coefficients[0].to_rows() == [[0, 1]]
+    with pytest.raises(ConstructionFailed, match="no valid scheme after 1 random draws"):
+        construct_code(src, rates, 1, seed=2, max_tries=1)
+    assert verify_omniscience(src, construct_code(src, rates, 1, seed=2))
+
+
+def test_smallest_fields_construct_within_the_default_draws():
+    # p is the next prime above m, where a draw fails most often.
+    rng = random.Random(37)
+    for _ in range(200):
+        m = rng.randint(2, 5)
+        src = random_linear_source(rng, m=m, n_packets=rng.randint(2, 5),
+                                   p={2: 3, 3: 5, 4: 5, 5: 7}[m])
+        n = rng.randint(1, 3)
+        alpha = tuple(rng.randint(1, 10) for _ in range(m))
+        res = ilp_rates(EntropyOracle(src), alpha, n)
+        scheme = construct_code(src, res.rates, n, seed=rng.randrange(2 ** 32))
+        assert verify_omniscience(src, scheme)
+
+
+def test_infeasible_rates_fail_after_the_draws():
+    # User 3 sends nothing: user 1 hears one symbol for the two it lacks.
+    # The time bound holds only if the draws are the whole attempt.
+    rates = RateVector((Fraction(1, 2), Fraction(1, 2), 0), unit="F_5-symbols")
+    start = time.monotonic()
+    with pytest.raises(ConstructionFailed, match="after 64 random draws"):
+        construct_code(example1_source(), rates, 2)
+    assert time.monotonic() - start < 5.0
 
 
 def test_decode_roundtrip_handbuilt_scheme():

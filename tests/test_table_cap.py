@@ -7,22 +7,16 @@ it.  ``verify`` needs no table and still takes any number of users.
 """
 
 import json
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import omniex
 from omniex import EntropyOracle, TooLarge, make_dmms_source, make_linear_source
 from omniex.cli import main
 from omniex.sources import TABLE_CAP
 
-from conftest import random_linear_source
+from conftest import omniex_cli, random_linear_source
 
-SRC_DIR = str(Path(omniex.__file__).resolve().parent.parent)
 COMMANDS = ("rates", "ilp", "code", "selfcheck")
 CAP_MESSAGE = f"capped at m={TABLE_CAP}"
 
@@ -38,13 +32,6 @@ def sparse_pmf() -> dict:
     alphabets = [2, 2] + [1] * 28
     return {"source": {"kind": "pmf", "alphabets": alphabets, "entries": {
         ",".join(["0"] * 30): 0.5, ",".join(["1", "1"] + ["0"] * 28): 0.5}}}
-
-
-def omniex_cli(*argv: str, cwd: Path) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "omniex.cli", *argv], cwd=cwd,
-                          env=env, capture_output=True, text=True, timeout=10)
 
 
 @pytest.mark.parametrize("doc", [one_column(23), one_column(24), one_column(40),
