@@ -6,8 +6,9 @@ deterministic JSON result document, or an aligned table with
 ``--format table``.
 
 Exit codes: 0 success, 1 property or verification failure, 2 invalid
-input (or, except for ``verify``, more than ``sources.TABLE_CAP`` users),
-3 unit mismatch, 4 field too small, 5 construction failure.
+input (or, except for ``verify``, more than ``sources.TABLE_CAP`` users; a
+table that is not an entropy function; weights whose costs overflow
+floats), 3 unit mismatch, 4 field too small, 5 construction failure.
 """
 
 from __future__ import annotations
@@ -64,12 +65,50 @@ def _parse_alpha(text: str, m: int) -> tuple:
     return tuple(out)
 
 
-def _effective_alpha(doc: docs.ProblemDocument, args) -> tuple:
+def _effective_alpha(doc: docs.ProblemDocument, args, oracle) -> tuple:
     if getattr(args, "alpha", None):
-        return _parse_alpha(args.alpha, doc.m)
-    if doc.weights is not None:
-        return doc.weights
-    return (1,) * doc.m
+        alpha = _parse_alpha(args.alpha, doc.m)
+    elif doc.weights is not None:
+        alpha = doc.weights
+    else:
+        return (1,) * doc.m
+    if not oracle.exact or any(isinstance(a, float) for a in alpha):
+        # Costs are then floats: sums over users of a weight times a rate.
+        # Each is at most sum(alpha) * (H(X_M) + 1), a budget rounded up to
+        # a multiple of 1/n included, and m times that leaves room for the
+        # slopes and intercepts of the weighted bracket.
+        try:
+            bound = oracle.m * float(sum(alpha)) * (float(oracle.total()) + 1)
+        except OverflowError:
+            bound = math.inf
+        if not bound < math.inf:
+            raise ValidationError(
+                "weights too large: m * sum(weights) * (H(X_M) + 1) is beyond "
+                "the float range, so the costs would overflow")
+    return alpha
+
+
+def _subset(mask: int) -> str:
+    return "{" + ",".join(str(u + 1) for u in setfun.members(mask)) + "}"
+
+
+def _oracle(doc: docs.ProblemDocument) -> sources.EntropyOracle:
+    """The oracle of a document to solve.  A table document must be an
+    entropy function, as linear and pmf sources are by construction."""
+    oracle = sources.EntropyOracle(doc.source)
+    if isinstance(doc.source, sources.TableSource):
+        monotone, submodular = oracle.violations()
+        if monotone is not None:
+            s, i = monotone
+            raise ValidationError(
+                f"entropy table is not monotone: H(S + i) < H(S) at "
+                f"S = {_subset(s)}, i = {i + 1}")
+        if submodular is not None:
+            s, i, j = submodular
+            raise ValidationError(
+                f"entropy table is not submodular: H(S + i) + H(S + j) < "
+                f"H(S + i + j) + H(S) at S = {_subset(s)}, i = {i + 1}, j = {j + 1}")
+    return oracle
 
 
 def _is_uniform(alpha: Sequence) -> bool:
@@ -98,8 +137,8 @@ def _emit(out: dict, args) -> None:
 
 def cmd_rates(args) -> int:
     doc = docs.load_problem(args.problem)
-    oracle = sources.EntropyOracle(doc.source)
-    alpha = _effective_alpha(doc, args)
+    oracle = _oracle(doc)
+    alpha = _effective_alpha(doc, args, oracle)
     rco = rates.rco_sum_rate(oracle)
     if _is_uniform(alpha):
         chosen = rco.rates
@@ -139,8 +178,8 @@ def cmd_rates(args) -> int:
 
 def cmd_ilp(args) -> int:
     doc = docs.load_problem(args.problem)
-    oracle = sources.EntropyOracle(doc.source)
-    alpha = _effective_alpha(doc, args)
+    oracle = _oracle(doc)
+    alpha = _effective_alpha(doc, args, oracle)
     n = args.n if args.n is not None else doc.n
     if not isinstance(n, int) or n < 1:
         raise InvalidN(f"block length n must be a positive integer, got {n!r}")
@@ -181,8 +220,8 @@ def cmd_code(args) -> int:
     if not isinstance(doc.source, sources.LinearSource):
         raise ValidationError("code construction needs a linear source document")
     src = doc.source
-    oracle = sources.EntropyOracle(src)
-    alpha = _effective_alpha(doc, args)
+    oracle = _oracle(doc)
+    alpha = _effective_alpha(doc, args, oracle)
     n = args.n if args.n is not None else doc.n
     seed = args.seed if args.seed is not None else doc.seed
     result = rates.ilp_rates(oracle, alpha, n, tolerance=args.tolerance)
@@ -253,36 +292,21 @@ def _selfcheck_entries(oracle, sample_rng) -> list[dict]:
     # The checks below read every subset, so they read them from the table.
     table = oracle.array()
     if exhaustive:
-        pairs = [(s, s | (1 << i))
-                 for s in range(full + 1) for i in range(m) if not s >> i & 1]
+        monotone, submodular = oracle.violations()
+        mono_ok, sub_ok = monotone is None, submodular is None
     else:
         record("exhaustive-checks", "skipped",
                f"m={m} > 8, running sampled checks instead")
-        pairs = []
-        for _ in range(512):
-            s = sample_rng.randrange(full + 1)
-            i = sample_rng.randrange(m)
-            pairs.append((s & ~(1 << i), s | (1 << i)))
-    mono_ok = all(setfun.value_le(oracle.entropy(a), oracle.entropy(b), oracle.exact)
-                  for a, b in pairs)
-    record("entropy-monotone" if exhaustive else "entropy-monotone-sampled",
-           "pass" if mono_ok else "fail")
-
-    hfun = setfun.SetFunction(m, oracle.entropy, exact=oracle.exact)
-    if exhaustive:
-        sub_ok = reference.is_submodular(hfun)
-    else:
-        sub_ok = True
-        for _ in range(512):
-            s = sample_rng.randrange(full + 1)
-            t = sample_rng.randrange(full + 1)
-            lhs = oracle.entropy(s) + oracle.entropy(t)
-            rhs = oracle.entropy(s | t) + oracle.entropy(s & t)
-            if not setfun.value_le(rhs, lhs, oracle.exact):
-                sub_ok = False
-                break
-    record("entropy-submodular" if exhaustive else "entropy-submodular-sampled",
-           "pass" if sub_ok else "fail")
+        h, le, exact = oracle.entropy, setfun.value_le, oracle.exact
+        draws = [(sample_rng.randrange(full + 1), 1 << sample_rng.randrange(m))
+                 for _ in range(512)]
+        mono_ok = all(le(h(s & ~b), h(s | b), exact) for s, b in draws)
+        draws = [(sample_rng.randrange(full + 1), sample_rng.randrange(full + 1))
+                 for _ in range(512)]
+        sub_ok = all(le(h(s | t) + h(s & t), h(s) + h(t), exact) for s, t in draws)
+    suffix = "" if exhaustive else "-sampled"
+    record("entropy-monotone" + suffix, "pass" if mono_ok else "fail")
+    record("entropy-submodular" + suffix, "pass" if sub_ok else "fail")
 
     # H(S | S^c) = H(M) - H(S^c) for every nonempty S at once: S^c is
     # full - S, so the complements' entropies are the table reversed.

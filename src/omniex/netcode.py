@@ -7,7 +7,9 @@ broadcasts has full column rank n*N.
 
 Construction draws the coefficient matrices uniformly at random with a
 seeded generator and verifies every receiver exactly, for at most a given
-number of draws, and fails after that.  The classical multicast
+number of draws.  Running out of draws says nothing about the rates: at
+feasible rates every draw succeeds with positive probability, so a larger
+budget finds a scheme.  The classical multicast
 conversion (super node, sender and relay nodes, expanded transfer
 matrices), an independent verification view, lives in
 ``omniex.reference``.
@@ -199,9 +201,10 @@ def construct_code(src: LinearSource, rates: RateVector, n: int,
     not exist).  Strategy: divide out gcd(n*R_1, .., n*R_m, n) and build at
     the reduced block length, drawing every coefficient uniformly at
     random and verifying all receivers, with at most ``max_tries`` draws.
-    When none verifies, raise ConstructionFailed.  With p > m every draw
-    at feasible rates succeeds with positive probability, so a failure
-    most likely means the rates are infeasible.
+    When none verifies, raise ConstructionFailed: the draw budget ran out.
+    With p > m every draw at feasible rates succeeds with positive
+    probability, so a larger ``max_tries`` finds a scheme; infeasible
+    rates, which ``rates.verify_feasible`` detects, fail at any budget.
     """
     if src.p <= src.m:
         raise FieldTooSmall(
@@ -221,8 +224,8 @@ def construct_code(src: LinearSource, rates: RateVector, n: int,
             return _repeat_scheme(src, scheme, g)
 
     raise ConstructionFailed(
-        f"no valid scheme after {max_tries} random draws; the rate vector "
-        f"is most likely infeasible")
+        f"no valid scheme after {max_tries} random draws; the draw budget "
+        f"ran out (--max-tries raises it)")
 
 
 @dataclass(frozen=True)

@@ -28,18 +28,20 @@ new user, written into the same buffer, gives both the masks read at this
 step and the next doubling.  For an exact budget beta = num/den the
 candidates are compared by integer keys, den * (f(S, beta) - Z(S)) less a
 constant, and the minimizers are OR-ed into their union, so no Fraction
-is built per subset.  The keys are int64 while den * max|H| + max|zsum|
-stays below 2^62, checked at each step and before each doubling, and
-Python ints (dtype object) from then on: linear sources stay exact and
-never touch a float.  Float oracles use the same tables under the DELTA
+is built per subset.  The keys are int64 or Python ints (dtype object),
+decided once per sweep before its first step: int64 when
+m^2 * (num + 2 * den * max|H|) stays below 2^62, a bound on every key and
+subset sum the sweep can form, so linear sources stay exact and never
+touch a float.  Float oracles use the same tables under the DELTA
 tie rule, vectorised over the ``iter_submasks`` scan order with the
 scalar scan's IEEE comparisons; the chosen set's coefficients are summed
 member by member as before, so printed floats do not move.
 ``verify_feasible`` likewise checks every cut at once against one
-doubling table of rate sums, int64 (or Python ints, by the same rule)
-once exact rates are scaled to their common denominator.  Above
-``sources.TABLE_CAP`` users the oracle refuses to build the table, so
-the sweep and the check raise ``TooLarge`` before any work.
+doubling table of rate sums, int64 (or Python ints) once exact rates are
+scaled to their common denominator D, by the bound
+D * max|H| + sum |D * R_i| < 2^62.  Above ``sources.TABLE_CAP`` users the
+oracle refuses to build the table, so the sweep and the check raise
+``TooLarge`` before any work.
 
 Every sweep records how many candidate sets its inner minimizations
 evaluated, which callers use as a complexity regression ceiling.
@@ -244,13 +246,6 @@ def _int64_peak(values: np.ndarray) -> Optional[int]:
     return max(int(values.max()), -int(values.min()))
 
 
-def _fits_int64(peak: Optional[int], scale: int, span: int) -> bool:
-    """True when scale * peak + span stays below INT64_SAFE, so that keys
-    built from int64 values of size at most peak, scaled by scale, less
-    sums of size at most span, fit int64."""
-    return peak is not None and scale * max(peak, 1) + span < INT64_SAFE
-
-
 def modified_edmond(oracle: EntropyOracle, beta: Value,
                     alpha: Optional[Sequence[Value]] = None,
                     ordering: str = "descending",
@@ -299,12 +294,20 @@ def modified_edmond(oracle: EntropyOracle, beta: Value,
     shift = num - total * den
     # Subset sums over the visited prefix, doubled as each user is fixed:
     # subs[i] is a submask of the prefix and zsum[i] = den * Z(subs[i]).
-    # Exact keys stay int64 (narrow) while den * max|H| + max|zsum| stays
-    # below INT64_SAFE; zhi and zlo are zsum's largest and smallest entries.
+    # Exact keys are int64 when a bound, fixed before the first step, stays
+    # below INT64_SAFE.  den * Z_j is the least den * f(S | j, beta) - zsum
+    # over the prefix's subsets S.  Let h = max(max|H|, 1) and U = num +
+    # 2 * den * h, where num >= 0.  S empty gives den * Z_j <= num -
+    # den * H(M) + den * H({j}) <= U.  For the minimizer S, den * f >= -U
+    # and zsum sums at most m - 1 earlier coordinates, each at most U, so
+    # den * Z_j >= -m * U.  Hence |zsum| <= (m - 1) * m * U, and every key
+    # den * H - zsum, den itself and each den * Z_j stay within m * m * U.
+    narrow = (exact and peak is not None
+              and m * m * (num + 2 * den * max(peak, 1)) < INT64_SAFE)
     subs = np.zeros(1 << m, dtype=np.int64)
-    zsum = np.zeros(1 << (m - 1), dtype=np.int64 if exact else np.float64)
-    narrow = exact
-    zhi = zlo = ztotal = 0
+    zsum = np.zeros(1 << (m - 1),
+                    dtype=np.int64 if narrow else object if exact else np.float64)
+    ztotal = 0
     k = 1
 
     for j in order:
@@ -313,18 +316,15 @@ def modified_edmond(oracle: EntropyOracle, beta: Value,
         # The sets read now are the next doubling of subs.
         heights = oracle.gather(np.bitwise_or(cands, bj, out=subs[k:2 * k]))
         evaluations += k
+        # heights is a fresh array: the keys are built in it, in zsum's dtype.
+        keys = heights.astype(zsum.dtype, copy=False)
+        np.multiply(keys, den, out=keys)
+        np.subtract(keys, zsum[:k], out=keys)
         if exact:
-            if narrow and not _fits_int64(peak, den, max(zhi, -zlo)):
-                narrow, zsum = False, zsum.astype(object)
-            # heights is a fresh array: the keys are built in it.
-            keys = heights if narrow else heights.astype(object)
-            np.multiply(keys, den, out=keys)
-            np.subtract(keys, zsum[:k], out=keys)
             best = np.minimum.reduce(keys)
             best = int(best) if narrow else best
             union = int(np.bitwise_or.reduce(cands[keys == best])) | bj
         else:
-            keys = np.asarray(heights * den - zsum[:k], dtype=np.float64)
             union = _widened_union(cands, keys) | bj
         rest = union & ~bj
         bu = 1
@@ -346,10 +346,6 @@ def modified_edmond(oracle: EntropyOracle, beta: Value,
         tight.append(union)
         _merge_block(blocks, union)
         if len(tight) < m:   # the last user's doubling would go unread
-            if narrow:
-                zhi, zlo = max(zhi, zhi + zj), min(zlo, zlo + zj)
-                if not _fits_int64(peak, den, max(zhi, -zlo)):
-                    narrow, zsum = False, zsum.astype(object)
             np.add(zsum[:k], zj, out=zsum[k:2 * k])
             k *= 2
 
@@ -475,7 +471,6 @@ def h_eval(oracle: EntropyOracle, alpha: Sequence[Value], beta: Value,
         raise InfeasibleBeta(
             f"total rate {beta} is below the minimum sum rate "
             f"(achievable maximum is {result.g_value})")
-    alpha = check_costs(alpha, oracle.m)
     cost = _zero(exact)
     for a, r in zip(alpha, result.z):
         cost = cost + a * r
@@ -502,62 +497,46 @@ def minimize_weighted(oracle: EntropyOracle, alpha: Sequence[Value],
         rco = rco_sum_rate(oracle)
     evaluations = rco.evaluations
     exact = oracle.exact
-    lo = rco.value
-    hi = oracle.total()
 
-    lo_pt = h_eval(oracle, alpha, lo)
-    evaluations += lo_pt.evaluations
-    lo_slope = lo_pt.segment.slope(alpha)
-    if not value_lt(lo_slope, 0, exact) or value_eq(lo, hi, exact):
-        return WeightedResult(beta_star=lo, rates=lo_pt.rates, cost=lo_pt.value,
-                              segment=lo_pt.segment, iterations=0,
+    def probe(beta: Value) -> tuple[HPoint, Value, Value]:
+        """h at beta, with the slope and intercept of its segment."""
+        nonlocal evaluations
+        pt = h_eval(oracle, alpha, beta)
+        evaluations += pt.evaluations
+        return pt, pt.segment.slope(alpha), pt.segment.intercept(alpha)
+
+    def result(pt: HPoint, iterations: int) -> WeightedResult:
+        return WeightedResult(beta_star=pt.beta, rates=pt.rates, cost=pt.value,
+                              segment=pt.segment, iterations=iterations,
                               evaluations=evaluations)
 
-    hi_pt = h_eval(oracle, alpha, hi)
-    evaluations += hi_pt.evaluations
-    hi_slope = hi_pt.segment.slope(alpha)
+    lo, hi = rco.value, oracle.total()
+    lo_pt, lo_slope, lo_int = probe(lo)
+    if not value_lt(lo_slope, 0, exact) or value_eq(lo, hi, exact):
+        return result(lo_pt, 0)
+    hi_pt, hi_slope, hi_int = probe(hi)
     if value_le(hi_slope, 0, exact):
         # h is nonincreasing on the whole bracket.
-        return WeightedResult(beta_star=hi, rates=hi_pt.rates, cost=hi_pt.value,
-                              segment=hi_pt.segment, iterations=0,
-                              evaluations=evaluations)
+        return result(hi_pt, 0)
 
-    iterations = 0
-    while True:
-        iterations += 1
-        if iterations > MAX_WEIGHTED_ITERATIONS:
-            raise NonConvergence("weighted minimization exceeded its iteration budget")
-        lo_slope = lo_pt.segment.slope(alpha)
-        hi_slope = hi_pt.segment.slope(alpha)
-        lo_int = lo_pt.segment.intercept(alpha)
-        hi_int = hi_pt.segment.intercept(alpha)
-        denom = lo_slope - hi_slope
+    for iterations in range(1, MAX_WEIGHTED_ITERATIONS + 1):
+        if not exact and hi - lo <= tolerance:
+            return result(lo_pt if lo_pt.value <= hi_pt.value else hi_pt, iterations)
         if exact:
-            cross = Fraction(hi_int - lo_int) / Fraction(denom)
+            cross = Fraction(hi_int - lo_int) / Fraction(lo_slope - hi_slope)
         else:
-            cross = (hi_int - lo_int) / denom
-        if cross < lo or cross > hi:
-            cross = min(max(cross, lo), hi)
-        predicted = lo_slope * cross + lo_int
-
-        if not exact and (hi - lo) <= tolerance:
-            best = lo_pt if lo_pt.value <= hi_pt.value else hi_pt
-            return WeightedResult(beta_star=best.beta, rates=best.rates,
-                                  cost=best.value, segment=best.segment,
-                                  iterations=iterations, evaluations=evaluations)
-
-        probe = h_eval(oracle, alpha, cross)
-        evaluations += probe.evaluations
-        if value_eq(probe.value, predicted, exact):
+            cross = (hi_int - lo_int) / (lo_slope - hi_slope)
+        cross = min(max(cross, lo), hi)
+        pt, slope, intercept = probe(cross)
+        if value_eq(pt.value, lo_slope * cross + lo_int, exact):
             # Two supporting lines of opposite slope meet on the graph of h:
             # this kink is the global minimum.
-            return WeightedResult(beta_star=cross, rates=probe.rates,
-                                  cost=probe.value, segment=probe.segment,
-                                  iterations=iterations, evaluations=evaluations)
-        if value_lt(probe.segment.slope(alpha), 0, exact):
-            lo, lo_pt = cross, probe
+            return result(pt, iterations)
+        if value_lt(slope, 0, exact):
+            lo, lo_pt, lo_slope, lo_int = cross, pt, slope, intercept
         else:
-            hi, hi_pt = cross, probe
+            hi, hi_pt, hi_slope, hi_int = cross, pt, slope, intercept
+    raise NonConvergence("weighted minimization exceeded its iteration budget")
 
 
 def _snap_scaled(value: Value, n: int, exact: bool) -> Value:
@@ -639,7 +618,9 @@ def verify_feasible(oracle: EntropyOracle, rates: RateVector) -> bool:
     if exact and not any(isinstance(v, float) for v in values):
         scale = math.lcm(*(v.denominator for v in values))
         steps = [v.numerator * (scale // v.denominator) for v in values]
-        narrow = _fits_int64(_int64_peak(table), scale, sum(map(abs, steps)))
+        peak = _int64_peak(table)
+        narrow = (peak is not None
+                  and scale * max(peak, 1) + sum(map(abs, steps)) < INT64_SAFE)
         dtype = np.int64 if narrow else object
     else:
         scale, steps = 1, values

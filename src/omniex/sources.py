@@ -25,11 +25,14 @@ values a lazy query computes, and the array replaces the dict only once
 it is complete, so readers never see a partial table and the cache is
 safe to share between them.  ``entropy``, ``entropies``, ``calls`` and
 ``oracle_queries`` mean the same on either memo, and values leave the
-array as Python numbers.
+array as Python numbers.  ``violations`` tests the array for an entropy
+function (monotone and submodular) in one comparison per user and one per
+pair of users, each over the whole array.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -39,7 +42,7 @@ import numpy as np
 
 from . import field as ff
 from .errors import TooLarge, UnitMismatch, ValidationError
-from .setfun import DELTA, SetFunction, Value, bit, members
+from .setfun import DELTA, SetFunction, Value, bit, members, value_le
 
 UNIT_BITS = "bits"
 
@@ -347,6 +350,37 @@ class EntropyOracle:
                 table = self._full_array(src.entries)
             self._publish(table)
         return self._table
+
+    def violations(self) -> tuple[Optional[tuple[int, int]],
+                                  Optional[tuple[int, int, int]]]:
+        """The first (S, i) with H(S + i) < H(S), and the first (S, i, j)
+        with H(S + i) + H(S + j) < H(S + i + j) + H(S), for users i < j
+        outside the mask S; None where there is none.  With H(empty) = 0,
+        which validation checks, the table is an entropy function (monotone
+        and submodular) exactly when both are None.  Each user and each
+        pair is one whole-array comparison on ``array``, exact for exact
+        tables and within DELTA, as ``value_le``, for float ones.  The
+        first violation is the one with the least i, then j, then S."""
+        table = self.array()
+        monotone = submodular = None
+        for i in range(self.m):
+            t = table.reshape(-1, 2, 1 << i)   # axes: S above i, bit i, S below i
+            bad = np.flatnonzero(~value_le(t[:, 0], t[:, 1], self.exact))
+            if bad.size:
+                high, low = divmod(int(bad[0]), 1 << i)
+                monotone = (high << (i + 1) | low, i)
+                break
+        for i, j in itertools.combinations(range(self.m), 2):
+            t = table.reshape(-1, 2, 1 << (j - i - 1), 2, 1 << i)
+            lhs = t[:, 0, :, 1] + t[:, 1, :, 0]
+            rhs = t[:, 1, :, 1] + t[:, 0, :, 0]
+            bad = np.flatnonzero(~value_le(rhs, lhs, self.exact))
+            if bad.size:
+                high, rest = divmod(int(bad[0]), 1 << (j - 1))
+                mid, low = divmod(rest, 1 << i)
+                submodular = (high << (j + 1) | mid << (i + 1) | low, i, j)
+                break
+        return monotone, submodular
 
     def _full_array(self, values: dict[int, Value]) -> np.ndarray:
         """The table of a map holding every nonempty subset: int64 when

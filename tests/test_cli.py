@@ -140,6 +140,8 @@ def test_code_makes_at_most_max_tries_draws(problem, tmp_path):
         if (problem, seed) == (EX1, 2):
             assert done.returncode == 5
             assert "no valid scheme after 1 random draws" in done.stderr
+            # cmd_code proved the rates feasible: only the draws ran out.
+            assert "--max-tries" in done.stderr and "infeasible" not in done.stderr
 
 
 def test_verify_bundled_fixture_schemes(capsys):
@@ -306,6 +308,55 @@ def test_selfcheck_fails_on_nonsubmodular_table(capsys, tmp_path):
     assert report["ok"] is False
     failed = {c["name"] for c in report["checks"] if c["status"] == "fail"}
     assert "entropy-submodular" in failed
+
+
+@pytest.mark.parametrize("entropies, message", [
+    ({"1": 1, "2": 1, "1,2": 5},
+     "not submodular: H(S + i) + H(S + j) < H(S + i + j) + H(S) at S = {}, i = 1, j = 2"),
+    ({"1": 1.0, "2": 2.0, "3": 1.0, "1,2": 2.0, "1,3": 2.0, "2,3": 1.5, "1,2,3": 2.0},
+     "not monotone: H(S + i) < H(S) at S = {2}, i = 3"),
+    ({"1": "1", "2": "1", "3": "1", "1,2": "2", "1,3": "2", "2,3": "1", "1,2,3": "3"},
+     "not submodular: H(S + i) + H(S + j) < H(S + i + j) + H(S) at S = {3}, i = 1, j = 2"),
+], ids=["pair", "monotone-float", "submodular-above-empty"])
+def test_tables_that_are_not_entropy_functions_exit_2(capsys, tmp_path, entropies,
+                                                        message):
+    m = max(int(u) for key in entropies for u in key.split(","))
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(
+        {"source": {"kind": "table", "m": m, "entropies": entropies}}))
+    for command in ("rates", "ilp"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: entropy table is {message}\n"
+    code, out, err = run(capsys, "code", str(path), "--out", str(tmp_path / "s.json"))
+    assert (code, out) == (2, "")
+    # selfcheck reports on such a table instead of refusing it.
+    code, report = run_json(capsys, "selfcheck", str(path))
+    assert code == 1 and report["ok"] is False
+
+
+@pytest.mark.parametrize("doc, flags", [
+    ({"source": {"kind": "linear", "p": 5, "N": 2, "matrices": [[[1, 0]], [[0, 1]]]},
+      "weights": [1e308, 1e308]}, ()),
+    ({"source": {"kind": "pmf", "alphabets": [2, 2], "entries": {
+        "0,0": 0.4, "0,1": 0.1, "1,0": 0.1, "1,1": 0.4}}}, ("--alpha", "1e400,1")),
+], ids=["float-weights-on-linear", "exact-weight-on-pmf"])
+def test_weights_whose_costs_overflow_floats_exit_2(tmp_path, doc, flags):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    for command in ("rates", "ilp"):
+        done = omniex_cli(command, str(path), *flags, cwd=tmp_path)
+        assert (done.returncode, done.stdout) == (2, ""), (command, done.stderr)
+        assert done.stderr.startswith("error: weights too large")
+        assert "Traceback" not in done.stderr
+
+
+def test_large_exact_weights_on_a_linear_source_stay_exact(capsys):
+    # No float arises, so no weight is too large.
+    code, doc = run_json(capsys, "rates", EX1, "--alpha", "1e400,1,1")
+    assert code == 0
+    assert doc["rates"][0] == "0"
+    assert doc["cost"] == "2"
 
 
 def test_selfcheck_large_instance_skips_exhaustive_parts(capsys, tmp_path):

@@ -1,12 +1,14 @@
 """The subset table read as one array, and the sweep and cut scan over it.
 
-Exact keys are int64 only while den * max|H| + max|den * Z(S)| stays below
-2^62; past that the same scan runs on Python ints.  Budgets and rate
-denominators are chosen here so that quantity lands just below and just
-above 2^62 (and 2^63), and the results are compared with the per-subset
-references.  The float tie rule is compared with the scalar DELTA scan it
-replaced, and the oracle counters are pinned to their values before the
-table became an array.
+The sweep's exact keys are int64 only while a bound fixed before its first
+step, m^2 * (num + 2 * den * max|H|), stays below 2^62; past that the same
+scan runs on Python ints.  Budgets and rate denominators are chosen here so
+that this bound, the largest key the sweep actually forms, and the cut
+scan's span land just below and just above 2^62 (and 2^63), and the
+results are compared with the per-subset references.  The float tie rule
+is compared with the scalar DELTA scan it replaced, the whole-array test
+for an entropy function with a scalar scan, and the oracle counters are
+pinned to their values before the table became an array.
 """
 
 import math
@@ -30,7 +32,7 @@ from omniex import (
 from omniex import field as ff
 from omniex import rates as rates_mod
 from omniex.reference import modified_edmond_setfn
-from omniex.setfun import DELTA, iter_submasks, members, order_by_weight
+from omniex.setfun import DELTA, iter_submasks, members, order_by_weight, value_le
 from omniex.sources import TableSource
 
 from conftest import random_linear_source
@@ -56,6 +58,14 @@ def exact_oracles():
     yield EntropyOracle(random_linear_source(rng, m=6, n_packets=8, p=P61))
     yield EntropyOracle(random_linear_source(rng, m=7, n_packets=6, p=101))
     yield fraction_table(89, 5)
+
+
+def sweep_bound(oracle, beta, alpha=None, ordering=None) -> int:
+    """The sweep's bound on its keys, fixed before the first step:
+    m^2 * (num + 2 * den * max(max|H|, 1)) for beta = num/den."""
+    beta = Fraction(beta)
+    peak = max(1, max(abs(oracle.entropy(s)) for s in range(oracle.full_mask + 1)))
+    return math.ceil(oracle.m ** 2 * (beta.numerator + 2 * beta.denominator * peak))
 
 
 def key_span(oracle, beta, alpha, ordering) -> int:
@@ -110,10 +120,13 @@ def test_exact_sweep_across_the_int64_boundary(ordering):
         # Budgets far above H(X_M) make den * Z(S), not den * H, the span.
         for x in (Fraction(1, 3), oracle.total() * Fraction(5, 7), oracle.total() + 1,
                   (oracle.total() + 1) * 2 ** 20):
-            for limit in (INT64_SAFE, 2 * INT64_SAFE):
+            # The up-front bound crosses 2^62 at budgets where the keys
+            # themselves stay far below it.
+            for limit, span in ((INT64_SAFE, key_span), (2 * INT64_SAFE, key_span),
+                                (INT64_SAFE, sweep_bound)):
                 dens = dens_around(
-                    limit, lambda d: key_span(oracle, budget(x, d), alpha, ordering))
-                spans = [key_span(oracle, budget(x, d), alpha, ordering) for d in dens]
+                    limit, lambda d: span(oracle, budget(x, d), alpha, ordering))
+                spans = [span(oracle, budget(x, d), alpha, ordering) for d in dens]
                 assert min(spans) < limit <= max(spans)
                 for den in dens[::4] + [dens[len(dens) // 2]]:
                     beta = budget(x, den)
@@ -254,6 +267,54 @@ def test_widened_union_on_non_finite_keys():
         got = rates_mod._widened_union(np.array(subs, dtype=np.int64),
                                        np.array(keys, dtype=float))
         assert got == scalar_widened_union(subs, keys), (subs, keys)
+
+
+def scalar_violations(oracle):
+    """The first (S, i) and (S, i, j) that ``violations`` looks for, found
+    one subset at a time in its order: i, then j, then S ascending."""
+    h, m, exact = oracle.entropy, oracle.m, oracle.exact
+    monotone = next(((s, i) for i in range(m) for s in range(1 << m)
+                     if not s >> i & 1 and not value_le(h(s), h(s | 1 << i), exact)),
+                    None)
+    submodular = next(
+        ((s, i, j) for i in range(m) for j in range(i + 1, m) for s in range(1 << m)
+         if not (s >> i & 1 or s >> j & 1)
+         and not value_le(h(s | 1 << i | 1 << j) + h(s), h(s | 1 << i) + h(s | 1 << j),
+                          exact)),
+        None)
+    return monotone, submodular
+
+
+def perturbed_tables(rng: random.Random):
+    """Rank tables of random linear sources, as ints, Fractions and floats,
+    each with one entry moved: by 1, or by just under or over DELTA."""
+    for trial in range(120):
+        m = rng.randint(1, 6)
+        ranks = EntropyOracle(random_linear_source(rng, m=m, n_packets=rng.randint(1, 5)))
+        entries = {s: ranks.entropy(s) for s in range(1, 1 << m)}
+        kind = trial % 3
+        if kind == 1:
+            entries = {s: Fraction(v, 3) for s, v in entries.items()}
+        elif kind == 2:
+            entries = {s: v / 3 for s, v in entries.items()}
+        moved = rng.randrange(1, 1 << m)
+        step = rng.choice((-1, 1)) * (1 if kind < 2 else rng.choice((DELTA / 2, 2 * DELTA, 1)))
+        if rng.random() < 0.8:
+            entries[moved] += step
+        yield EntropyOracle(TableSource(m=m, entries=entries))
+
+
+def test_violations_match_a_scalar_scan():
+    rng = random.Random(151)
+    found = set()
+    for oracle in perturbed_tables(rng):
+        got = oracle.violations()
+        assert got == scalar_violations(oracle), oracle.source.entries
+        found.add(tuple(v is None for v in got))
+    # Tables of every verdict were met: both properties, either, neither.
+    assert found == {(True, True), (True, False), (False, True), (False, False)}
+    for oracle in exact_oracles():
+        assert oracle.violations() == (None, None)
 
 
 def test_counters_after_sum_rate_on_pmf_and_fraction_tables():

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from omniex import (
@@ -224,3 +225,24 @@ def test_weighted_allows_zero_weights():
     res2 = minimize_weighted(oracle, (0, 1, 1))
     expected, _ = min_cost_by_vertex_enumeration(oracle, (0, 1, 1))
     assert res2.cost == expected
+
+
+def test_float_bracket_stops_at_its_tolerance():
+    # A bracket no wider than the tolerance ends in its first iteration, on
+    # the cheaper of its two endpoints: the lower one for the first weight
+    # vector, the upper one for the second.  Both cost more than the kink
+    # that the default tolerance finds between them.
+    pmf = np.random.RandomState(0).dirichlet(np.full(8, 0.5)).reshape((2,) * 3)
+    oracle = EntropyOracle(make_dmms_source((2,) * 3, pmf))
+    rco = rco_sum_rate(oracle)
+    cheaper_ends = []
+    for alpha in ((1, 9, 1), (9, 1, 1)):
+        ends = [h_eval(oracle, alpha, beta) for beta in (rco.value, oracle.total())]
+        cheaper = min(ends, key=lambda pt: pt.value)
+        cheaper_ends.append(ends.index(cheaper))
+        wide = minimize_weighted(oracle, alpha, tolerance=oracle.total(), rco=rco)
+        assert wide.iterations == 1
+        assert (wide.beta_star, wide.cost, wide.rates, wide.segment) == (
+            cheaper.beta, cheaper.value, cheaper.rates, cheaper.segment)
+        assert wide.cost > minimize_weighted(oracle, alpha, rco=rco).cost + 1e-3
+    assert cheaper_ends == [0, 1]
