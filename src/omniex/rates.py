@@ -488,7 +488,9 @@ def minimize_weighted(oracle: EntropyOracle, alpha: Sequence[Value],
     Each probe returns the local segment, so the candidate minimizer is
     the exact intersection of the bracketing segment lines; the loop stops
     once h at the intersection matches the intersection value, which
-    certifies a kink with a sign change.  Exact for rational oracles; for
+    certifies a kink with a sign change.  Exact for rational oracles and
+    weights.  Float weights make the slopes and costs floats, so their
+    signs and the kink are then compared with the float tie rule; for
     float oracles the bracket is additionally stopped at ``tolerance``
     width and the better endpoint returned.
     """
@@ -497,6 +499,8 @@ def minimize_weighted(oracle: EntropyOracle, alpha: Sequence[Value],
         rco = rco_sum_rate(oracle)
     evaluations = rco.evaluations
     exact = oracle.exact
+    # The tie rule for slopes and costs, which float weights make floats.
+    ties = exact and not any(isinstance(a, float) for a in alpha)
 
     def probe(beta: Value) -> tuple[HPoint, Value, Value]:
         """h at beta, with the slope and intercept of its segment."""
@@ -512,10 +516,10 @@ def minimize_weighted(oracle: EntropyOracle, alpha: Sequence[Value],
 
     lo, hi = rco.value, oracle.total()
     lo_pt, lo_slope, lo_int = probe(lo)
-    if not value_lt(lo_slope, 0, exact) or value_eq(lo, hi, exact):
+    if not value_lt(lo_slope, 0, ties) or value_eq(lo, hi, exact):
         return result(lo_pt, 0)
     hi_pt, hi_slope, hi_int = probe(hi)
-    if value_le(hi_slope, 0, exact):
+    if value_le(hi_slope, 0, ties):
         # h is nonincreasing on the whole bracket.
         return result(hi_pt, 0)
 
@@ -528,11 +532,11 @@ def minimize_weighted(oracle: EntropyOracle, alpha: Sequence[Value],
             cross = (hi_int - lo_int) / (lo_slope - hi_slope)
         cross = min(max(cross, lo), hi)
         pt, slope, intercept = probe(cross)
-        if value_eq(pt.value, lo_slope * cross + lo_int, exact):
+        if value_eq(pt.value, lo_slope * cross + lo_int, ties):
             # Two supporting lines of opposite slope meet on the graph of h:
             # this kink is the global minimum.
             return result(pt, iterations)
-        if value_lt(slope, 0, exact):
+        if value_lt(slope, 0, ties):
             lo, lo_pt, lo_slope, lo_int = cross, pt, slope, intercept
         else:
             hi, hi_pt, hi_slope, hi_int = cross, pt, slope, intercept

@@ -14,9 +14,10 @@ dtype object for Fractions, mixed kinds and ints of 2^62 or more.  The
 sweep and the feasibility check read that array with whole-array
 gathers.  ``array``, the one way to the table, refuses more than
 ``TABLE_CAP`` users before any work.  For a linear source it fills the
-table in one depth-first pass, each subset extending its parent's row
-space by one user's rows, or copies a memo that already holds every
-subset.  For a pmf source, ``entropies`` computes every mask it misses
+table in one depth-first pass over the users with the most rows first,
+each subset extending its parent's row space by one user's rows and
+writing its rank at its own mask, or copies a memo that already holds
+every subset.  For a pmf source, ``entropies`` computes every mask it misses
 in one batch of numpy gathers, whose values equal the per-mask
 ``pmf.sum(axis=drop)`` marginals bit for bit; a single ``entropy`` miss
 goes through the same kernel, and ``array`` runs one batch over every
@@ -293,36 +294,54 @@ class EntropyOracle:
     def _ranks(self) -> np.ndarray:
         """The rank of every subset of a linear source, as a new table.
 
-        One depth-first pass over the subsets in ascending member order: a
-        child subset adds one user's rows, packed once per fill, to a copy
-        of its parent's row space, so at most m + 1 row spaces are alive at
-        a time.  Once a row space reaches rank N, every superset in its
-        subtree is set to N without elimination: those masks are one
-        strided slice of the table.  A memo that already holds every subset
-        is copied instead.  The values are those a lazy ``entropy`` call
+        One depth-first pass over the subsets, with the users taken in
+        order of descending row count (ties in index order): a child subset
+        adds one user's rows, packed once per fill, to a copy of its
+        parent's row space, so at most m + 1 row spaces are alive at a
+        time.  Users with many rows are thus reduced near the root, against
+        small row spaces, and row spaces reach rank N sooner.  Once a row
+        space reaches rank N, every superset in its subtree is set to N
+        without elimination: with the table viewed as an m-cube whose axis
+        m - 1 - u is user u, those masks are one basic-indexing view, the
+        users already placed fixed at 0 or 1 and the later ones whole.  The
+        table stays indexed by user mask throughout, so nothing is
+        permuted or copied.  A memo that already holds every subset is
+        copied instead.  The values are those a lazy ``entropy`` call
         computes, and ``calls`` does not move.
         """
         src = self.source
+        m = self.m
         if len(self._cache) == self.full_mask:
             return self._full_array(self._cache)
         n_packets = src.N
-        table = np.zeros(1 << self.m, dtype=np.int64)
+        table = np.zeros(1 << m, dtype=np.int64)
         ranks = memoryview(table)
+        cube = table.reshape((2,) * m)
         root = ff.RowSpace(n_packets, src.p)
         user_rows = [list(map(root.pack, a.to_rows())) for a in src.matrices]
+        order = sorted(range(m), key=lambda u: -len(user_rows[u]))
+        # index[m - 1 - u]: user u's coordinate in the cube, a slice while
+        # user u is not yet placed on the current path.
+        index: list = [slice(None)] * m
 
         def visit(space: ff.RowSpace, mask: int, start: int) -> None:
-            for j in range(start, self.m):
+            for d in range(start, m):
+                u = order[d]
                 child = space.copy()
-                for w in user_rows[j]:
+                for w in user_rows[u]:
                     child.add_packed(w)
-                grown = mask | bit(j)
+                grown = mask | bit(u)
+                index[m - 1 - u] = 1
                 if child.rank == n_packets:
-                    # grown with any set of the users after j.
-                    table[grown::bit(j + 1)] = n_packets
+                    # grown with any set of the users after u in the order.
+                    cube[tuple(index)] = n_packets
                 else:
                     ranks[grown] = child.rank
-                    visit(child, grown, j + 1)
+                    if d + 1 < m:
+                        visit(child, grown, d + 1)
+                index[m - 1 - u] = 0
+            for u in order[start:]:
+                index[m - 1 - u] = slice(None)
 
         visit(root, 0, 0)
         return table

@@ -53,12 +53,26 @@ def random_linear_source(rng: random.Random, m: int | None = None,
     p = p if p is not None else rng.choice(primes)
     mats = [random_matrix_rows(rng, rng.randint(1, n_packets), n_packets, p)
             for _ in range(m)]
+    return make_linear_source(top_up(rng, mats, n_packets, p), p=p, N=n_packets)
+
+
+def baseline_source(m: int) -> LinearSource:
+    """The ROADMAP Baseline generator: p = 101, N = 2m, user i has 1..m
+    rows, seeded with m; ``perfbench/baseline.py`` builds the same source."""
+    rng = random.Random(m)
+    rows = [rng.randint(1, m) for _ in range(m)]
+    mats = [random_matrix_rows(rng, r, 2 * m, 101) for r in rows]
+    return make_linear_source(top_up(rng, mats, 2 * m, 101), p=101, N=2 * m)
+
+
+def top_up(rng: random.Random, mats, n_packets: int, p: int):
+    """Top up random users with unit rows until W is determined collectively."""
+    m = len(mats)
 
     def collective_rank(matrices):
         parts = [FieldMatrix.from_rows(r, p, cols=n_packets) for r in matrices]
         return stack(parts, cols=n_packets, p=p).rank()
 
-    # Top up random users with unit rows until W is determined collectively.
     r = collective_rank(mats)
     while r < n_packets:
         for c in range(n_packets):
@@ -70,7 +84,7 @@ def random_linear_source(rng: random.Random, m: int | None = None,
             if pr > r:
                 mats, r = probe, pr
                 break
-    return make_linear_source(mats, p=p, N=n_packets)
+    return mats
 
 
 def corpus(seed: int, count: int, **kwargs) -> list[LinearSource]:

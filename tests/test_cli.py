@@ -359,6 +359,23 @@ def test_large_exact_weights_on_a_linear_source_stay_exact(capsys):
     assert doc["cost"] == "2"
 
 
+def test_float_weights_on_a_linear_source_converge(tmp_path):
+    # Float weights make the bracket's slopes and costs floats on an exact
+    # oracle; they are compared with the float tie rule, so the kink is
+    # certified.  Compared exactly, this document ran out of iterations.
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({
+        "source": {"kind": "linear", "p": 7, "N": 3, "matrices": [
+            [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 2, 3]], [[0, 1, 1]], [[4, 0, 1]]]},
+        "weights": [5, 0.001, 0.3, 5]}))
+    for command, flags in (("rates", ()), ("ilp", ("--n", "2"))):
+        done = omniex_cli(command, str(path), *flags, cwd=tmp_path)
+        assert done.returncode == 0, (command, done.stderr)
+        doc = json.loads(done.stdout)
+        assert abs(doc["cost"] - 5.301) <= 1e-9, command
+    assert doc["rates"] == ["1", "1", "1", "0"]
+
+
 def test_selfcheck_large_instance_skips_exhaustive_parts(capsys, tmp_path):
     matrices = [[[1 if c == r else 0 for c in range(10)]
                  for r in range(10) if r % 10 != u] for u in range(10)]
