@@ -6,9 +6,10 @@ deterministic JSON result document, or an aligned table with
 ``--format table``.
 
 Exit codes: 0 success, 1 property or verification failure, 2 invalid
-input (or, except for ``verify``, more than ``sources.TABLE_CAP`` users; a
-table that is not an entropy function; weights whose costs overflow
-floats), 3 unit mismatch, 4 field too small, 5 construction failure.
+input (or, except for ``verify``, more than ``sources.TABLE_CAP`` users; for
+``code`` and ``verify``, n*N above ``netcode.WIDTH_CAP``; a table that is
+not an entropy function; weights whose costs overflow floats), 3 unit
+mismatch, 4 field too small, 5 construction failure.
 """
 
 from __future__ import annotations

@@ -7,13 +7,16 @@ syntax errors) or the path of the offending field.
 
 A pmf outcome key lists one symbol per user, separated by commas, each
 read as ``int()`` reads it (signs, spaces, ``_``, zero padding and
-non-ASCII digits included).  The keys are parsed in chunks of
-``_PMF_CHUNK``, each in one array pass: plain decimal symbols are folded
-in arrays and only the other keys go through ``int()``.  Every entry
-passes six checks, reported for the first failing entry in map order
-and in this order: symbol count, integer symbols, alphabet range, an
-outcome not listed before, a number for the probability, and a
-probability within the float range.
+non-ASCII digits included).  Every entry passes six checks, reported for
+the first failing entry in map order and in this order: symbol count,
+integer symbols, alphabet range, an outcome not listed before, a number
+for the probability, and a probability within the float range.  The
+entries are parsed in chunks of ``_PMF_CHUNK``.  A plain chunk, whose
+every key lists one symbol of 1 to ``_PLAIN_DIGITS`` ASCII digits per
+user inside its alphabet, whose outcomes are all new and whose every
+probability is an ``int`` or ``float`` that float64 holds, passes all six
+checks and is read in one array pass; any other chunk is read entry by
+entry, one check after the other.
 """
 
 from __future__ import annotations
@@ -134,18 +137,6 @@ def _parse_linear(data: dict, where: str) -> LinearSource:
 _PMF_CHUNK = 1024
 # A symbol of at most this many ASCII digits fits an int64.
 _PLAIN_DIGITS = 18
-# float() of an int overflows from here on: the midpoint between the
-# largest double and 2^1024 rounds up to 2^1024.
-_FLOAT_EDGE = 2 ** 1024 - 2 ** 970
-# The checks on one pmf entry, in the order they are reported.
-_PMF_CHECKS = (
-    "outcome needs {users} symbols",
-    "outcome symbols must be integers",
-    "outcome outside the alphabets",
-    "outcome listed twice",
-    "probability must be a number",
-    "probability out of the float range",
-)
 
 
 def _parse_pmf(data: dict, where: str) -> DmmsSource:
@@ -158,6 +149,12 @@ def _parse_pmf(data: dict, where: str) -> DmmsSource:
     entries = _expect(data, "entries", where)
     if not isinstance(entries, dict):
         raise ValidationError(f"{where}.entries: expected an outcome->probability map")
+    users = len(alphabets)
+    try:
+        np.empty((0,) * users)
+    except ValueError:
+        raise ValidationError(f"{where}.alphabets: a pmf of {users} users has "
+                              f"more users than a numpy array has axes")
     try:
         table = np.zeros(alphabets, dtype=float)
         seen = np.zeros(table.size, dtype=bool)
@@ -165,124 +162,84 @@ def _parse_pmf(data: dict, where: str) -> DmmsSource:
         raise ValidationError(
             f"{where}.alphabets: a pmf table of {math.prod(alphabets)} outcomes "
             f"does not fit in memory")
-    users = len(alphabets)
-    sizes = np.array(alphabets, dtype=np.int64)
-    strides = np.array([math.prod(alphabets[u + 1:]) for u in range(users)],
-                       dtype=np.int64)
+    strides = [math.prod(alphabets[u + 1:]) for u in range(users)]
     flat = table.reshape(-1)
     keys, probs = list(entries), list(entries.values())
     for lo in range(0, len(keys), _PMF_CHUNK):
-        chunk = keys[lo:lo + _PMF_CHUNK]
-        symbols, count_bad, int_bad = _outcome_symbols(chunk, users)
-        inside = ((symbols >= 0) & (symbols < sizes)).all(axis=1)
-        symbols[~inside] = 0
-        index = symbols @ strides
-        earliest = np.zeros(len(chunk), dtype=bool)
-        earliest[np.unique(index, return_index=True)[1]] = True
-        values, not_number, overflow = _probabilities(probs[lo:lo + _PMF_CHUNK])
-        # One row per check, one column per entry.  A verdict can be wrong
-        # only on an entry that failed an earlier check or that follows a
-        # failed entry, so the first failure found is the one to report.
-        failed = np.stack([count_bad, int_bad, ~inside, ~earliest | seen[index],
-                           not_number, overflow])
-        if failed.any():
-            entry = int(failed.any(axis=0).argmax())
-            check = _PMF_CHECKS[int(failed[:, entry].argmax())]
-            raise _key_error(f"{where}.entries", chunk[entry],
-                             check.format(users=users))
-        seen[index] = True
-        flat[index] = values
+        chunk, values = keys[lo:lo + _PMF_CHUNK], probs[lo:lo + _PMF_CHUNK]
+        if not _read_plain(chunk, values, alphabets, strides, seen, flat):
+            _read_entries(chunk, values, alphabets, strides, seen, flat,
+                          f"{where}.entries")
     return make_dmms_source(alphabets, table)
 
 
-def _outcome_symbols(keys: list[str], users: int
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The symbols of each outcome key, read in one pass over the keys
-    joined by commas.
-
-    Returns an (n, users) int64 array and two flags per key: a wrong number
-    of symbols, and a symbol that int() refuses.  A row means something only
-    where neither flag is set.  Symbols of 1 to ``_PLAIN_DIGITS`` ASCII
-    digits are folded in arrays.  The other keys with the right count go
-    through int() one symbol at a time, as Python reads them: signs, spaces,
-    underscores and non-ASCII digits included.  Their values beyond int64
-    are clamped to -1 or 2^62, outside every alphabet.
-    """
-    n = len(keys)
+def _read_plain(keys: list[str], probs: list, alphabets: tuple[int, ...],
+                strides: list[int], seen: np.ndarray, flat: np.ndarray) -> bool:
+    """Read a plain chunk of pmf entries into ``flat`` in one pass over the
+    keys joined by commas, marking its outcomes in ``seen``; return False,
+    having written nothing, for any other chunk."""
+    n, users = len(keys), len(alphabets)
     text = ",".join(keys) + ","
-    if text.isascii():
-        chars = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    else:
-        # One code point per character; all past ASCII read as non-digits.
-        wide = np.frombuffer(text.encode("utf-32-le", "surrogatepass"),
-                             dtype=np.uint32)
-        chars = np.minimum(wide, 0xFF).astype(np.uint8)
-    # Token t is chars[start[t]:stop[t]], each ended by a comma.  Key i owns
-    # the tokens first[i] to after[i] - 1; the comma at ends[i] that joins
-    # it to the next key ends its last one.
-    stop = np.flatnonzero(chars == ord(","))
+    if not text.isascii() or not set(map(type, probs)) <= {int, float}:
+        return False
+    chars = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    # Symbol t is chars[start[t]:stop[t]], ended by the comma at stop[t];
+    # the last one of key i ends where the key does.
+    stop = np.flatnonzero(chars - ord("0") >= 10)
+    ends = np.cumsum(np.fromiter(map(len, keys), dtype=np.int64, count=n) + 1) - 1
+    if (len(stop) != n * users or (chars[stop] != ord(",")).any()
+            or (stop[users - 1::users] != ends).any()):
+        return False
     start = np.empty_like(stop)
     start[0], start[1:] = 0, stop[:-1] + 1
     width = stop - start
-    ends = np.cumsum(np.fromiter(map(len, keys), dtype=np.int64, count=n) + 1) - 1
-    after = np.searchsorted(stop, ends) + 1
-    first = np.empty_like(after)
-    first[0], first[1:] = 0, after[:-1]
-    count_bad = after - first != users
-
-    plain = (width > 0) & (width <= _PLAIN_DIGITS)
-    digits = chars - ord("0") < 10
-    if np.count_nonzero(digits) + len(stop) < len(chars):
-        nondigits = np.zeros(len(chars) + 1, dtype=np.int64)
-        np.cumsum(~digits, out=nondigits[1:])
-        plain &= nondigits[stop] == nondigits[start]
+    if width.min() < 1 or width.max() > _PLAIN_DIGITS:
+        return False
     value = chars[start].astype(np.int64) - ord("0")
-    width[~plain] = 0
-    for k in range(1, int(width.max(initial=0))):
+    for k in range(1, int(width.max())):
         t = np.flatnonzero(width > k)
         value[t] = value[t] * 10 + (chars[start[t] + k] - ord("0"))
-    if count_bad.any():
-        symbols = value.take(first[:, None] + np.arange(users), mode="clip")
-    else:
-        symbols = value.reshape(n, users)
-
-    int_bad = np.zeros(n, dtype=bool)
-    if not plain.all():
-        odd = np.zeros(len(stop) + 1, dtype=np.int64)
-        np.cumsum(~plain, out=odd[1:])
-        slow = ~count_bad & (odd[after] != odd[first])
-        for i in np.flatnonzero(slow).tolist():
-            try:
-                row = [int(s) for s in keys[i].split(",")]
-            except ValueError:
-                int_bad[i] = True
-            else:
-                symbols[i] = [min(max(x, -1), 2 ** 62) for x in row]
-    return symbols, count_bad, int_bad
+    symbols = value.reshape(n, users)
+    if (symbols >= np.array(alphabets)).any():
+        return False
+    index = symbols @ np.array(strides, dtype=np.int64)
+    ordered = np.sort(index)
+    if (ordered[1:] == ordered[:-1]).any() or seen[index].any():
+        return False
+    try:
+        flat[index] = probs
+    except OverflowError:
+        return False
+    seen[index] = True
+    return True
 
 
-def _probabilities(probs: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The float64 values of pmf probabilities and two flags per entry: not
-    an int or float (a bool is neither), and an int that float() cannot
-    hold.  The flagged entries' values are 0."""
-    n = len(probs)
-    kinds = set(map(type, probs))
-    if kinds == {float}:
-        none = np.zeros(n, dtype=bool)
-        return np.array(probs, dtype=np.float64), none, none
-    numbers = [k for k in kinds
-               if issubclass(k, (int, float)) and not issubclass(k, bool)]
-    # Types compare by identity, as numpy reads some type objects as arrays.
-    kind = np.fromiter(map(id, map(type, probs)), dtype=np.uint64, count=n)
-    number = np.isin(kind, [id(k) for k in numbers])
-    whole = np.isin(kind, [id(k) for k in numbers if issubclass(k, int)])
-    cells = np.fromiter(probs, dtype=object, count=n)
-    overflow = np.zeros(n, dtype=bool)
-    overflow[whole] = np.abs(cells[whole]) >= _FLOAT_EDGE
-    fits = number & ~overflow
-    values = np.zeros(n, dtype=np.float64)
-    values[fits] = cells[fits].astype(np.float64)
-    return values, ~number, overflow
+def _read_entries(keys: list[str], probs: list, alphabets: tuple[int, ...],
+                  strides: list[int], seen: np.ndarray, flat: np.ndarray,
+                  where: str) -> None:
+    """Read pmf entries one at a time, as ``_read_plain`` does, raising the
+    message of the first check that fails, in the order stated above."""
+    users = len(alphabets)
+    for key, prob in zip(keys, probs):
+        parts = key.split(",")
+        if len(parts) != users:
+            raise _key_error(where, key, f"outcome needs {users} symbols")
+        try:
+            outcome = list(map(int, parts))
+        except ValueError:
+            raise _key_error(where, key, "outcome symbols must be integers")
+        if not all(0 <= x < a for x, a in zip(outcome, alphabets)):
+            raise _key_error(where, key, "outcome outside the alphabets")
+        index = sum(x * s for x, s in zip(outcome, strides))
+        if seen[index]:
+            raise _key_error(where, key, "outcome listed twice")
+        seen[index] = True
+        if not isinstance(prob, (int, float)) or isinstance(prob, bool):
+            raise _key_error(where, key, "probability must be a number")
+        try:
+            flat[index] = float(prob)
+        except OverflowError:
+            raise _key_error(where, key, "probability out of the float range")
 
 
 def _key_error(mapping: str, key: str, what: str) -> ValidationError:
@@ -343,6 +300,8 @@ def parse_problem(data: Any, *, sha256: str = "", where: str = "$") -> ProblemDo
         weights = tuple(parse_value(w, f"{where}.weights[{i}]")
                         for i, w in enumerate(raw_w))
         for i, w in enumerate(weights):
+            if isinstance(w, float) and not math.isfinite(w):
+                raise ValidationError(f"{where}.weights[{i}]: not a finite number")
             if w < 0:
                 raise ValidationError(f"{where}.weights[{i}]: negative weight {w}")
 

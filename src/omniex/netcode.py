@@ -13,6 +13,11 @@ budget finds a scheme.  The classical multicast
 conversion (super node, sender and relay nodes, expanded transfer
 matrices), an independent verification view, lives in
 ``omniex.reference``.
+
+Every receiver's system is n*N columns wide, and its elimination grows
+with the square of that width and more, so construction, verification
+and decoding refuse a width above ``WIDTH_CAP`` with ``TooLarge`` before
+they build anything.
 """
 
 from __future__ import annotations
@@ -32,10 +37,21 @@ from .errors import (
     InconsistentObservations,
     InvalidN,
     NonIntegerRates,
+    TooLarge,
     UnknownReceiver,
 )
 from .rates import RateVector
 from .sources import LinearSource
+
+# The widest receiver system, in columns n*N, that is built.
+WIDTH_CAP = 512
+
+
+def _check_width(n: int, n_packets: int) -> None:
+    if n * n_packets > WIDTH_CAP:
+        raise TooLarge(f"block length n={n} with N={n_packets}: a receiver's "
+                       f"system of n*N = {n * n_packets} columns is capped at "
+                       f"n*N={WIDTH_CAP}")
 
 
 def _integer_tx_counts(rates: RateVector, n: int, m: int) -> tuple[int, ...]:
@@ -76,6 +92,7 @@ class TransmissionScheme:
     def check_source(self, src: LinearSource) -> None:
         if self.m != src.m or self.p != src.p:
             raise DimensionMismatch("scheme does not match the source shape")
+        _check_width(self.n, src.N)
         for i, c in enumerate(self.coefficients):
             want = self.n * src.matrices[i].rows
             if c.cols != want or c.p != src.p:
@@ -205,11 +222,13 @@ def construct_code(src: LinearSource, rates: RateVector, n: int,
     With p > m every draw at feasible rates succeeds with positive
     probability, so a larger ``max_tries`` finds a scheme; infeasible
     rates, which ``rates.verify_feasible`` detects, fail at any budget.
+    Raises ``TooLarge`` when n*N exceeds ``WIDTH_CAP``.
     """
     if src.p <= src.m:
         raise FieldTooSmall(
             f"field size {src.p} must exceed the number of users {src.m}")
     tx = _integer_tx_counts(rates, n, src.m)
+    _check_width(n, src.N)
     if max_tries < 1:
         raise ConstructionFailed("max_tries must be at least 1")
 

@@ -21,7 +21,7 @@ every subset.  For a pmf source, ``entropies`` computes every mask it misses
 in one batch of numpy gathers, whose values equal the per-mask
 ``pmf.sum(axis=drop)`` marginals bit for bit; a single ``entropy`` miss
 goes through the same kernel, and ``array`` runs one batch over every
-subset the memo lacks.  Evaluation is pure, every fill writes only the
+nonempty subset.  Evaluation is pure, every fill writes only the
 values a lazy query computes, and the array replaces the dict only once
 it is complete, so readers never see a partial table and the cache is
 safe to share between them.  ``entropy``, ``entropies``, ``calls`` and
@@ -349,8 +349,10 @@ class EntropyOracle:
     def array(self) -> np.ndarray:
         """H(X_S) for every subset, one array indexed by mask S; built on
         the first call and then kept as the memo.  A linear source fills it
-        in one depth-first pass, a pmf source computes every subset the
-        memo lacks in one batch, and a table source copies its entries.
+        in one depth-first pass, a pmf source computes every nonempty
+        subset in one batch, written straight into a float64 array (a
+        mask's value does not depend on its batch, so the memo's values
+        stand), and a table source copies its entries.
         Building it counts no calls.  Raises ``TooLarge`` above
         ``TABLE_CAP`` users, before it allocates or computes anything."""
         if self._table is None:
@@ -361,13 +363,13 @@ class EntropyOracle:
             if isinstance(src, LinearSource):
                 table = self._ranks()
             elif isinstance(src, DmmsSource):
-                cache = self._cache
-                missing = [s for s in range(1, self.full_mask + 1) if s not in cache]
-                cache.update(zip(missing, self._marginals.entropies(missing)))
-                table = self._full_array(cache)
+                table = np.zeros(1 << self.m)
+                table[1:] = self._marginals.entropies(range(1, 1 << self.m))
             else:
                 table = self._full_array(src.entries)
-            self._publish(table)
+            # Readers see the table only once it is complete.
+            self._table = table
+            self._cache = {}
         return self._table
 
     def violations(self) -> tuple[Optional[tuple[int, int]],
@@ -415,11 +417,6 @@ class EntropyOracle:
         if kinds == {float}:
             return np.array(table, dtype=np.float64)
         return np.array(table, dtype=object)
-
-    def _publish(self, table: np.ndarray) -> None:
-        """Make the complete table the memo: readers see it only now."""
-        self._table = table
-        self._cache = {}
 
     def total(self) -> Value:
         return self.entropy(self.full_mask)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import os
 import random
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -29,14 +30,28 @@ from omniex import (
 
 SRC_DIR = str(Path(omniex.__file__).resolve().parent.parent)
 
+# The address space of a CLI child: a command that tries to allocate more
+# fails in the child with MemoryError instead of exhausting the host.
+CHILD_ADDRESS_SPACE = 2 << 30
+
+
+def limit_address_space() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+
+def child_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
+    return env
+
 
 def omniex_cli(*argv: str, cwd: Path) -> subprocess.CompletedProcess:
     """Run the CLI in a child process, so that a command that does not end
-    fails the calling test with ``TimeoutExpired`` instead of hanging it."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
+    fails the calling test with ``TimeoutExpired`` instead of hanging it,
+    and one that allocates too much fails with ``MemoryError``."""
     return subprocess.run([sys.executable, "-m", "omniex.cli", *argv], cwd=cwd,
-                          env=env, capture_output=True, text=True, timeout=10)
+                          env=child_env(), capture_output=True, text=True,
+                          timeout=10, preexec_fn=limit_address_space)
 
 
 def random_matrix_rows(rng: random.Random, rows: int, cols: int, p: int):

@@ -433,6 +433,29 @@ def test_oversize_pmf_table_exits_2(capsys, tmp_path, monkeypatch):
     assert "a pmf table of 27000000 outcomes does not fit in memory" in err
 
 
+def test_pmf_with_more_users_than_array_axes_exits_2(capsys, tmp_path):
+    # A one-outcome table fits in memory; numpy refuses its 70 axes.
+    path = tmp_path / "axes.json"
+    path.write_text(json.dumps({
+        "source": {"kind": "pmf", "alphabets": [1] * 70,
+                   "entries": {",".join(["0"] * 70): 1.0}}}))
+    code, out, err = run(capsys, "rates", str(path))
+    assert (code, out) == (2, "")
+    assert err == (f"error: {path}.source.alphabets: a pmf of 70 users has more "
+                   f"users than a numpy array has axes\n")
+
+
+@pytest.mark.parametrize("weight", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_weights_exit_2(capsys, tmp_path, weight):
+    path = tmp_path / "weights.json"
+    path.write_text('{"source": {"kind": "linear", "p": 5, "N": 2, '
+                    '"matrices": [[[1, 0]], [[0, 1]]]}, "weights": [1, ' + weight + ']}')
+    for command in ("rates", "ilp"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}.weights[1]: not a finite number\n"
+
+
 def test_selfcheck_passes_on_pmf_documents(capsys, tmp_path):
     # m = 3 runs the exhaustive checks and m = 9 the sampled ones; both read
     # every subset entropy through one batch of the pmf oracle first.

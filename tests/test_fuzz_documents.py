@@ -1,0 +1,171 @@
+"""Mutated documents through ``rates``, ``ilp``, ``code`` and ``verify``.
+
+hypothesis mutates the bundled fixtures, a small pmf document and a
+scheme document: the block length, packet count, field and seed, the
+weights, the rows of the matrices, the pmf alphabets and outcome keys,
+and the scheme's dimensions and entries.  Every command must end with a
+documented exit code (0-5) and no traceback.  Each example runs the four
+commands through ``cli.main`` in one child process, under a timeout and
+an address-space limit, so that a command that runs away or allocates
+too much fails the test instead of exhausting the host.
+"""
+
+import json
+import subprocess
+import sys
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from omniex import fixtures
+
+from conftest import child_env, limit_address_space
+
+# Runs the four commands on the documents read from stdin and prints the
+# exit code of each, or the traceback of an exception that escaped it.
+CHILD = r"""
+import contextlib, io, json, os, sys, tempfile, traceback
+from omniex.cli import main
+
+problem_text, scheme_text = json.load(sys.stdin)
+codes = {}
+with tempfile.TemporaryDirectory() as tmp:
+    problem, scheme = os.path.join(tmp, "problem.json"), os.path.join(tmp, "scheme.json")
+    for path, text in ((problem, problem_text), (scheme, scheme_text)):
+        with open(path, "w") as fh:
+            fh.write(text)
+    runs = {"rates": [problem], "ilp": [problem],
+            "code": [problem, "--out", os.path.join(tmp, "out.json")],
+            "verify": [problem, scheme]}
+    for command, args in runs.items():
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes[command] = main([command, *args])
+        except SystemExit as exc:
+            codes[command] = exc.code
+        except Exception:
+            codes[command] = traceback.format_exc()
+print(json.dumps(codes))
+"""
+TIMEOUT = 20
+
+
+def fixture(name: str) -> dict:
+    return json.loads(fixtures.path(name).read_text())
+
+
+SMALL_PMF = {"source": {"kind": "pmf", "alphabets": [2, 2, 2], "entries": {
+    "0,0,0": 0.25, "0,1,1": 0.25, "1,0,1": 0.25, "1,1,0": 0.125, "1,1,1": 0.125}}}
+PROBLEMS = {"example1": fixture("example1"), "figure1": fixture("figure1"),
+            "pmf": SMALL_PMF}
+SCHEMES = {"example1": fixture("example1_scheme"), "figure1": fixture("figure1_scheme")}
+
+ODD = [None, True, "2", 2.5, -1, 0, [], {}]
+BLOCK_LENGTHS = [1, 2, 3, 4, 100, 101, 171, 2000, 20000, 2 ** 40, *ODD]
+WEIGHTS = [0, 1, 3, "1/2", 1e-9, 1e308, -1, float("nan"), float("inf"),
+           float("-inf"), 2 ** 70, "x", True, None]
+ENTRIES = [0, 1, 4, 5, -1, 2 ** 70, 1.5, "1", True, None]
+KEYS = ["0,0,0", "00,0,1", "0,0", "0,0,0,0", "1, 0 ,1", "+1,1,1", "2,0,0", "-1,0,0",
+        "a,b,c", "", "٣,0,0", "0" * 30 + ",1,0", "9" * 19 + ",0,0"]
+PROBABILITIES = [0.0, 0.5, 1, 0, -0.25, float("nan"), float("inf"), 10 ** 400,
+                 "0.5", True, None]
+
+
+@st.composite
+def problem_mutation(draw, doc: dict) -> None:
+    """One change to a problem document, in place."""
+    src = doc["source"]
+    what = draw(st.sampled_from(["n", "seed", "weights", "p", "N", "rows",
+                                 "alphabets", "keys"]))
+    if what == "n":
+        doc["n"] = draw(st.sampled_from(BLOCK_LENGTHS))
+    elif what == "seed":
+        doc["seed"] = draw(st.sampled_from([0, 1, 7, 2 ** 70, *ODD]))
+    elif what == "weights":
+        m = len(src.get("matrices") or src.get("alphabets"))
+        size = draw(st.sampled_from([m, m, m, max(m - 1, 0), m + 1]))
+        doc["weights"] = draw(st.lists(st.sampled_from(WEIGHTS), min_size=size,
+                                       max_size=size))
+    elif src["kind"] == "pmf":
+        if what == "alphabets":
+            src["alphabets"] = draw(st.sampled_from(
+                [[2, 2], [2, 2, 2, 2], [3, 2, 2], [1, 1, 1], [0, 2, 2], [2, 2, True],
+                 [1] * 70, [100000] * 8, [2 ** 62, 2], "2,2,2", []]))
+        else:
+            entries = src["entries"]
+            victim = draw(st.sampled_from(sorted(entries)))
+            prob = entries.pop(victim)
+            if what == "keys":
+                entries[draw(st.sampled_from(KEYS))] = prob
+            else:
+                entries[victim] = draw(st.sampled_from(PROBABILITIES))
+    elif what == "p":
+        src["p"] = draw(st.sampled_from([2, 3, 4, 7, 101, 2 ** 61 - 1, 0, -5, "5", 5.0]))
+    elif what == "N":
+        src["N"] = draw(st.sampled_from([1, 2, 5, 0, -1, 2 ** 40, "3", None]))
+    else:
+        users = src["matrices"]
+        u = draw(st.integers(0, len(users) - 1))
+        change = draw(st.sampled_from(["ragged", "entry", "empty", "extra"]))
+        if change == "empty":
+            users[u] = []
+        elif not users[u]:
+            return
+        elif change == "ragged":
+            users[u][0] = users[u][0][:-1]
+        elif change == "entry":
+            users[u][0][0] = draw(st.sampled_from(ENTRIES))
+        else:
+            users[u].append(list(users[u][0]))
+
+
+@st.composite
+def scheme_mutation(draw, doc: dict) -> None:
+    """One change to a scheme document, in place."""
+    what = draw(st.sampled_from(["n", "rows", "cols", "entries"]))
+    if what == "n":
+        doc["n"] = draw(st.sampled_from(BLOCK_LENGTHS))
+        return
+    coeff = draw(st.sampled_from(doc["coefficients"]))
+    if what in ("rows", "cols"):
+        coeff[what] = draw(st.sampled_from([0, 1, 2, 5, -1, 2 ** 41, "1", None]))
+    else:
+        coeff["entries"] = draw(st.sampled_from(
+            [[], [1] * 4, [1] * 8, [2 ** 70] * 4, [1.5] * 4, ["1"] * 4, None]))
+
+
+@st.composite
+def documents(draw):
+    name = draw(st.sampled_from(sorted(PROBLEMS)))
+    problem = json.loads(json.dumps(PROBLEMS[name]))
+    scheme = json.loads(json.dumps(SCHEMES.get(name, SCHEMES["example1"])))
+    for _ in range(draw(st.integers(0, 3))):
+        draw(problem_mutation(problem))
+    for _ in range(draw(st.integers(0, 2))):
+        draw(scheme_mutation(scheme))
+    return json.dumps(problem), json.dumps(scheme)
+
+
+def large_n(n: int) -> str:
+    return json.dumps(dict(PROBLEMS["example1"], n=n))
+
+
+def large_scheme() -> str:
+    return json.dumps({"kind": "scheme", "p": 5, "n": 2 ** 40, "unit": "F_5-symbols",
+                       "coefficients": [{"rows": 0, "cols": 2 ** 41, "entries": []}] * 3})
+
+
+@settings(max_examples=30, deadline=None)
+@given(documents())
+@example((large_n(2 ** 40), json.dumps(SCHEMES["example1"])))
+@example((large_n(20000), json.dumps(SCHEMES["example1"])))
+@example((large_n(2000), json.dumps(SCHEMES["example1"])))
+@example((json.dumps(PROBLEMS["example1"]), large_scheme()))
+def test_mutated_documents_end_with_a_documented_exit_code(docs):
+    done = subprocess.run([sys.executable, "-c", CHILD], input=json.dumps(docs),
+                          env=child_env(), capture_output=True, text=True,
+                          timeout=TIMEOUT, preexec_fn=limit_address_space)
+    assert done.returncode == 0, done.stderr
+    for command, code in json.loads(done.stdout).items():
+        assert code in range(6), (command, code)
+    assert "Traceback" not in done.stderr
