@@ -10,7 +10,8 @@ The public surface groups into:
 * ``netcode``  transmission scheme construction, verification, decoding;
 * ``reference`` brute-force and independent oracles that check the above
   (submodularity, greedy vertices, brute-force minimization, Dilworth
-  truncation, the multicast transfer-matrix view); no solver calls them;
+  truncation, the multicast transfer-matrix view); no solver calls them,
+  so the module is loaded only on first use of one of its names;
 * ``cli``      the ``omniex`` command line tool and document formats.
 """
 
@@ -34,7 +35,7 @@ from .errors import (
     ValidationError,
     ZeroInverse,
 )
-from .field import FieldMatrix, ff_inv, is_prime, kron_block, rank, solve, stack
+from .field import FieldMatrix, ff_inv, is_prime, kron_block, rank, stack
 from .netcode import (
     GreedySelection,
     TransmissionScheme,
@@ -63,24 +64,6 @@ from .rates import (
     rco_sum_rate,
     verify_feasible,
 )
-from .reference import (
-    ExpandedTransferMatrix,
-    MulticastNetwork,
-    Slot,
-    build_network,
-    dilworth_bruteforce,
-    dmms_from_linear,
-    dual,
-    edmond_greedy,
-    expanded_transfer_matrix,
-    in_polyhedron,
-    is_intersecting_submodular,
-    is_submodular,
-    modified_edmond_setfn,
-    scheme_assignment,
-    sfm_constrained,
-    transfer_matrix,
-)
 from .setfun import SetFunction
 from .sources import (
     DmmsSource,
@@ -93,3 +76,19 @@ from .sources import (
 )
 
 __version__ = "0.1.0"
+
+# The names re-exported from ``reference``, imported on first request.
+_REFERENCE = frozenset({
+    "ExpandedTransferMatrix", "MulticastNetwork", "Slot", "build_network",
+    "dilworth_bruteforce", "dmms_from_linear", "dual", "edmond_greedy",
+    "expanded_transfer_matrix", "in_polyhedron", "is_intersecting_submodular",
+    "is_submodular", "modified_edmond_setfn", "scheme_assignment",
+    "sfm_constrained", "transfer_matrix",
+})
+
+
+def __getattr__(name: str):
+    if name in _REFERENCE:
+        from . import reference
+        return getattr(reference, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import documents as docs
-from . import netcode, rates, reference, setfun, sources
+from . import netcode, rates, setfun, sources
 from .errors import (
     ConstructionFailed,
     FieldTooSmall,
@@ -274,6 +274,9 @@ def cmd_verify(args) -> int:
 
 
 def _selfcheck_entries(oracle, sample_rng) -> list[dict]:
+    # The brute-force oracles are loaded by this command alone.
+    from . import reference
+
     checks: list[dict] = []
     m = oracle.m
     exhaustive = m <= 8

@@ -449,10 +449,6 @@ def rank(matrix: FieldMatrix) -> int:
     return matrix.rank()
 
 
-def solve(matrix: FieldMatrix, y: Sequence[int]) -> Optional[tuple[int, ...]]:
-    return matrix.solve(y)
-
-
 def kron_block(n: int, a: FieldMatrix) -> FieldMatrix:
     """Block-diagonal matrix with n copies of ``a``.
 

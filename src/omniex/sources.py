@@ -17,14 +17,13 @@ gathers.  ``array``, the one way to the table, refuses more than
 table in one depth-first pass over the users with the most rows first,
 each subset extending its parent's row space by one user's rows and
 writing its rank at its own mask, or copies a memo that already holds
-every subset.  For a pmf source, ``entropies`` computes every mask it misses
-in one batch of numpy gathers, whose values equal the per-mask
-``pmf.sum(axis=drop)`` marginals bit for bit; a single ``entropy`` miss
-goes through the same kernel, and ``array`` runs one batch over every
-nonempty subset.  Evaluation is pure, every fill writes only the
-values a lazy query computes, and the array replaces the dict only once
-it is complete, so readers never see a partial table and the cache is
-safe to share between them.  ``entropy``, ``entropies``, ``calls`` and
+every subset.  For a pmf source, ``array`` computes every nonempty
+subset in one batch of numpy gathers, whose values equal the per-mask
+``pmf.sum(axis=drop)`` marginals bit for bit, and a single ``entropy``
+miss goes through the same kernel.  Evaluation is pure, every fill
+writes only the values a lazy query computes, and the array replaces the
+dict only once it is complete, so readers never see a partial table and
+the cache is safe to share between them.  ``entropy``, ``calls`` and
 ``oracle_queries`` mean the same on either memo, and values leave the
 array as Python numbers.  ``violations`` tests the array for an entropy
 function (monotone and submodular) in one comparison per user and one per
@@ -185,6 +184,17 @@ def validate(source: Source) -> list[str]:
         zero = source.entries.get(0, 0)
         if zero != 0:
             problems.append(f"entropy of the empty set must be 0, got {zero}")
+        if not source.exact:
+            # A table holding a float is compared in floats.
+            for mask in sorted(source.entries):
+                try:
+                    float(source.entries[mask])
+                except OverflowError:
+                    users = ",".join(str(u + 1) for u in members(mask))
+                    problems.append(
+                        f"entropy of subset {{{users}}} is beyond the float "
+                        f"range, in a table compared in floats")
+                    break
     else:
         problems.append(f"unknown source type {type(source).__name__}")
     return problems
@@ -247,26 +257,9 @@ class EntropyOracle:
         return value
 
     def entropies(self, masks: Sequence[int]) -> list[Value]:
-        """H(X_S) for every mask in ``masks``, counted and memoized as that
-        many ``entropy`` calls.  Reads the table or the memo directly when
-        it holds every mask (a filled table, or a warm oracle).  Otherwise a
-        pmf oracle computes the distinct nonzero masks it misses in one
-        batch, and the other oracles fall back to ``entropy`` per mask."""
-        table = self._table
-        if table is not None:
-            self.calls += len(masks)
-            return table[np.asarray(masks, dtype=np.int64)].tolist()
-        cache = self._cache
-        try:
-            values = list(map(cache.__getitem__, masks))
-        except KeyError:
-            if self._marginals is None:
-                return list(map(self.entropy, masks))
-            missing = list(dict.fromkeys(s for s in masks if s and s not in cache))
-            cache.update(zip(missing, self._marginals.entropies(missing)))
-            values = [cache[s] if s else 0.0 for s in masks]
-        self.calls += len(masks)
-        return values
+        """H(X_S) for every mask in ``masks``, read as that many ``entropy``
+        calls."""
+        return list(map(self.entropy, masks))
 
     def gather(self, masks: np.ndarray) -> np.ndarray:
         """H(X_S) for an int64 array of masks, as a new array gathered

@@ -288,6 +288,36 @@ def test_non_finite_table_entropies_exit_2(capsys, tmp_path):
             assert "Traceback" not in err
 
 
+# A table that holds a float is compared in floats, so an exact value
+# beyond the float range in it used to end in an OverflowError.
+FLOAT_RANGE_TABLES = {
+    "int": '{"source": {"kind": "table", "m": 2, "entropies": '
+           '{"1": 1.5, "2": 1, "1,2": 1' + "0" * 400 + '}}}',
+    "fraction": '{"source": {"kind": "table", "m": 2, "entropies": '
+                '{"1": 1.5, "2": 1, "1,2": "1e400"}}}',
+}
+
+
+@pytest.mark.parametrize("command", ["rates", "ilp", "selfcheck"])
+@pytest.mark.parametrize("name", sorted(FLOAT_RANGE_TABLES))
+def test_float_tables_with_values_beyond_the_float_range_exit_2(tmp_path, name, command):
+    path = tmp_path / "table.json"
+    path.write_text(FLOAT_RANGE_TABLES[name])
+    done = omniex_cli(command, str(path), cwd=tmp_path)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "entropy of subset {1,2} is beyond the float range" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_exact_tables_beyond_the_float_range_stay_exact(capsys, tmp_path):
+    path = tmp_path / "table.json"
+    path.write_text('{"source": {"kind": "table", "m": 2, "entropies": '
+                    '{"1": 1, "2": 1, "1,2": 1' + "0" * 400 + '}}}')
+    code, out, err = run(capsys, "rates", str(path))
+    assert (code, out) == (2, "")
+    assert "entropy table is not submodular" in err
+
+
 def test_table_with_many_missing_subsets_exits_2(capsys, tmp_path):
     # Counting the missing subsets must not list all 2^40 of them.
     path = tmp_path / "sparse.json"

@@ -1,10 +1,12 @@
-"""Mutated documents through ``rates``, ``ilp``, ``code`` and ``verify``.
+"""Mutated documents through ``rates``, ``ilp``, ``code``, ``verify`` and
+``selfcheck``.
 
-hypothesis mutates the bundled fixtures, a small pmf document and a
-scheme document: the block length, packet count, field and seed, the
-weights, the rows of the matrices, the pmf alphabets and outcome keys,
-and the scheme's dimensions and entries.  Every command must end with a
-documented exit code (0-5) and no traceback.  Each example runs the four
+hypothesis mutates the bundled fixtures, a small pmf document, a small
+entropy table and a scheme document: the block length, packet count,
+field and seed, the weights, the rows of the matrices, the pmf alphabets
+and outcome keys, the table's values and subsets, and the scheme's
+dimensions and entries.  Every command must end with a documented exit
+code (0-5) and no traceback.  Each example runs the five
 commands through ``cli.main`` in one child process, under a timeout and
 an address-space limit, so that a command that runs away or allocates
 too much fails the test instead of exhausting the host.
@@ -21,7 +23,7 @@ from omniex import fixtures
 
 from conftest import child_env, limit_address_space
 
-# Runs the four commands on the documents read from stdin and prints the
+# Runs the five commands on the documents read from stdin and prints the
 # exit code of each, or the traceback of an exception that escaped it.
 CHILD = r"""
 import contextlib, io, json, os, sys, tempfile, traceback
@@ -36,7 +38,7 @@ with tempfile.TemporaryDirectory() as tmp:
             fh.write(text)
     runs = {"rates": [problem], "ilp": [problem],
             "code": [problem, "--out", os.path.join(tmp, "out.json")],
-            "verify": [problem, scheme]}
+            "verify": [problem, scheme], "selfcheck": [problem]}
     for command, args in runs.items():
         try:
             with contextlib.redirect_stdout(io.StringIO()):
@@ -56,8 +58,11 @@ def fixture(name: str) -> dict:
 
 SMALL_PMF = {"source": {"kind": "pmf", "alphabets": [2, 2, 2], "entries": {
     "0,0,0": 0.25, "0,1,1": 0.25, "1,0,1": 0.25, "1,1,0": 0.125, "1,1,1": 0.125}}}
+# The subset ranks of example1.
+SMALL_TABLE = {"source": {"kind": "table", "m": 3, "entropies": {
+    "1": 2, "2": 2, "1,2": 3, "3": 2, "1,3": 3, "2,3": 3, "1,2,3": 3}}}
 PROBLEMS = {"example1": fixture("example1"), "figure1": fixture("figure1"),
-            "pmf": SMALL_PMF}
+            "pmf": SMALL_PMF, "table": SMALL_TABLE}
 SCHEMES = {"example1": fixture("example1_scheme"), "figure1": fixture("figure1_scheme")}
 
 ODD = [None, True, "2", 2.5, -1, 0, [], {}]
@@ -67,6 +72,10 @@ WEIGHTS = [0, 1, 3, "1/2", 1e-9, 1e308, -1, float("nan"), float("inf"),
 ENTRIES = [0, 1, 4, 5, -1, 2 ** 70, 1.5, "1", True, None]
 KEYS = ["0,0,0", "00,0,1", "0,0", "0,0,0,0", "1, 0 ,1", "+1,1,1", "2,0,0", "-1,0,0",
         "a,b,c", "", "٣,0,0", "0" * 30 + ",1,0", "9" * 19 + ",0,0"]
+TABLE_VALUES = [0, "1/2", "5/2", 1.5, -1, 1e308, 10 ** 400, "1e400", "1/0",
+                float("nan"), True, False]
+# None drops the subset; "2,1" and "1,1,2" repeat one.
+TABLE_KEYS = [None, "2,1", "1,1,2", "", "0", "4", "0,1", "1,4", " 3 ", "x"]
 PROBABILITIES = [0.0, 0.5, 1, 0, -0.25, float("nan"), float("inf"), 10 ** 400,
                  "0.5", True, None]
 
@@ -82,10 +91,20 @@ def problem_mutation(draw, doc: dict) -> None:
     elif what == "seed":
         doc["seed"] = draw(st.sampled_from([0, 1, 7, 2 ** 70, *ODD]))
     elif what == "weights":
-        m = len(src.get("matrices") or src.get("alphabets"))
+        m = src.get("m") or len(src.get("matrices") or src.get("alphabets"))
         size = draw(st.sampled_from([m, m, m, max(m - 1, 0), m + 1]))
         doc["weights"] = draw(st.lists(st.sampled_from(WEIGHTS), min_size=size,
                                        max_size=size))
+    elif src["kind"] == "table":
+        entropies = src["entropies"]
+        victim = draw(st.sampled_from(sorted(entropies)))
+        if what == "keys":
+            value = entropies.pop(victim)
+            key = draw(st.sampled_from(TABLE_KEYS))
+            if key is not None:
+                entropies[key] = value
+        else:
+            entropies[victim] = draw(st.sampled_from(TABLE_VALUES))
     elif src["kind"] == "pmf":
         if what == "alphabets":
             src["alphabets"] = draw(st.sampled_from(
@@ -150,6 +169,12 @@ def large_n(n: int) -> str:
     return json.dumps(dict(PROBLEMS["example1"], n=n))
 
 
+def float_table(big) -> str:
+    """A table holding a float and an exact value beyond the float range."""
+    return json.dumps({"source": {"kind": "table", "m": 2, "entropies": {
+        "1": 1.5, "2": 1, "1,2": big}}})
+
+
 def large_scheme() -> str:
     return json.dumps({"kind": "scheme", "p": 5, "n": 2 ** 40, "unit": "F_5-symbols",
                        "coefficients": [{"rows": 0, "cols": 2 ** 41, "entries": []}] * 3})
@@ -161,6 +186,8 @@ def large_scheme() -> str:
 @example((large_n(20000), json.dumps(SCHEMES["example1"])))
 @example((large_n(2000), json.dumps(SCHEMES["example1"])))
 @example((json.dumps(PROBLEMS["example1"]), large_scheme()))
+@example((float_table(10 ** 400), json.dumps(SCHEMES["example1"])))
+@example((float_table("1e400"), json.dumps(SCHEMES["example1"])))
 def test_mutated_documents_end_with_a_documented_exit_code(docs):
     done = subprocess.run([sys.executable, "-c", CHILD], input=json.dumps(docs),
                           env=child_env(), capture_output=True, text=True,

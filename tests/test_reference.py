@@ -1,15 +1,80 @@
 """The brute-force oracles stay out of the production path.
 
-``omniex/__init__`` re-exports ``omniex.reference``, so the module is
-always loaded at run time; the boundary is checked on the source instead.
+No production module imports ``omniex.reference``, which the source
+checks below confirm.  At run time the package root imports it on the
+first request for one of the reference names it re-exports, and the CLI
+only inside ``selfcheck``; a child interpreter checks that the solver
+commands never load it.
 """
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import omniex
+from omniex import fixtures
+
+from conftest import child_env
+
+# Runs the CLI commands given as a JSON list of argument lists, then
+# reports their exit codes, whether ``omniex.reference`` was loaded, and
+# how the root resolves reference names and an unknown name.
+CHILD = r"""
+import contextlib, io, json, sys
+import omniex
+from omniex.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in json.loads(sys.argv[1])]
+loaded = "omniex.reference" in sys.modules
+from omniex import MulticastNetwork, dual, is_submodular
+from omniex import reference
+same = [MulticastNetwork is reference.MulticastNetwork, dual is reference.dual,
+        is_submodular is reference.is_submodular]
+try:
+    omniex.no_such_name
+    unknown = "resolved"
+except AttributeError as exc:
+    unknown = str(exc)
+print(json.dumps({"codes": codes, "loaded": loaded, "same": same,
+                  "unknown": unknown}))
+"""
+
+PMF = {"source": {"kind": "pmf", "alphabets": [2, 2, 2], "entries": {
+    "0,0,0": 0.25, "0,1,1": 0.25, "1,0,1": 0.25, "1,1,0": 0.125, "1,1,1": 0.125}}}
+
+
+def run_child(runs: list[list[str]]) -> dict:
+    done = subprocess.run([sys.executable, "-c", CHILD, json.dumps(runs)],
+                          env=child_env(), capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_solver_commands_never_load_reference(tmp_path):
+    ex1 = str(fixtures.path("example1"))
+    pmf = tmp_path / "pmf.json"
+    pmf.write_text(json.dumps(PMF))
+    report = run_child([["rates", ex1], ["ilp", ex1],
+                        ["code", ex1, "--out", str(tmp_path / "scheme.json")],
+                        ["verify", ex1, str(fixtures.path("example1_scheme"))],
+                        ["rates", str(pmf)]])
+    assert report["codes"] == [0] * 5
+    assert report["loaded"] is False
+    # The root still resolves the reference names, to the module's objects.
+    assert report["same"] == [True] * 3
+    assert report["unknown"] == "module 'omniex' has no attribute 'no_such_name'"
+
+
+def test_selfcheck_loads_reference():
+    report = run_child([["selfcheck", str(fixtures.path("example1"))]])
+    assert report["codes"] == [0]
+    assert report["loaded"] is True
 
 PRODUCTION = ("field", "setfun", "sources", "rates", "netcode", "documents")
 
@@ -41,3 +106,9 @@ def test_boundary_check_sees_every_import_form():
                    "from omniex import reference", "def f():\n    from . import reference"):
         assert imports_reference(source), source
     assert not imports_reference("from .rates import verify_feasible")
+
+
+def test_root_resolves_every_reference_name():
+    from omniex import reference
+    for name in sorted(omniex._REFERENCE):
+        assert getattr(omniex, name) is getattr(reference, name), name
