@@ -65,6 +65,7 @@ from .errors import (
     InfeasibleBeta,
     InvalidN,
     NonConvergence,
+    NonIntegerRates,
     NonTermination,
     TooLarge,
 )
@@ -73,6 +74,7 @@ from .setfun import (
     Value,
     bit,
     check_costs,
+    label,
     members,
     order_by_weight,
     value_eq,
@@ -487,27 +489,26 @@ def minimize_weighted(oracle: EntropyOracle, alpha: Sequence[Value],
 
     Each probe returns the local segment, so the candidate minimizer is
     the exact intersection of the bracketing segment lines; the loop stops
-    once h at the intersection matches the intersection value, which
-    certifies a kink with a sign change.  Exact for rational oracles and
-    weights.  Float weights make the slopes and costs floats, so their
-    signs and the kink are then compared with the float tie rule; for
-    float oracles the bracket is additionally stopped at ``tolerance``
-    width and the better endpoint returned.
+    once the probe's own line meets the lower line there, which certifies
+    a kink with a sign change.  On an exact oracle the lines take each
+    float weight as the binary rational it holds, so every comparison is
+    exact, while h and the cost keep the caller's weights.  For float
+    oracles the comparisons use the float tie rule, and the bracket also
+    stops at ``tolerance`` width and returns the better endpoint.
     """
     alpha = check_costs(alpha, oracle.m)
     if rco is None:
         rco = rco_sum_rate(oracle)
     evaluations = rco.evaluations
     exact = oracle.exact
-    # The tie rule for slopes and costs, which float weights make floats.
-    ties = exact and not any(isinstance(a, float) for a in alpha)
+    lines = tuple(Fraction(a) if exact and isinstance(a, float) else a for a in alpha)
 
     def probe(beta: Value) -> tuple[HPoint, Value, Value]:
         """h at beta, with the slope and intercept of its segment."""
         nonlocal evaluations
         pt = h_eval(oracle, alpha, beta)
         evaluations += pt.evaluations
-        return pt, pt.segment.slope(alpha), pt.segment.intercept(alpha)
+        return pt, pt.segment.slope(lines), pt.segment.intercept(lines)
 
     def result(pt: HPoint, iterations: int) -> WeightedResult:
         return WeightedResult(beta_star=pt.beta, rates=pt.rates, cost=pt.value,
@@ -516,10 +517,10 @@ def minimize_weighted(oracle: EntropyOracle, alpha: Sequence[Value],
 
     lo, hi = rco.value, oracle.total()
     lo_pt, lo_slope, lo_int = probe(lo)
-    if not value_lt(lo_slope, 0, ties) or value_eq(lo, hi, exact):
+    if not value_lt(lo_slope, 0, exact) or value_eq(lo, hi, exact):
         return result(lo_pt, 0)
     hi_pt, hi_slope, hi_int = probe(hi)
-    if value_le(hi_slope, 0, ties):
+    if value_le(hi_slope, 0, exact):
         # h is nonincreasing on the whole bracket.
         return result(hi_pt, 0)
 
@@ -532,11 +533,11 @@ def minimize_weighted(oracle: EntropyOracle, alpha: Sequence[Value],
             cross = (hi_int - lo_int) / (lo_slope - hi_slope)
         cross = min(max(cross, lo), hi)
         pt, slope, intercept = probe(cross)
-        if value_eq(pt.value, lo_slope * cross + lo_int, ties):
+        if value_eq(slope * cross + intercept, lo_slope * cross + lo_int, exact):
             # Two supporting lines of opposite slope meet on the graph of h:
             # this kink is the global minimum.
             return result(pt, iterations)
-        if value_lt(slope, 0, ties):
+        if value_lt(slope, 0, exact):
             lo, lo_pt, lo_slope, lo_int = cross, pt, slope, intercept
         else:
             hi, hi_pt, hi_slope, hi_int = cross, pt, slope, intercept
@@ -589,10 +590,16 @@ def ilp_rates(oracle: EntropyOracle, alpha: Sequence[Value], n: int,
                 value_eq(pt.value, best.value, exact) and cand < best.beta):
             best = pt
     assert best is not None
-    if exact:
-        for v in best.rates.values:
-            if (n * Fraction(v)).denominator != 1:
-                raise NonConvergence(f"rate {v} is not a multiple of 1/{n}")
+    bad = [v for v in best.rates.values if exact and (n * Fraction(v)).denominator != 1]
+    if bad:
+        # Each rate is an integer combination of the budget, a multiple of
+        # 1/n, and of entropies, so only a fractional entropy explains it.
+        for s in range(1, oracle.full_mask + 1):
+            if (n * Fraction(oracle.entropy(s))).denominator != 1:
+                raise NonIntegerRates(
+                    f"ilp at n={n} needs every entropy to be a multiple of "
+                    f"1/{n}: H({label(s)}) = {oracle.entropy(s)}")
+        raise NonConvergence(f"rate {bad[0]} is not a multiple of 1/{n}")
     rates = RateVector(values=best.rates.values, denominator=n, unit=oracle.unit)
     amax = max(alpha)
     gap_bound = amax / n if isinstance(amax, float) else Fraction(amax) / n

@@ -49,6 +49,11 @@ def members(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def label(mask: int) -> str:
+    """The subset as users number it, from 1: ``{1,3}`` for mask 0b101."""
+    return "{" + ",".join(str(u + 1) for u in members(mask)) + "}"
+
+
 def iter_submasks(mask: int) -> Iterator[int]:
     """All submasks of ``mask`` including 0 and mask itself."""
     sub = mask

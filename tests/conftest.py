@@ -45,13 +45,13 @@ def child_env() -> dict:
     return env
 
 
-def omniex_cli(*argv: str, cwd: Path) -> subprocess.CompletedProcess:
+def omniex_cli(*argv: str, cwd: Path, timeout: float = 10) -> subprocess.CompletedProcess:
     """Run the CLI in a child process, so that a command that does not end
     fails the calling test with ``TimeoutExpired`` instead of hanging it,
     and one that allocates too much fails with ``MemoryError``."""
     return subprocess.run([sys.executable, "-m", "omniex.cli", *argv], cwd=cwd,
                           env=child_env(), capture_output=True, text=True,
-                          timeout=10, preexec_fn=limit_address_space)
+                          timeout=timeout, preexec_fn=limit_address_space)
 
 
 def random_matrix_rows(rng: random.Random, rows: int, cols: int, p: int):
@@ -78,6 +78,28 @@ def baseline_source(m: int) -> LinearSource:
     rows = [rng.randint(1, m) for _ in range(m)]
     mats = [random_matrix_rows(rng, r, 2 * m, 101) for r in rows]
     return make_linear_source(top_up(rng, mats, 2 * m, 101), p=101, N=2 * m)
+
+
+def linear_document(src: LinearSource) -> dict:
+    return {"source": {"kind": "linear", "p": src.p, "N": src.N,
+                       "matrices": [a.to_rows() for a in src.matrices]}}
+
+
+def nonsubmodular_table_document() -> dict:
+    """A 10-user entropy table that is monotone but not submodular: the
+    subset ranks of a seeded linear source (p = 101, N = 12, 1..3 rows per
+    user) with H({1,2,3}) raised by 1.  Every {1,2,3} + i already has rank
+    at least H({1,2,3}) + 1, so only submodularity breaks."""
+    m, star = 10, 0b111
+    rng = random.Random(3)
+    mats = [random_matrix_rows(rng, rng.randint(1, 3), 12, 101) for _ in range(m)]
+    table = [int(h) for h in EntropyOracle(
+        make_linear_source(top_up(rng, mats, 12, 101), p=101, N=12)).array()]
+    assert all(table[star | 1 << i] > table[star] for i in range(3, m))
+    table[star] += 1
+    entropies = {",".join(str(u + 1) for u in range(m) if s >> u & 1): table[s]
+                 for s in range(1, 1 << m)}
+    return {"source": {"kind": "table", "m": m, "entropies": entropies}}
 
 
 def top_up(rng: random.Random, mats, n_packets: int, p: int):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from omniex import fixtures
 from omniex.cli import main
 
-from conftest import omniex_cli
+from conftest import nonsubmodular_table_document, omniex_cli
 
 FIG1 = str(fixtures.path("figure1"))
 FIG1_SCHEME = str(fixtures.path("figure1_scheme"))
@@ -406,6 +407,40 @@ def test_float_weights_on_a_linear_source_converge(tmp_path):
     assert doc["rates"] == ["1", "1", "1", "0"]
 
 
+def test_selfcheck_reports_a_nonsubmodular_table_above_eight_users(capsys, tmp_path):
+    # Sampled pairs missed this violation, and the sum-rate walk then
+    # stopped the command with no report.
+    path = tmp_path / "table10.json"
+    path.write_text(json.dumps(nonsubmodular_table_document()))
+    code, report = run_json(capsys, "selfcheck", str(path))
+    assert code == 1 and report["ok"] is False
+    status = {c["name"]: c["status"] for c in report["checks"]}
+    assert status["entropy-submodular"] == "fail"
+    assert status["entropy-monotone"] == "pass"
+    code, out, err = run(capsys, "rates", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: entropy table is not submodular")
+
+
+# sha256 of ``ilp --n 3`` on THIRDS, recorded before fractional entropies
+# were refused at other n: the runs that succeeded keep their bytes.
+ILP_THIRDS_N3 = "ab7b8b7aec4091ae5aa5eabb759380d8c344869c967948478345ee29b01cd93c"
+THIRDS = '{"source": {"kind": "table", "m": 2, "entropies": {"1": "1/3", "2": "1/3", "1,2": "2/3"}}}'
+
+
+def test_ilp_refuses_entropies_that_are_not_multiples_of_one_over_n(capsys, tmp_path):
+    path = tmp_path / "thirds.json"
+    path.write_text(THIRDS)
+    for n in (1, 2):
+        code, out, err = run(capsys, "ilp", str(path), "--n", str(n))
+        assert (code, out) == (2, "")
+        assert err == (f"error: ilp at n={n} needs every entropy to be a multiple "
+                       f"of 1/{n}: H({{1}}) = 1/3\n")
+    code, out, _err = run(capsys, "ilp", str(path), "--n", "3")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == ILP_THIRDS_N3
+
+
 def test_selfcheck_large_instance_skips_exhaustive_parts(capsys, tmp_path):
     matrices = [[[1 if c == r else 0 for c in range(10)]
                  for r in range(10) if r % 10 != u] for u in range(10)]
@@ -416,9 +451,9 @@ def test_selfcheck_large_instance_skips_exhaustive_parts(capsys, tmp_path):
     code, report = run_json(capsys, "selfcheck", str(path))
     assert code == 0
     skipped = [c for c in report["checks"] if c["status"] == "skipped"]
-    assert skipped and "sampled" in skipped[0]["detail"]
+    assert skipped and skipped[0]["detail"] == "m=10 > 8, the brute-force cross-checks are skipped"
     names = {c["name"] for c in report["checks"]}
-    assert "entropy-submodular-sampled" in names
+    assert "entropy-submodular" in names
 
 
 def test_table_format_renders_key_values(capsys):
@@ -487,7 +522,7 @@ def test_non_finite_weights_exit_2(capsys, tmp_path, weight):
 
 
 def test_selfcheck_passes_on_pmf_documents(capsys, tmp_path):
-    # m = 3 runs the exhaustive checks and m = 9 the sampled ones; both read
+    # m = 3 runs the brute-force cross-checks and m = 9 skips them; both read
     # every subset entropy through one batch of the pmf oracle first.
     rng = np.random.RandomState(17)
     for m in (3, 9):
@@ -502,7 +537,7 @@ def test_selfcheck_passes_on_pmf_documents(capsys, tmp_path):
         assert code == 0
         assert report["ok"] is True
         names = {c["name"] for c in report["checks"]}
-        assert ("entropy-submodular" if m <= 8 else "entropy-submodular-sampled") in names
+        assert "entropy-submodular" in names
 
 
 def test_tolerance_must_be_finite_and_nonnegative(capsys, tmp_path):

@@ -91,4 +91,4 @@ def test_selfcheck_reads_the_table_without_per_subset_eliminations(
     report = json.loads(capsys.readouterr().out)
     assert code == 0 and report["ok"] is True
     assert {c["name"] for c in report["checks"]} >= {
-        "source-valid", "entropy-submodular-sampled", "sum-rate-rates-feasible"}
+        "source-valid", "entropy-submodular", "sum-rate-rates-feasible"}

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -16,6 +18,7 @@ from omniex import (
     rco_sum_rate,
     verify_feasible,
 )
+from omniex.cli import main
 
 from conftest import (
     example1_source,
@@ -246,3 +249,45 @@ def test_float_bracket_stops_at_its_tolerance():
             cheaper.beta, cheaper.value, cheaper.rates, cheaper.segment)
         assert wide.cost > minimize_weighted(oracle, alpha, rco=rco).cost + 1e-3
     assert cheaper_ends == [0, 1]
+
+
+FLOAT_WEIGHTS = {
+    "source": {"kind": "linear", "p": 7, "N": 3, "matrices": [
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 2, 3]], [[0, 1, 1]], [[4, 0, 1]]]},
+    "weights": [5, 0.001, 0.3, 5]}
+# sha256 of ``ilp --n 2`` on FLOAT_WEIGHTS, recorded while the bracket still
+# compared float-weighted lines within DELTA: ilp keeps its bytes.
+ILP_FLOAT_WEIGHTS_N2 = "3273071801255f661c896d5151f10df4762378c80f84365c4006842d0ae46da0"
+
+
+def test_float_weights_on_a_linear_source_reach_the_exact_kink(capsys, tmp_path):
+    # Compared within DELTA, the float-weighted lines met at a float-rounded
+    # point near beta = 3, and rates printed as 5291729562160334/5291729562160333.
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(FLOAT_WEIGHTS))
+    assert main(["rates", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["rates"] == ["1", "1", "1", "0"]
+    assert (doc["sum_rate"], doc["beta_star"], doc["cost"]) == ("3", "3", 5.301)
+    assert doc["diagnostics"] == {"iterations": 2, "entropy_queries": 15,
+                                  "sfm_evaluations": 90}
+    assert main(["ilp", str(path), "--n", "2"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == ILP_FLOAT_WEIGHTS_N2
+
+
+def test_float_weights_on_linear_sources_bracket_as_their_binary_rationals():
+    rng = random.Random(41)
+    iterated = 0
+    for _ in range(60):
+        oracle = EntropyOracle(random_linear_source(rng, m=rng.randint(2, 5), n_max=12,
+                                                    p=101))
+        floats = [10 ** rng.uniform(-3, 1) for _ in range(oracle.m)]
+        got = minimize_weighted(oracle, floats)
+        want = minimize_weighted(oracle, [Fraction(w) for w in floats])
+        assert (got.beta_star, got.rates.values, got.iterations) == (
+            want.beta_star, want.rates.values, want.iterations)
+        assert isinstance(got.cost, float) and abs(got.cost - want.cost) <= 1e-9
+        iterated += got.iterations > 0
+    # The other sources stop at an end of the bracket on a slope's sign.
+    assert iterated >= 20
