@@ -46,7 +46,9 @@ BOUNDS = {
 }
 
 # sha256 of the selfcheck stdout, recorded when the bounds were still read
-# one subset at a time through ``EntropyOracle.cond_entropy``.
+# one subset at a time through ``EntropyOracle.cond_entropy``; those of the
+# documents above 8 users (pmf9, linear10, table10) once the entropy
+# function was checked exactly there too.
 DIGESTS = {
     "example1":
         "42e6aef6f561e23f418a1c06be7821eea60f85b46a46ab3a08a8c8bd2671488d",
@@ -55,7 +57,11 @@ DIGESTS = {
     "pmf3":
         "a5ebbf47df8c62cdfaa29ecb29470de4e36497bb1a375c603516a6c9d0a0a849",
     "pmf9":
-        "19f65abfeb34ee5f02cf4e68a8ad7b5d8a6a73ceb1f94c7b810d3ceb20ca525e",
+        "6906762e057140eeade55f0ac3c475bf2dd3758d2261cdaeb20837d61a54d3d5",
+    "linear10":
+        "c162ea86107be39c553aa4f987cf8d5fd6daf30527d0b9c0fc28d054c37e3ee2",
+    "table10":
+        "bae90d44b6a8c4d6dad5b7be0ad36c0ee0ae60cca9d67d5372410155f9eef9b0",
     "upper-exact":
         "ec0c5e1f9cf973be1f523789edec738381aaf2c9ef9065570cc2550655542d40",
     "lower-exact":
