@@ -35,7 +35,7 @@ from .errors import (
     ValidationError,
     ZeroInverse,
 )
-from .field import FieldMatrix, ff_inv, is_prime, kron_block, rank, stack
+from .field import FieldMatrix, ff_inv, is_prime, kron_block, stack
 from .netcode import (
     GreedySelection,
     TransmissionScheme,

@@ -9,8 +9,9 @@ Exit codes: 0 success, 1 property or verification failure, 2 invalid
 input (or, except for ``verify``, more than ``sources.TABLE_CAP`` users; for
 ``code`` and ``verify``, n*N above ``netcode.WIDTH_CAP``; a table that is
 not an entropy function; weights whose costs overflow floats; for ``ilp``,
-exact entropies that are not multiples of 1/n), 3 unit mismatch, 4 field
-too small, 5 construction failure.
+a pmf source or float table, whose rates are real numbers, and exact
+entropies that are not multiples of 1/n), 3 unit mismatch, 4 field too
+small, 5 construction failure.
 """
 
 from __future__ import annotations
@@ -117,12 +118,12 @@ def _partition_blocks(partition: rates.PartitionResult) -> list[list[int]]:
     return [[u + 1 for u in block] for block in partition.as_sets()]
 
 
-def _base_result(doc: docs.ProblemDocument, command: str, oracle) -> dict:
+def _base_result(doc: docs.ProblemDocument, command: str, unit: str) -> dict:
     return {
         "command": command,
         "input_sha256": doc.sha256,
         "m": doc.m,
-        "unit": oracle.unit,
+        "unit": unit,
     }
 
 
@@ -145,8 +146,7 @@ def cmd_rates(args) -> int:
         iterations = rco.iterations
         evaluations = rco.evaluations
     else:
-        weighted = rates.minimize_weighted(oracle, alpha, tolerance=args.tolerance,
-                                           rco=rco)
+        weighted = rates.minimize_weighted(oracle, alpha, rco=rco)
         chosen = weighted.rates
         beta_star = weighted.beta_star
         cost = weighted.cost
@@ -154,7 +154,7 @@ def cmd_rates(args) -> int:
         evaluations = weighted.evaluations
     if not rates.verify_feasible(oracle, chosen):
         raise OmniexError("internal error: emitted rates are infeasible")
-    out = _base_result(doc, "rates", oracle)
+    out = _base_result(doc, "rates", oracle.unit)
     out.update({
         "weights": [docs.format_value(a) for a in alpha],
         "rates": docs.rates_to_json(chosen),
@@ -182,10 +182,10 @@ def cmd_ilp(args) -> int:
     if not isinstance(n, int) or n < 1:
         raise InvalidN(f"block length n must be a positive integer, got {n!r}")
     rco = rates.rco_sum_rate(oracle)
-    result = rates.ilp_rates(oracle, alpha, n, rco=rco, tolerance=args.tolerance)
+    result = rates.ilp_rates(oracle, alpha, n, rco=rco)
     if not rates.verify_feasible(oracle, result.rates):
         raise OmniexError("internal error: emitted rates are infeasible")
-    out = _base_result(doc, "ilp", oracle)
+    out = _base_result(doc, "ilp", oracle.unit)
     out.update({
         "weights": [docs.format_value(a) for a in alpha],
         "n": n,
@@ -222,7 +222,7 @@ def cmd_code(args) -> int:
     alpha = _effective_alpha(doc, args, oracle)
     n = args.n if args.n is not None else doc.n
     seed = args.seed if args.seed is not None else doc.seed
-    result = rates.ilp_rates(oracle, alpha, n, tolerance=args.tolerance)
+    result = rates.ilp_rates(oracle, alpha, n)
     if not rates.verify_feasible(oracle, result.rates):
         raise OmniexError("internal error: emitted rates are infeasible")
     scheme = netcode.construct_code(src, result.rates, n, seed=seed,
@@ -231,7 +231,7 @@ def cmd_code(args) -> int:
     scheme_doc = docs.scheme_to_json(scheme, oracle.unit)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(docs.dump_json(scheme_doc))
-    out = _base_result(doc, "code", oracle)
+    out = _base_result(doc, "code", oracle.unit)
     out.update({
         "n": n,
         "seed": seed,
@@ -251,14 +251,14 @@ def cmd_verify(args) -> int:
     if not isinstance(doc.source, sources.LinearSource):
         raise ValidationError("verification needs a linear source document")
     src = doc.source
-    oracle = sources.EntropyOracle(src)
-    scheme = docs.load_scheme(args.scheme, expected_unit=oracle.unit)
+    unit = sources.linear_unit(src.p)
+    scheme = docs.load_scheme(args.scheme, expected_unit=unit)
     if scheme.p != src.p:
         raise UnitMismatch(
             f"scheme symbols are F_{scheme.p}, problem symbols are F_{src.p}")
     ranks = netcode.receiver_ranks(src, scheme)
     ok = all(got == need for got, need in ranks)
-    out = _base_result(doc, "verify", oracle)
+    out = _base_result(doc, "verify", unit)
     out.update({
         "scheme_file": args.scheme,
         "n": scheme.n,
@@ -353,7 +353,7 @@ def cmd_selfcheck(args) -> int:
     oracle = sources.EntropyOracle(doc.source)
     checks = _selfcheck_entries(oracle)
     ok = all(c["status"] != "fail" for c in checks)
-    out = _base_result(doc, "selfcheck", oracle)
+    out = _base_result(doc, "selfcheck", oracle.unit)
     out.update({"checks": checks, "ok": ok})
     _emit(out, args)
     return EXIT_OK if ok else EXIT_PROPERTY
@@ -378,8 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
         if with_seed:
             p.add_argument("--seed", type=int, default=None,
                            help="seed for the randomized completion")
-        p.add_argument("--tolerance", type=float, default=1e-9,
-                       help="bracket tolerance for pmf sources")
         p.add_argument("--format", choices=("json", "table"), default="json")
 
     p_rates = sub.add_parser("rates", help="optimal (possibly weighted) rate allocation")
@@ -412,10 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if not 0 <= getattr(args, "tolerance", 0) < math.inf:   # also false for nan
-        parser.error(f"--tolerance must be a finite number >= 0, got {args.tolerance}")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except OmniexError as exc:

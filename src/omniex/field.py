@@ -444,11 +444,6 @@ def stack(parts: Sequence[FieldMatrix], *, cols: Optional[int] = None,
     return FieldMatrix._reduced(sum(m.rows for m in parts), first.cols, first.p, flat)
 
 
-def rank(matrix: FieldMatrix) -> int:
-    """Rank of the matrix over F_p (exact, via modular elimination)."""
-    return matrix.rank()
-
-
 def kron_block(n: int, a: FieldMatrix) -> FieldMatrix:
     """Block-diagonal matrix with n copies of ``a``.
 

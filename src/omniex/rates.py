@@ -15,9 +15,14 @@ Three layers build on that sweep:
 * the weighted objective h(beta) = min sum(alpha_i R_i) over the budget-
   beta slice is convex piecewise linear; each sweep also reports its local
   segment R_i = b_i * beta + c_i, so the minimum is located by slope-sign
-  bracketing plus one exact line intersection;
-* block-length-n solutions round beta to the nearest feasible multiples of
-  1/n and keep the cheaper one.
+  bracketing plus one exact line intersection.  On a float oracle the
+  bracket's lines take the weights times a power of two that brings the
+  largest below 1, an exact scaling, so its DELTA comparisons mean the
+  same at any weight scale;
+* block-length-n solutions, for exact oracles only, round beta to the
+  nearest feasible multiples of 1/n and keep the cheaper one.  The rates
+  of a float oracle (a pmf source or a float table) are real numbers and
+  lie on no 1/n lattice, so ``ilp_rates`` refuses it.
 
 Each inner minimization is one scan over subset sums, run as whole-array
 numpy operations on the oracle's table of every H(X_S), one array indexed
@@ -84,6 +89,8 @@ from .setfun import (
 from .sources import INT64_SAFE, EntropyOracle
 
 MAX_WEIGHTED_ITERATIONS = 10_000
+# A float bracket no wider than this ends on its cheaper endpoint.
+FLOAT_BRACKET_WIDTH = 1e-9
 PARTITION_FORMULA_CAP = 12
 
 
@@ -200,6 +207,11 @@ def _zero(exact: bool) -> Value:
     return 0 if exact else 0.0
 
 
+def _ratio(num: Value, den: Value, exact: bool) -> Value:
+    """num / den, a Fraction on an exact path and a float otherwise."""
+    return Fraction(num) / den if exact else num / den
+
+
 def _sorted_blocks(blocks: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(blocks, key=lambda mask: (mask & -mask).bit_length()))
 
@@ -241,13 +253,6 @@ def _widened_union(subs: np.ndarray, keys: np.ndarray) -> int:
     return int(sub[r] | np.bitwise_or.reduce(sub[r + 1:][joins]))
 
 
-def _int64_peak(values: np.ndarray) -> Optional[int]:
-    """max |value| of an int64 array; None for any other dtype."""
-    if values.dtype != np.int64:
-        return None
-    return max(int(values.max()), -int(values.min()))
-
-
 def modified_edmond(oracle: EntropyOracle, beta: Value,
                     alpha: Optional[Sequence[Value]] = None,
                     ordering: str = "descending",
@@ -280,7 +285,8 @@ def modified_edmond(oracle: EntropyOracle, beta: Value,
         raise ValueError(f"ordering must be 'descending' or 'ascending', got {ordering!r}")
 
     # The sweep reads every nonempty subset, so it reads them from the table.
-    peak = _int64_peak(oracle.array())
+    oracle.array()
+    peak = oracle.int64_peak
     exact = oracle.exact and not isinstance(beta, float)
     total = oracle.total()
     zero = _zero(exact)
@@ -403,7 +409,7 @@ def rco_sum_rate(oracle: EntropyOracle) -> SumRateResult:
         for blk in result.partition.blocks:
             num = num + (oracle.total() - oracle.entropy(blk))
         k = result.partition.size
-        beta = Fraction(num) / (k - 1) if exact else num / (k - 1)
+        beta = _ratio(num, k - 1, exact)
         result = modified_edmond(oracle, beta)
         evaluations += result.evaluations
 
@@ -435,11 +441,7 @@ def rco_partition_formula(oracle: EntropyOracle) -> Value:
             s = _zero(oracle.exact)
             for blk in blocks:
                 s = s + oracle.entropy(blk)
-            diff = s - total
-            if oracle.exact:
-                cand = Fraction(diff) / (len(blocks) - 1)
-            else:
-                cand = diff / (len(blocks) - 1)
+            cand = _ratio(s - total, len(blocks) - 1, oracle.exact)
             if best is None or cand < best:
                 best = cand
             return
@@ -482,7 +484,6 @@ def h_eval(oracle: EntropyOracle, alpha: Sequence[Value], beta: Value,
 
 
 def minimize_weighted(oracle: EntropyOracle, alpha: Sequence[Value],
-                      tolerance: float = 1e-9,
                       rco: Optional[SumRateResult] = None) -> WeightedResult:
     """Minimize the convex piecewise linear h(beta) over the bracket
     [minimum sum rate, H(X_M)] by slope-sign bracketing.
@@ -492,16 +493,24 @@ def minimize_weighted(oracle: EntropyOracle, alpha: Sequence[Value],
     once the probe's own line meets the lower line there, which certifies
     a kink with a sign change.  On an exact oracle the lines take each
     float weight as the binary rational it holds, so every comparison is
-    exact, while h and the cost keep the caller's weights.  For float
-    oracles the comparisons use the float tie rule, and the bracket also
-    stops at ``tolerance`` width and returns the better endpoint.
+    exact.  On a float oracle they take the weights times 2^-e, where
+    2^(e-1) <= max(alpha) < 2^e: scaling by a power of two is exact, so
+    the crossings are those of the caller's weights, while the float tie
+    rule's DELTA compares lines of one scale whatever the weights'.  The
+    float bracket also stops once no wider than ``FLOAT_BRACKET_WIDTH``
+    and returns the cheaper endpoint.  h and the cost keep the caller's
+    weights.
     """
     alpha = check_costs(alpha, oracle.m)
     if rco is None:
         rco = rco_sum_rate(oracle)
     evaluations = rco.evaluations
     exact = oracle.exact
-    lines = tuple(Fraction(a) if exact and isinstance(a, float) else a for a in alpha)
+    if exact:
+        lines = tuple(Fraction(a) if isinstance(a, float) else a for a in alpha)
+    else:
+        shift = -math.frexp(max(alpha))[1]
+        lines = tuple(math.ldexp(a, shift) for a in alpha)
 
     def probe(beta: Value) -> tuple[HPoint, Value, Value]:
         """h at beta, with the slope and intercept of its segment."""
@@ -525,13 +534,9 @@ def minimize_weighted(oracle: EntropyOracle, alpha: Sequence[Value],
         return result(hi_pt, 0)
 
     for iterations in range(1, MAX_WEIGHTED_ITERATIONS + 1):
-        if not exact and hi - lo <= tolerance:
+        if not exact and hi - lo <= FLOAT_BRACKET_WIDTH:
             return result(lo_pt if lo_pt.value <= hi_pt.value else hi_pt, iterations)
-        if exact:
-            cross = Fraction(hi_int - lo_int) / Fraction(lo_slope - hi_slope)
-        else:
-            cross = (hi_int - lo_int) / (lo_slope - hi_slope)
-        cross = min(max(cross, lo), hi)
+        cross = min(max(_ratio(hi_int - lo_int, lo_slope - hi_slope, exact), lo), hi)
         pt, slope, intercept = probe(cross)
         if value_eq(slope * cross + intercept, lo_slope * cross + lo_int, exact):
             # Two supporting lines of opposite slope meet on the graph of h:
@@ -544,53 +549,38 @@ def minimize_weighted(oracle: EntropyOracle, alpha: Sequence[Value],
     raise NonConvergence("weighted minimization exceeded its iteration budget")
 
 
-def _snap_scaled(value: Value, n: int, exact: bool) -> Value:
-    """n * value with float noise snapped to the nearest integer."""
-    scaled = value * n
-    if not exact:
-        nearest = round(scaled)
-        if abs(scaled - nearest) <= DELTA * max(1.0, abs(nearest)):
-            return nearest
-    return scaled
-
-
 def ilp_rates(oracle: EntropyOracle, alpha: Sequence[Value], n: int,
-              rco: Optional[SumRateResult] = None,
-              tolerance: float = 1e-9) -> IlpResult:
-    """Best rate vector whose entries are multiples of 1/n.
+              rco: Optional[SumRateResult] = None) -> IlpResult:
+    """Best rate vector whose entries are multiples of 1/n, on an exact
+    oracle.
 
     Restricting the budget to multiples of 1/n makes every sweep output a
     multiple of 1/n as well, so it suffices to compare h at the floor and
     ceiling roundings of the unconstrained optimum, clamped upward to the
     rounded-up minimum sum rate.  The cost exceeds the unconstrained
-    optimum by at most max(alpha)/n.
+    optimum by at most max(alpha)/n.  A float oracle is refused with
+    ``NonIntegerRates``: its rates are real numbers, not multiples of 1/n.
     """
     if not isinstance(n, int) or n < 1:
         raise InvalidN(f"block length n must be a positive integer, got {n!r}")
     alpha = check_costs(alpha, oracle.m)
     if rco is None:
         rco = rco_sum_rate(oracle)
-    weighted = minimize_weighted(oracle, alpha, tolerance=tolerance, rco=rco)
-    exact = oracle.exact
+    if not oracle.exact:
+        raise NonIntegerRates(
+            f"ilp needs exact entropies (a linear source or an exact table): "
+            f"the rates of a pmf source or of a float table are real numbers, "
+            f"which the 1/{n} lattice does not hold")
+    weighted = minimize_weighted(oracle, alpha, rco=rco)
 
-    lower_scaled = _snap_scaled(rco.value, n, exact)
-    lower = Fraction(math.ceil(lower_scaled), n) if exact else math.ceil(lower_scaled) / n
-    star_scaled = _snap_scaled(weighted.beta_star, n, exact)
-    if exact:
-        candidates = {Fraction(math.floor(star_scaled), n),
-                      Fraction(math.ceil(star_scaled), n)}
-    else:
-        candidates = {math.floor(star_scaled) / n, math.ceil(star_scaled) / n}
-    candidates = sorted({max(c, lower) for c in candidates})
-
-    best: Optional[HPoint] = None
-    for cand in candidates:
-        pt = h_eval(oracle, alpha, cand)
-        if best is None or value_lt(pt.value, best.value, exact) or (
-                value_eq(pt.value, best.value, exact) and cand < best.beta):
-            best = pt
-    assert best is not None
-    bad = [v for v in best.rates.values if exact and (n * Fraction(v)).denominator != 1]
+    lower = Fraction(math.ceil(rco.value * n), n)
+    star = weighted.beta_star * n
+    candidates = sorted({max(Fraction(k, n), lower)
+                         for k in (math.floor(star), math.ceil(star))})
+    # Ties keep the smaller budget, the first in the sorted order.
+    best = min((h_eval(oracle, alpha, cand) for cand in candidates),
+               key=lambda pt: pt.value)
+    bad = [v for v in best.rates.values if (n * Fraction(v)).denominator != 1]
     if bad:
         # Each rate is an integer combination of the budget, a multiple of
         # 1/n, and of entropies, so only a fractional entropy explains it.
@@ -602,9 +592,8 @@ def ilp_rates(oracle: EntropyOracle, alpha: Sequence[Value], n: int,
         raise NonConvergence(f"rate {bad[0]} is not a multiple of 1/{n}")
     rates = RateVector(values=best.rates.values, denominator=n, unit=oracle.unit)
     amax = max(alpha)
-    gap_bound = amax / n if isinstance(amax, float) else Fraction(amax) / n
     return IlpResult(rates=rates, cost=best.value, beta=best.beta,
-                     gap_bound=gap_bound)
+                     gap_bound=_ratio(amax, n, not isinstance(amax, float)))
 
 
 def verify_feasible(oracle: EntropyOracle, rates: RateVector) -> bool:
@@ -629,7 +618,7 @@ def verify_feasible(oracle: EntropyOracle, rates: RateVector) -> bool:
     if exact and not any(isinstance(v, float) for v in values):
         scale = math.lcm(*(v.denominator for v in values))
         steps = [v.numerator * (scale // v.denominator) for v in values]
-        peak = _int64_peak(table)
+        peak = oracle.int64_peak
         narrow = (peak is not None
                   and scale * max(peak, 1) + sum(map(abs, steps)) < INT64_SAFE)
         dtype = np.int64 if narrow else object

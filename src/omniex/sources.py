@@ -208,10 +208,12 @@ class EntropyOracle:
     exact rationals (linear sources) or tolerance-compared floats.
     ``calls`` is a plain counter whose ``+=`` may lose increments between
     threads sharing the oracle; the values and the memo are unaffected.
+    ``int64_peak`` is max |H(X_S)| over an int64 table, set when ``array``
+    builds it, and None before that or for a table of any other dtype.
     """
 
     __slots__ = ("source", "m", "unit", "exact", "_cache", "_table", "calls",
-                 "_marginals")
+                 "_marginals", "int64_peak")
 
     def __init__(self, source: Source):
         problems = validate(source)
@@ -230,6 +232,7 @@ class EntropyOracle:
             self.exact = source.exact
         self._cache: dict[int, Value] = {}
         self._table: Optional[np.ndarray] = None
+        self.int64_peak: Optional[int] = None
         self.calls = 0
         self._marginals = (_PmfMarginals(source.pmf)
                            if isinstance(source, DmmsSource) else None)
@@ -345,8 +348,8 @@ class EntropyOracle:
         in one depth-first pass, a pmf source computes every nonempty
         subset in one batch, written straight into a float64 array (a
         mask's value does not depend on its batch, so the memo's values
-        stand), and a table source copies its entries.
-        Building it counts no calls.  Raises ``TooLarge`` above
+        stand), and a table source copies its entries.  Building it counts
+        no calls and sets ``int64_peak``.  Raises ``TooLarge`` above
         ``TABLE_CAP`` users, before it allocates or computes anything."""
         if self._table is None:
             if self.m > TABLE_CAP:
@@ -360,6 +363,8 @@ class EntropyOracle:
                 table[1:] = self._marginals.entropies(range(1, 1 << self.m))
             else:
                 table = self._full_array(src.entries)
+            if table.dtype == np.int64:
+                self.int64_peak = max(int(table.max()), -int(table.min()))
             # Readers see the table only once it is complete.
             self._table = table
             self._cache = {}

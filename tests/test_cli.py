@@ -1,12 +1,15 @@
+import argparse
 import hashlib
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from omniex import fixtures
-from omniex.cli import main
+from omniex.cli import build_parser, main
 
 from conftest import nonsubmodular_table_document, omniex_cli
 
@@ -391,9 +394,10 @@ def test_large_exact_weights_on_a_linear_source_stay_exact(capsys):
 
 
 def test_float_weights_on_a_linear_source_converge(tmp_path):
-    # Float weights make the bracket's slopes and costs floats on an exact
-    # oracle; they are compared with the float tie rule, so the kink is
-    # certified.  Compared exactly, this document ran out of iterations.
+    # On an exact oracle each float weight enters the bracket's lines as the
+    # binary rational it holds, so its slopes and intercepts are compared
+    # exactly and the kink is certified; only the cost is a float.  With the
+    # float sums compared exactly, this document ran out of iterations.
     path = tmp_path / "problem.json"
     path.write_text(json.dumps({
         "source": {"kind": "linear", "p": 7, "N": 3, "matrices": [
@@ -540,22 +544,15 @@ def test_selfcheck_passes_on_pmf_documents(capsys, tmp_path):
         assert "entropy-submodular" in names
 
 
-def test_tolerance_must_be_finite_and_nonnegative(capsys, tmp_path):
-    # An infinite tolerance stopped the weighted bracket at once and
-    # returned a costlier endpoint; nan and negative values meant nothing.
-    doc = {"source": {"kind": "pmf", "alphabets": [2, 2],
-                      "entries": {"0,0": 0.375, "0,1": 0.125,
-                                  "1,0": 0.125, "1,1": 0.375}}}
-    path = tmp_path / "dsbs.json"
-    path.write_text(json.dumps(doc))
-    for command in ("rates", "ilp", "code"):
-        for bad in ("nan", "inf", "-1"):
-            with pytest.raises(SystemExit) as exit_info:
-                main([command, str(path), "--alpha", "5,1", "--tolerance", bad])
-            captured = capsys.readouterr()
-            assert (exit_info.value.code, captured.out) == (2, "")
-            assert "--tolerance" in captured.err and "finite number >= 0" in captured.err
-    default = run_json(capsys, "rates", str(path), "--alpha", "5,1")
-    for good in ("0", "1e-9"):
-        assert run_json(capsys, "rates", str(path), "--alpha", "5,1",
-                        "--tolerance", good) == default
+def test_readme_names_exactly_the_command_line_options():
+    # A flag removed from the parser must leave the README too, and the
+    # other way round.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    (subparsers,) = (action for action in build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction))
+    options = {option for command in subparsers.choices.values()
+               for action in command._actions for option in action.option_strings
+               if option.startswith("--") and option != "--help"}
+    assert named == options

@@ -11,7 +11,6 @@ from omniex import (
     ff_inv,
     is_prime,
     kron_block,
-    rank,
     stack,
 )
 from omniex.field import MAX_MODULUS, RowSpace, validate_modulus
@@ -75,15 +74,15 @@ def test_field_axioms_exhaustive_small_fields():
 
 
 def test_rank_identity_and_zero():
-    assert rank(FieldMatrix.identity(4, 5)) == 4
-    assert rank(FieldMatrix.zeros(3, 6, 7)) == 0
+    assert FieldMatrix.identity(4, 5).rank() == 4
+    assert FieldMatrix.zeros(3, 6, 7).rank() == 0
 
 
 def test_rank_of_packet_selectors():
     src = example1_source()
     full = stack(list(src.matrices), cols=3, p=5)
-    assert rank(full) == 3
-    assert rank(stack([src.matrices[0], src.matrices[1]], cols=3, p=5)) == 3
+    assert full.rank() == 3
+    assert stack([src.matrices[0], src.matrices[1]], cols=3, p=5).rank() == 3
 
 
 def test_stack_shapes():
@@ -134,7 +133,7 @@ def test_kron_block_shapes_and_values():
     src = example1_source()
     wide = kron_block(2, src.matrices[0])
     assert wide.shape == (4, 6)
-    assert rank(wide) == 4
+    assert wide.rank() == 4
 
 
 def test_kron_block_rank_scales():
@@ -142,7 +141,7 @@ def test_kron_block_rank_scales():
     for _ in range(25):
         a = FieldMatrix.random(rng.randint(1, 4), rng.randint(1, 4), 7, rng)
         for n in (1, 2, 3):
-            assert rank(kron_block(n, a)) == n * rank(a)
+            assert kron_block(n, a).rank() == n * a.rank()
 
 
 def test_rank_inequalities_random_stacks():
@@ -154,7 +153,7 @@ def test_rank_inequalities_random_stacks():
         a = FieldMatrix.random(rng.randint(1, 8), cols, p, rng)
         b = FieldMatrix.random(rng.randint(1, 8), cols, p, rng)
         s = stack([a, b])
-        ra, rb, rs = rank(a), rank(b), rank(s)
+        ra, rb, rs = a.rank(), b.rank(), s.rank()
         assert rs <= ra + rb
         assert rs >= max(ra, rb)
 

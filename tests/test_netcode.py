@@ -23,7 +23,6 @@ from omniex import (
     ilp_rates,
     kron_block,
     make_linear_source,
-    rank,
     rco_sum_rate,
     receiver_ranks,
     stack,
@@ -145,7 +144,7 @@ def test_broadcasts_are_functions_of_own_observations():
             own = kron_block(2, src.matrices[i])
             joined = stack([own, scheme.broadcast_matrix(src, i)],
                            cols=2 * src.N, p=src.p)
-            assert rank(joined) == rank(own)
+            assert joined.rank() == own.rank()
 
 
 def test_construct_code_example_instance():
@@ -325,8 +324,8 @@ def test_greedy_selection_has_the_maximum_rank_property():
                 picked.append([rows[k] for k in sel.selections[u]])
             flat = [r for block in picked for r in block]
             chosen = FieldMatrix.from_rows(flat, src.p, cols=src.N)
-            assert rank(chosen) == rank(stacked)
-            assert sel.ranks[prefix_len - 1] == rank(stacked)
+            assert chosen.rank() == stacked.rank()
+            assert sel.ranks[prefix_len - 1] == stacked.rank()
         assert sel.ranks[-1] == src.N
 
 

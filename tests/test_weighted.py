@@ -1,6 +1,9 @@
 import hashlib
+import itertools
 import json
+import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +21,7 @@ from omniex import (
     rco_sum_rate,
     verify_feasible,
 )
+from omniex import rates
 from omniex.cli import main
 
 from conftest import (
@@ -25,6 +29,7 @@ from conftest import (
     fraction_matrix_rank,
     indicator_row,
     min_cost_by_vertex_enumeration,
+    omniex_cli,
     random_linear_source,
     slice_vertices,
     solve_unique_fractions,
@@ -209,16 +214,70 @@ def test_weighted_on_pmf_source():
     assert verify_feasible(oracle, res_w.rates)
 
 
-def test_ilp_on_pmf_source_rounds_the_budget():
-    pmf = [[0.375, 0.125], [0.125, 0.375]]
-    oracle = EntropyOracle(make_dmms_source((2, 2), pmf))
-    rco = rco_sum_rate(oracle)
-    for n in (1, 2, 4):
-        res = ilp_rates(oracle, (1.0, 1.0), n)
-        import math
-        expected = math.ceil(rco.value * n - 1e-9) / n
-        assert abs(res.rates.total() - expected) <= 1e-6
+def pmf_entries(pmf) -> dict:
+    """The ``entries`` of a pmf document holding the array ``pmf``."""
+    return {",".join(map(str, idx)): float(pmf[idx])
+            for idx in itertools.product(*map(range, pmf.shape))}
+
+
+def skewed_pmf(seed: int, m: int):
+    pmf = np.random.RandomState(seed).random_sample((2,) * m) ** 3 + 1e-3
+    return pmf / pmf.sum()
+
+
+def test_ilp_refuses_pmf_and_float_table_documents(tmp_path):
+    # Their rates are real numbers; rounding the budget to 1/n put rates
+    # such as 1.1252 under "n": 2.
+    pmf = {"kind": "pmf", "alphabets": [2, 2, 2], "entries": pmf_entries(skewed_pmf(5, 3))}
+    table = {"kind": "table", "m": 2, "entropies": {"1": 0.5, "2": 1.0, "1,2": 1.25}}
+    path = tmp_path / "problem.json"
+    for source, weights in ((pmf, [1, 2, 3]), (table, [1, 2])):
+        path.write_text(json.dumps({"source": source, "weights": weights}))
+        for flags in ((), ("--n", "2")):
+            done = omniex_cli("ilp", str(path), *flags, cwd=tmp_path)
+            assert (done.returncode, done.stdout) == (2, ""), (source["kind"], done.stderr)
+            assert done.stderr.startswith("error: ilp needs exact entropies")
+            assert "Traceback" not in done.stderr
+        # rates still solves the document.
+        assert omniex_cli("rates", str(path), cwd=tmp_path).returncode == 0
+
+
+def test_large_weights_on_a_pmf_source_give_the_rates_of_small_ones(capsys, tmp_path):
+    # Slopes and intercepts near 1e23 were compared within an absolute 1e-9,
+    # so the bracket never certified its kink and ran out of iterations.
+    path = tmp_path / "problem.json"
+    source = {"kind": "pmf", "alphabets": [2, 2, 2], "entries": pmf_entries(skewed_pmf(5, 3))}
+    outputs = []
+    for weights in ([5e20, 1e20, 1e23], [5, 1, 1000]):
+        path.write_text(json.dumps({"source": source, "weights": weights}))
+        assert main(["rates", str(path)]) == 0
+        outputs.append(json.loads(capsys.readouterr().out))
+    large, small = outputs
+    for key in ("rates", "sum_rate", "beta_star", "min_sum_rate", "partition"):
+        assert large[key] == small[key], key
+    assert abs(large["cost"] / small["cost"] - 1e20) <= 1e8
+
+
+def test_float_brackets_converge_at_weights_near_the_float_bound():
+    # Weights at half the largest the command line accepts, where
+    # m * sum(weights) * (H(X_M) + 1) reaches the float range; compared
+    # within an absolute DELTA, 7 of these brackets ran out of iterations.
+    for seed in range(60):
+        m = 2 + seed % 4
+        oracle = EntropyOracle(make_dmms_source((2,) * m, skewed_pmf(seed, m)))
+        raw = np.random.RandomState(1000 + seed).random_sample(m)
+        scale = sys.float_info.max / (m * raw.sum() * (oracle.total() + 1)) / 2
+        alpha = [float(w * scale) for w in raw]
+        res = minimize_weighted(oracle, alpha)
+        assert res.iterations < 10, seed
         assert verify_feasible(oracle, res.rates)
+        # The same weights brought near 1 by a power of two give the same
+        # bracket, and the cost scales back.
+        shift = math.frexp(max(alpha))[1]
+        small = minimize_weighted(oracle, [math.ldexp(w, -shift) for w in alpha])
+        assert (res.beta_star, res.rates, res.iterations) == (
+            small.beta_star, small.rates, small.iterations)
+        assert res.cost == math.ldexp(small.cost, shift)
 
 
 def test_weighted_allows_zero_weights():
@@ -230,7 +289,7 @@ def test_weighted_allows_zero_weights():
     assert res2.cost == expected
 
 
-def test_float_bracket_stops_at_its_tolerance():
+def test_float_bracket_stops_at_its_tolerance(monkeypatch):
     # A bracket no wider than the tolerance ends in its first iteration, on
     # the cheaper of its two endpoints: the lower one for the first weight
     # vector, the upper one for the second.  Both cost more than the kink
@@ -243,7 +302,9 @@ def test_float_bracket_stops_at_its_tolerance():
         ends = [h_eval(oracle, alpha, beta) for beta in (rco.value, oracle.total())]
         cheaper = min(ends, key=lambda pt: pt.value)
         cheaper_ends.append(ends.index(cheaper))
-        wide = minimize_weighted(oracle, alpha, tolerance=oracle.total(), rco=rco)
+        with monkeypatch.context() as patch:
+            patch.setattr(rates, "FLOAT_BRACKET_WIDTH", oracle.total())
+            wide = minimize_weighted(oracle, alpha, rco=rco)
         assert wide.iterations == 1
         assert (wide.beta_star, wide.cost, wide.rates, wide.segment) == (
             cheaper.beta, cheaper.value, cheaper.rates, cheaper.segment)
