@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional, Union
@@ -59,6 +60,13 @@ class ProblemDocument:
         return self.source.m
 
 
+# Fraction("1e100000000") would compute 10**100000000, so larger decimal
+# exponents are refused first; the bound is Python's default digit limit
+# for one integer string.
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)")
+
+
 def format_value(v: Value) -> Union[str, float]:
     """Lowest-terms fraction string for exact values, number for floats."""
     if isinstance(v, bool):
@@ -85,6 +93,11 @@ def _value(raw: Any) -> Value:
     if isinstance(raw, (int, float)):
         return raw
     if isinstance(raw, str):
+        exponent = _EXPONENT.search(raw)
+        if exponent:
+            digits = exponent[1].replace("_", "").lstrip("0")
+            if len(digits) > 4 or int(digits or "0") > MAX_EXPONENT:
+                raise ValueError(f"exponent of {raw!r} is beyond {MAX_EXPONENT}")
         try:
             return Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:
@@ -248,6 +261,8 @@ def _key_error(mapping: str, key: str, what: str) -> ValidationError:
 
 def _parse_table(data: dict, where: str) -> TableSource:
     m = _int_field(data, "m", where, minimum=1)
+    if m > 62:
+        raise ValidationError(f"{where}.m: expected at most 62 users, got {m}")
     unit = data.get("unit", "bits")
     if not isinstance(unit, str):
         raise ValidationError(f"{where}.unit: expected a string")
@@ -327,6 +342,8 @@ def _load_json(path: str) -> tuple[Any, str]:
         raise ValidationError(f"{path}: not valid UTF-8 ({exc})")
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}:{exc.lineno}: {exc.msg}")
+    except ValueError as exc:   # an integer literal past int()'s digit limit
+        raise ValidationError(f"{path}: {exc}")
 
 
 def load_problem(path: str) -> ProblemDocument:

@@ -37,10 +37,10 @@ is built per subset.  The keys are int64 or Python ints (dtype object),
 decided once per sweep before its first step: int64 when
 m^2 * (num + 2 * den * max|H|) stays below 2^62, a bound on every key and
 subset sum the sweep can form, so linear sources stay exact and never
-touch a float.  Float oracles use the same tables under the DELTA
-tie rule, vectorised over the ``iter_submasks`` scan order with the
-scalar scan's IEEE comparisons; the chosen set's coefficients are summed
-member by member as before, so printed floats do not move.
+touch a float.  Float keys take the same step, with every candidate
+within DELTA of the least key counted as a minimizer, a rule that no scan
+order decides; the chosen set's coefficients are summed member by member,
+so printed floats do not move.
 ``verify_feasible`` likewise checks every cut at once against one
 doubling table of rate sums, int64 (or Python ints) once exact rates are
 scaled to their common denominator D, by the bound
@@ -228,31 +228,6 @@ def _merge_block(blocks: list[int], new: int) -> None:
     blocks[:] = keep
 
 
-def _widened_union(subs: np.ndarray, keys: np.ndarray) -> int:
-    """Union of the float minimizers, widened by DELTA ties as the keys are
-    scanned in ``iter_submasks`` order (descending masks).
-
-    The scan tracks the running minimum of the keys seen so far (a NaN
-    key leaves it as it is; a NaN first key makes it NaN for good).  A key
-    more than DELTA below it restarts the union, and a later key within
-    DELTA of it joins, so the union is the last restart's set OR-ed with
-    every joining set after it.  The comparisons are the scalar scan's,
-    in the same IEEE arithmetic.
-    """
-    order = np.argsort(subs)[::-1]
-    sub, v = subs[order], keys[order]
-    if v[0] != v[0]:
-        return int(sub[0])
-    prev = np.empty_like(v)
-    prev[0] = np.inf
-    np.fmin.accumulate(v[:-1], out=prev[1:])
-    restart = v < prev - DELTA
-    restart[0] = True
-    r = int(np.flatnonzero(restart)[-1])
-    joins = v[r + 1:] <= prev[r + 1:] + DELTA
-    return int(sub[r] | np.bitwise_or.reduce(sub[r + 1:][joins]))
-
-
 def modified_edmond(oracle: EntropyOracle, beta: Value,
                     alpha: Optional[Sequence[Value]] = None,
                     ordering: str = "descending",
@@ -268,9 +243,12 @@ def modified_edmond(oracle: EntropyOracle, beta: Value,
 
     Ties in the inner minimization are resolved toward the union of all
     minimizers, which keeps the induced partition maximally merged and
-    deterministic.
+    deterministic; on float keys every candidate within DELTA of the
+    least key is a minimizer.  A float budget must be finite.
     """
     oracle.check_unit(unit)
+    if isinstance(beta, float) and not math.isfinite(beta):
+        raise InfeasibleBeta(f"beta = {beta} must be finite")
     if value_lt(beta, 0, oracle.exact and not isinstance(beta, float)):
         raise InfeasibleBeta(f"beta = {beta} must be nonnegative")
     m = oracle.m
@@ -328,12 +306,9 @@ def modified_edmond(oracle: EntropyOracle, beta: Value,
         keys = heights.astype(zsum.dtype, copy=False)
         np.multiply(keys, den, out=keys)
         np.subtract(keys, zsum[:k], out=keys)
-        if exact:
-            best = np.minimum.reduce(keys)
-            best = int(best) if narrow else best
-            union = int(np.bitwise_or.reduce(cands[keys == best])) | bj
-        else:
-            union = _widened_union(cands, keys) | bj
+        best = np.minimum.reduce(keys)
+        tied = keys == best if exact else keys <= best + DELTA
+        union = int(np.bitwise_or.reduce(cands[tied])) | bj
         rest = union & ~bj
         bu = 1
         cu = oracle.entropy(union) - total
@@ -342,7 +317,7 @@ def modified_edmond(oracle: EntropyOracle, beta: Value,
             cu = cu - c_coef[i]
         if exact:
             zj = bu * num + cu * den
-            if zj != best + shift:
+            if zj != (int(best) if narrow else best) + shift:
                 raise NonConvergence(
                     "union of minimizers is not a minimizer; the oracle violates "
                     "intersecting submodularity")

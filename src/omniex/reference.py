@@ -30,7 +30,6 @@ from .rates import (
     verify_feasible,
 )
 from .setfun import (
-    DELTA,
     SetFunction,
     Value,
     bit,
@@ -38,9 +37,7 @@ from .setfun import (
     iter_submasks,
     members,
     order_by_weight,
-    value_eq,
     value_le,
-    value_lt,
 )
 from .sources import DmmsSource, EntropyOracle, LinearSource
 
@@ -138,38 +135,25 @@ def sfm_constrained(f: SetFunction, z: Sequence[Value], j: int, a_mask: int,
 
     Returns the minimum and the inclusion-wise maximal minimizer (the
     union of all minimizers, which is itself a minimizer whenever
-    f(S) - Z(S) is submodular on nonempty sets).
+    f(S) - Z(S) is submodular on nonempty sets).  On a float function
+    every set within DELTA of the minimum counts as a minimizer.
     """
     if not a_mask & bit(j):
         raise ConstraintViolation(f"user {j} is not in the admissible set")
     if bin(a_mask).count("1") > SFM_CAP:
         raise TooLarge(f"brute-force SFM capped at |A| = {SFM_CAP}")
-    exact = f.exact
-    rest = a_mask & ~bit(j)
-    best: Value | None = None
-    union = 0
-    for sub in iter_submasks(rest):
+    values = []
+    for sub in iter_submasks(a_mask & ~bit(j)):
         s = sub | bit(j)
         v = f(s)
         for k in members(s):
             v = v - z[k]
-        if best is None:
-            best, union = v, s
-        elif exact:
-            if v < best:
-                best, union = v, s
-            elif v == best:
-                union |= s
-        else:
-            # Tolerance ties widen the union; best tracks the true minimum.
-            if v < best - DELTA:
-                best, union = v, s
-            else:
-                if v <= best + DELTA:
-                    union |= s
-                if v < best:
-                    best = v
-    assert best is not None
+        values.append((v, s))
+    best = min(v for v, _ in values)
+    union = 0
+    for v, s in values:
+        if value_le(v, best, f.exact):
+            union |= s
     return best, union
 
 
@@ -179,44 +163,36 @@ def dilworth_bruteforce(f: SetFunction, s_mask: int) -> tuple[Value, tuple[int, 
 
     Returns the value and one minimizing partition (the lexicographically
     smallest canonical form among minimizers) as a tuple of block masks.
+    On a float function every partition within DELTA of the minimum counts
+    as a minimizer.
     """
     elems = members(f.check(s_mask))
     if not elems:
         return 0 if f.exact else 0.0, ()
     if len(elems) > PARTITION_CAP:
         raise TooLarge(f"partition enumeration capped at |S| = {PARTITION_CAP}")
-    exact = f.exact
-    best_val: Value | None = None
-    best_parts: tuple[tuple[int, ...], ...] | None = None
 
-    def canon(blocks: list[int]) -> tuple[tuple[int, ...], ...]:
-        return tuple(sorted(members(b) for b in blocks))
-
-    def recurse(i: int, blocks: list[int], acc: Value):
-        nonlocal best_val, best_parts
+    def partitions(i: int, blocks: list[int], acc: Value):
+        """Each partition extending the blocks of elems[:i], with its value."""
         if i == len(elems):
-            if best_val is None or value_lt(acc, best_val, exact):
-                best_val, best_parts = acc, canon(blocks)
-            elif value_eq(acc, best_val, exact):
-                c = canon(blocks)
-                if acc < best_val:
-                    best_val = acc
-                if best_parts is None or c < best_parts:
-                    best_parts = c
+            yield acc, blocks
             return
         e = bit(elems[i])
         for k in range(len(blocks)):
             old = blocks[k]
             blocks[k] = old | e
-            recurse(i + 1, blocks, acc - f(old) + f(blocks[k]))
+            yield from partitions(i + 1, blocks, acc - f(old) + f(blocks[k]))
             blocks[k] = old
         blocks.append(e)
-        recurse(i + 1, blocks, acc + f(e))
+        yield from partitions(i + 1, blocks, acc + f(e))
         blocks.pop()
 
-    recurse(1, [bit(elems[0])], f(bit(elems[0])))
-    assert best_val is not None and best_parts is not None
-    return best_val, tuple(mask_of(b) for b in best_parts)
+    first = bit(elems[0])
+    best = min(acc for acc, _ in partitions(1, [first], f(first)))
+    parts = min(tuple(sorted(members(b) for b in blocks))
+                for acc, blocks in partitions(1, [first], f(first))
+                if value_le(acc, best, f.exact))
+    return best, tuple(mask_of(b) for b in parts)
 
 
 def in_polyhedron(f: SetFunction, z: Sequence[Value]) -> bool:

@@ -331,6 +331,22 @@ def test_table_with_many_missing_subsets_exits_2(capsys, tmp_path):
     assert "entropy table is missing 1099511627774 subsets" in err
     assert "Traceback" not in err
 
+def test_integer_literals_past_the_digit_limit_exit_2(capsys, tmp_path):
+    # json.dumps refuses such an int, so the literal is written as text.
+    path = tmp_path / "digits.json"
+    path.write_text(Path(EX1).read_text().rstrip()[:-1]
+                    + ', "weights": [' + "9" * 5000 + ', 1, 1]}')
+    code, out, err = run(capsys, "rates", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: Exceeds the limit (4300 digits)")
+
+
+def test_alpha_with_a_huge_exponent_exits_2(capsys):
+    code, out, err = run(capsys, "rates", EX1, "--alpha", "1e100000000,1,1")
+    assert (code, out) == (2, "")
+    assert "--alpha[0]: exponent of '1e100000000' is beyond 4300" in err
+
+
 def test_selfcheck_fails_on_nonsubmodular_table(capsys, tmp_path):
     doc = {
         "source": {"kind": "table", "m": 2, "unit": "bits",

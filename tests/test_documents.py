@@ -121,6 +121,26 @@ def test_table_entropy_string_must_be_a_rational(raw):
     assert message == f"$.source.entropies['2']: invalid rational {raw!r} ({reason})"
 
 
+@pytest.mark.parametrize("raw", ["1e4301", "1e-4301", "2.5E+100000000", "1e1_0000_0000",
+                                 "1e\u0665\u0660\u0660\u0660"])
+def test_rational_exponents_beyond_4300_are_refused(raw):
+    # Fraction would compute 10 ** exponent, which for 1e100000000 does not end.
+    message = parse_error(table(2, {"1": 1, "2": raw}))
+    assert message == f"$.source.entropies['2']: exponent of {raw!r} is beyond 4300"
+
+
+def test_rational_exponents_up_to_4300_are_read():
+    assert documents.parse_value("1e4300", "$") == 10 ** 4300
+    assert documents.parse_value("-1.5e-4300", "$") == Fraction(-15, 10 ** 4301)
+    assert documents.parse_value("1e0000000000000000002", "$") == 100
+
+
+def test_table_with_more_than_62_users_is_refused():
+    assert parse_error(table(63, {"1": 1})) == "$.source.m: expected at most 62 users, got 63"
+    assert "entropy table is missing 4611686018427387902 subsets" in parse_error(
+        table(62, {"1": 1}))
+
+
 @pytest.mark.parametrize("raw", [None, [1], {"v": 1}])
 def test_table_entropy_must_be_a_number_or_rational_string(raw):
     message = parse_error(table(2, {"1": 1, "2": raw}))

@@ -5,10 +5,10 @@ step, m^2 * (num + 2 * den * max|H|), stays below 2^62; past that the same
 scan runs on Python ints.  Budgets and rate denominators are chosen here so
 that this bound, the largest key the sweep actually forms, and the cut
 scan's span land just below and just above 2^62 (and 2^63), and the
-results are compared with the per-subset references.  The float tie rule
-is compared with the scalar DELTA scan it replaced, the whole-array test
-for an entropy function with a scalar scan, and the oracle counters are
-pinned to their values before the table became an array.
+results are compared with the per-subset references.  The whole-array
+test for an entropy function is compared with a scalar scan, and the
+oracle counters are pinned to their values before the table became an
+array.
 """
 
 import math
@@ -30,7 +30,6 @@ from omniex import (
     verify_feasible,
 )
 from omniex import field as ff
-from omniex import rates as rates_mod
 from omniex.reference import modified_edmond_setfn
 from omniex.setfun import DELTA, iter_submasks, members, order_by_weight, value_le
 from omniex.sources import TableSource
@@ -201,72 +200,6 @@ def test_feasibility_across_the_int64_boundary():
                     got = verify_feasible(
                         oracle, RateVector(values=tuple(values), unit=oracle.unit))
                     assert got == reference_feasible(oracle, values) == expected, den
-
-
-def scalar_widened_union(subs, keys) -> int:
-    """The DELTA scan as one loop over the candidates in descending mask
-    order: a key more than DELTA below the running minimum restarts the
-    union, a key within DELTA of it joins."""
-    best = None
-    union = 0
-    for sub, v in sorted(zip(subs, keys), reverse=True):
-        if best is None or v < best - DELTA:
-            best, union = v, sub
-        else:
-            if v <= best + DELTA:
-                union |= sub
-            if v < best:
-                best = v
-    return union
-
-
-def chained_keys(rng: random.Random, count: int) -> list[float]:
-    """Keys in scan order, each placed against the running minimum: exactly
-    DELTA above or below it, a reset just past DELTA below it, a near miss
-    just past DELTA above it, an exact repeat, or a fresh value."""
-    keys = []
-    best = None
-    for _ in range(count):
-        if best is None:
-            v = rng.uniform(-2.0, 2.0)
-        else:
-            v = rng.choice((
-                best + DELTA, best - DELTA, best - 2 * DELTA, best + 2 * DELTA,
-                best - DELTA * (1 + 1e-6), best + DELTA * (1 + 1e-6),
-                best, rng.uniform(-2.0, 2.0), best + rng.uniform(-3, 3) * DELTA))
-        keys.append(v)
-        best = v if best is None or v < best else best
-    return keys
-
-
-def test_widened_union_matches_the_scalar_scan():
-    rng = random.Random(103)
-    for trial in range(600):
-        count = rng.randint(1, 40)
-        subs = rng.sample(range(1 << 9), count)
-        keys = chained_keys(rng, count)
-        # chained_keys builds the scan order, so hand the keys over in it.
-        scan = sorted(subs, reverse=True)
-        order = list(range(count))
-        rng.shuffle(order)
-        sub_arr = np.array([scan[i] for i in order], dtype=np.int64)
-        key_arr = np.array([keys[i] for i in order], dtype=float)
-        want = scalar_widened_union([scan[i] for i in order], [keys[i] for i in order])
-        got = rates_mod._widened_union(sub_arr, key_arr)
-        assert got == want, (trial, list(zip(scan, keys)))
-        assert type(got) is int
-
-
-def test_widened_union_on_non_finite_keys():
-    rng = random.Random(107)
-    specials = (math.inf, -math.inf, math.nan, 0.0, -0.0, 1.0, 1.0 + DELTA)
-    for trial in range(400):
-        count = rng.randint(1, 8)
-        subs = rng.sample(range(1, 64), count)
-        keys = [rng.choice(specials) for _ in range(count)]
-        got = rates_mod._widened_union(np.array(subs, dtype=np.int64),
-                                       np.array(keys, dtype=float))
-        assert got == scalar_widened_union(subs, keys), (subs, keys)
 
 
 def scalar_violations(oracle):

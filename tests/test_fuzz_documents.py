@@ -16,6 +16,7 @@ import json
 import subprocess
 import sys
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -180,6 +181,43 @@ def large_scheme() -> str:
                        "coefficients": [{"rows": 0, "cols": 2 ** 41, "entries": []}] * 3})
 
 
+def huge_integer_weight() -> str:
+    """A 5000-digit weight, past Python's digit limit for int(); json.dumps
+    refuses such an int too, so the literal is spliced into the text."""
+    text = json.dumps(dict(PROBLEMS["example1"], weights=[0, 1, 1]))
+    return text.replace('"weights": [0', '"weights": [' + "9" * 5000)
+
+
+def rational_weight(raw: str) -> str:
+    return json.dumps(dict(PROBLEMS["example1"], weights=[raw, 1, 1]))
+
+
+def rational_entropy(raw: str) -> str:
+    return json.dumps({"source": {"kind": "table", "m": 1, "entropies": {"1": raw}}})
+
+
+def table_users(m: int) -> str:
+    """A table of m users that names user m."""
+    return json.dumps({"source": {"kind": "table", "m": m, "entropies": {str(m): 1}}})
+
+
+# Numbers and user counts that once ended in a traceback or did not end.
+OVERSIZED = {"integer-weight": huge_integer_weight(),
+             "exponent-weight": rational_weight("1e100000000"),
+             "exponent-entropy": rational_entropy("1e-100000000"),
+             "users-20000": table_users(20000), "users-10^12": table_users(10 ** 12)}
+
+
+def run_commands(docs: tuple[str, str]) -> dict:
+    """The exit code of each command on the documents, run in the child."""
+    done = subprocess.run([sys.executable, "-c", CHILD], input=json.dumps(docs),
+                          env=child_env(), capture_output=True, text=True,
+                          timeout=TIMEOUT, preexec_fn=limit_address_space)
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+    return json.loads(done.stdout)
+
+
 @settings(max_examples=30, deadline=None)
 @given(documents())
 @example((large_n(2 ** 40), json.dumps(SCHEMES["example1"])))
@@ -188,11 +226,17 @@ def large_scheme() -> str:
 @example((json.dumps(PROBLEMS["example1"]), large_scheme()))
 @example((float_table(10 ** 400), json.dumps(SCHEMES["example1"])))
 @example((float_table("1e400"), json.dumps(SCHEMES["example1"])))
+@example((OVERSIZED["integer-weight"], json.dumps(SCHEMES["example1"])))
+@example((OVERSIZED["exponent-weight"], json.dumps(SCHEMES["example1"])))
+@example((OVERSIZED["exponent-entropy"], json.dumps(SCHEMES["example1"])))
+@example((OVERSIZED["users-20000"], json.dumps(SCHEMES["example1"])))
+@example((OVERSIZED["users-10^12"], json.dumps(SCHEMES["example1"])))
 def test_mutated_documents_end_with_a_documented_exit_code(docs):
-    done = subprocess.run([sys.executable, "-c", CHILD], input=json.dumps(docs),
-                          env=child_env(), capture_output=True, text=True,
-                          timeout=TIMEOUT, preexec_fn=limit_address_space)
-    assert done.returncode == 0, done.stderr
-    for command, code in json.loads(done.stdout).items():
+    for command, code in run_commands(docs).items():
         assert code in range(6), (command, code)
-    assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("name", OVERSIZED)
+def test_oversized_numbers_and_user_counts_exit_2(name):
+    codes = run_commands((OVERSIZED[name], json.dumps(SCHEMES["example1"])))
+    assert codes == dict.fromkeys(codes, 2), codes

@@ -1,6 +1,8 @@
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from omniex import (
@@ -12,6 +14,7 @@ from omniex import (
     RateVector,
     UnitMismatch,
     ilp_rates,
+    make_dmms_source,
     make_linear_source,
     modified_edmond,
     optimal_partition,
@@ -251,6 +254,18 @@ def test_sweep_rejects_bad_inputs():
         modified_edmond(oracle, Fraction(2), unit="bits")
     with pytest.raises(InfeasibleBeta):
         modified_edmond(oracle, Fraction(-1))
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+def test_sweep_rejects_non_finite_float_budgets(beta):
+    # Validation refuses non-finite tables and pmfs, so only the budget can
+    # bring a NaN or an infinity into the sweep's keys.
+    pmf = EntropyOracle(make_dmms_source((2, 2), np.array([[0.4, 0.1], [0.1, 0.4]])))
+    for oracle in (pmf, EntropyOracle(example1_source())):
+        with pytest.raises(InfeasibleBeta, match="must be"):
+            modified_edmond(oracle, beta)
+        with pytest.raises(InfeasibleBeta, match="must be"):
+            rates_mod.h_eval(oracle, (1,) * oracle.m, beta)
 
 
 def test_ilp_fixed_cases():

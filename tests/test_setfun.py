@@ -22,9 +22,9 @@ from omniex.reference import (
     is_submodular,
     sfm_constrained,
 )
-from omniex.setfun import members, order_by_weight
+from omniex.setfun import DELTA, members, order_by_weight
 
-from conftest import example1_source, random_linear_source
+from conftest import example1_source, partitions_of, random_linear_source
 
 COMB_EXP1 = from_table(2, {0b01: 4, 0b10: 3, 0b11: 6})
 EXP_DILW = from_table(2, {0b01: 4, 0b10: 3, 0b11: 8})
@@ -263,6 +263,42 @@ def test_dilworth_fixed_examples():
     value, blocks = dilworth_bruteforce(COMB_EXP1, 0b01)
     assert value == 4
     assert blocks == (0b01,)
+
+
+def near_tie_function(rng, m):
+    """Float table of small integers plus noise in steps of 0.6 * DELTA, so
+    that values one step apart tie within DELTA and two steps apart do not."""
+    step = 0.6 * DELTA
+    table = {s: rng.randint(0, 4) + rng.choice((0.0, step, -step, 2 * step))
+             for s in range(1, 1 << m)}
+    return from_table(m, table, exact=False)
+
+
+def test_float_ties_are_every_candidate_within_delta_of_the_minimum():
+    rng = random.Random(211)
+    for _ in range(200):
+        m = rng.randint(1, 5)
+        f = near_tie_function(rng, m)
+        full = (1 << m) - 1
+        z = tuple(rng.randint(-2, 2) + rng.choice((0.0, 0.6 * DELTA)) for _ in range(m))
+        j = rng.randrange(m)
+        value, minimizer = sfm_constrained(f, z, j, full)
+        scored = {s: f(s) - sum(z[k] for k in members(s))
+                  for s in range(1, full + 1) if s >> j & 1}
+        best = min(scored.values())
+        assert abs(value - best) <= 1e-12
+        union = 0
+        for s, v in scored.items():
+            if v <= best + DELTA:
+                union |= s
+        assert minimizer == union
+        value, blocks = dilworth_bruteforce(f, full)
+        scored = {tuple(sorted(p)): sum(f(sum(1 << i for i in b)) for b in p)
+                  for p in partitions_of(tuple(range(m)))}
+        best = min(scored.values())
+        assert abs(value - best) <= 1e-12
+        assert tuple(members(b) for b in blocks) == min(
+            p for p, v in scored.items() if v <= best + DELTA)
 
 
 def test_in_polyhedron_fixed_examples():

@@ -126,10 +126,10 @@ def test_sweep_matches_brute_force_on_a_fraction_table(ordering, monkeypatch):
 
 def float_table_oracle(rng: random.Random, m: int) -> EntropyOracle:
     """Float table of small integers plus noise in steps of 0.6 * DELTA:
-    candidates one step apart tie within the tolerance and two steps apart
-    do not, so the widening rule and the scan order decide the result.
-    Every difference stays a multiple of the step, far from the DELTA
-    boundary in units of rounding error."""
+    candidates one step above the least key tie with it and two steps
+    above do not, so chains of near ties meet the tie rule.  Every
+    difference stays a multiple of the step, far from the DELTA boundary
+    in units of rounding error."""
     step = 0.6 * DELTA
     noise = (0.0, 0.0, step, -step, 2 * step)
     entries = {mask: rng.randint(0, 4) + rng.choice(noise) for mask in range(1, 1 << m)}
@@ -138,26 +138,23 @@ def float_table_oracle(rng: random.Random, m: int) -> EntropyOracle:
 
 def reference_float_sweep(oracle, beta, alpha, ordering):
     """The float sweep evaluated set by set: each candidate's coefficients
-    are summed afresh over its members, the candidates are scanned in
-    ``iter_submasks`` order, and ties within DELTA widen the union."""
+    are summed afresh over its members, and the union joins every
+    candidate within DELTA of the least value."""
     order = order_by_weight(alpha, descending=(ordering == "descending"))
     total = oracle.total()
     b_coef, c_coef, z = [0] * oracle.m, [0.0] * oracle.m, [0.0] * oracle.m
     tight = []
     seen = 0
     for j in order:
-        best, union = None, 0
-        for sub in iter_submasks(seen):
-            v = (1 - sum(b_coef[k] for k in members(sub))) * beta + (
-                oracle.entropy(sub | bit(j)) - total
-                - sum(c_coef[k] for k in members(sub)))
-            if best is None or v < best - DELTA:
-                best, union = v, sub | bit(j)
-            else:
-                if v <= best + DELTA:
-                    union |= sub | bit(j)
-                if v < best:
-                    best = v
+        values = {sub | bit(j): (1 - sum(b_coef[k] for k in members(sub))) * beta + (
+                      oracle.entropy(sub | bit(j)) - total
+                      - sum(c_coef[k] for k in members(sub)))
+                  for sub in iter_submasks(seen)}
+        best = min(values.values())
+        union = 0
+        for s, v in values.items():
+            if v <= best + DELTA:
+                union |= s
         bu, cu = 1, oracle.entropy(union) - total
         for k in members(union & ~bit(j)):
             bu -= b_coef[k]
