@@ -25,7 +25,9 @@ import hashlib
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Any, Optional, Union
 
@@ -68,13 +70,25 @@ _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)")
 
 
 def format_value(v: Value) -> Union[str, float]:
-    """Lowest-terms fraction string for exact values, number for floats."""
+    """Lowest-terms fraction string for exact values, number for floats.
+
+    An exact value whose numerator or denominator has more digits than
+    Python prints is refused with ``ValidationError``, which names it
+    rounded to three digits."""
     if isinstance(v, bool):
         raise TypeError("booleans are not values")
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, Fraction):
-        return str(v)
+    if isinstance(v, (int, Fraction)):
+        try:
+            return str(v)
+        except ValueError:
+            # Python prints no integer past its digit limit; Decimal
+            # rounds the value without printing one.
+            with localcontext(prec=3) as ctx:
+                about = Decimal(v.numerator) / ctx.create_decimal(v.denominator)
+            raise ValidationError(
+                f"the exact value {about:e} has a numerator or denominator of "
+                f"more than {sys.get_int_max_str_digits()} digits, which "
+                f"cannot be printed") from None
     return float(v)
 
 

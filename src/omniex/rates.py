@@ -24,6 +24,15 @@ Three layers build on that sweep:
   of a float oracle (a pmf source or a float table) are real numbers and
   lie on no 1/n lattice, so ``ilp_rates`` refuses it.
 
+One ``minimize_weighted`` or ``ilp_rates`` call sweeps each budget value
+at most once: the points it probed live for that call (``ilp_rates``
+reads the bracket's from ``WeightedResult.probes``) and never on the
+oracle, which concurrent solvers share.  A budget probed again is
+recalled, or rebuilt from its segment when it comes back as another type
+(the cross Fraction(H(X_M)) after the int H(X_M)).  With int weights on
+an exact budget a probe's cost is priced in integers from the sweep's
+segment, with one Fraction at the end.
+
 Each inner minimization is one scan over subset sums, run as whole-array
 numpy operations on the oracle's table of every H(X_S), one array indexed
 by mask (``EntropyOracle.array``).  As each user is fixed, the sums of
@@ -59,7 +68,7 @@ solver calls may run concurrently on the same oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -193,6 +202,8 @@ class WeightedResult:
     segment: LinearSegment
     iterations: int
     evaluations: int
+    # The points the bracket swept, which ``ilp_rates`` recalls.
+    probes: tuple[HPoint, ...] = field(default=(), repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -442,7 +453,11 @@ def h_eval(oracle: EntropyOracle, alpha: Sequence[Value], beta: Value,
 
     Runs the ascending-weight sweep; the output lies in the budget-beta
     base polyhedron iff its coordinate sum equals beta, which fails
-    exactly when beta is below the minimum sum rate.
+    exactly when beta is below the minimum sum rate.  With int weights on
+    an exact budget num/den the cost is priced from the sweep's den-scaled
+    coordinates b_i * num + c_i * den, summed as integers, then made one
+    Fraction for a Fraction budget.  Other weights sum alpha_i * R_i left
+    to right.
     """
     result = modified_edmond(oracle, beta, alpha, ordering="ascending", unit=unit)
     exact = oracle.exact and not isinstance(beta, float)
@@ -450,12 +465,46 @@ def h_eval(oracle: EntropyOracle, alpha: Sequence[Value], beta: Value,
         raise InfeasibleBeta(
             f"total rate {beta} is below the minimum sum rate "
             f"(achievable maximum is {result.g_value})")
-    cost = _zero(exact)
-    for a, r in zip(alpha, result.z):
-        cost = cost + a * r
-    rates = RateVector(values=result.z, denominator=1, unit=oracle.unit)
-    return HPoint(beta=beta, value=cost, rates=rates, segment=result.segment,
-                  evaluations=result.evaluations)
+    return _point(alpha, beta, result.z, result.segment, result.evaluations,
+                  oracle.unit, exact)
+
+
+def _point(alpha: Sequence[Value], beta: Value, z: tuple[Value, ...],
+           segment: LinearSegment, evaluations: int, unit: str,
+           exact: bool) -> HPoint:
+    """The point of h at beta for the sweep output z, priced by alpha."""
+    if exact and all(type(a) is int for a in alpha):
+        # den * R_i = b_i * num + c_i * den, so den * cost is num times
+        # the segment's slope plus den times its intercept.
+        num, den = beta.numerator, beta.denominator
+        cost = segment.slope(alpha) * num + segment.intercept(alpha) * den
+        if isinstance(beta, Fraction):
+            cost = Fraction(cost, den)
+    else:
+        cost = _zero(exact)
+        for a, r in zip(alpha, z):
+            cost = cost + a * r
+    return HPoint(beta=beta, value=cost, rates=RateVector(values=z, unit=unit),
+                  segment=segment, evaluations=evaluations)
+
+
+def _probe(oracle: EntropyOracle, alpha: Sequence[Value], beta: Value,
+           seen: dict[Value, HPoint]) -> HPoint:
+    """``h_eval`` at beta, sweeping each budget value once per solve.
+
+    ``seen`` maps each budget that this solve swept to its point.  A budget
+    equal to a swept one but of another type or sign, such as Fraction(3)
+    after the int 3, takes the same sweep; only the types of its numbers
+    differ, so they are rebuilt from the segment at the budget asked for.
+    """
+    pt = seen.get(beta)
+    if pt is None:
+        pt = seen[beta] = h_eval(oracle, alpha, beta)
+    elif repr(pt.beta) != repr(beta):
+        pt = _point(alpha, beta, pt.segment.rates_at(beta), pt.segment,
+                    pt.evaluations, oracle.unit,
+                    oracle.exact and not isinstance(beta, float))
+    return pt
 
 
 def minimize_weighted(oracle: EntropyOracle, alpha: Sequence[Value],
@@ -475,6 +524,11 @@ def minimize_weighted(oracle: EntropyOracle, alpha: Sequence[Value],
     float bracket also stops once no wider than ``FLOAT_BRACKET_WIDTH``
     and returns the cheaper endpoint.  h and the cost keep the caller's
     weights.
+
+    Each budget value is swept once; a probe at a budget already probed
+    (the cross landing on H(X_M) or on an end of the bracket) is recalled.
+    ``evaluations`` counts every probe, recalled ones included, and the
+    result's ``probes`` holds the points swept.
     """
     alpha = check_costs(alpha, oracle.m)
     if rco is None:
@@ -487,17 +541,20 @@ def minimize_weighted(oracle: EntropyOracle, alpha: Sequence[Value],
         shift = -math.frexp(max(alpha))[1]
         lines = tuple(math.ldexp(a, shift) for a in alpha)
 
+    seen: dict[Value, HPoint] = {}
+
     def probe(beta: Value) -> tuple[HPoint, Value, Value]:
         """h at beta, with the slope and intercept of its segment."""
         nonlocal evaluations
-        pt = h_eval(oracle, alpha, beta)
+        pt = _probe(oracle, alpha, beta, seen)
         evaluations += pt.evaluations
         return pt, pt.segment.slope(lines), pt.segment.intercept(lines)
 
     def result(pt: HPoint, iterations: int) -> WeightedResult:
         return WeightedResult(beta_star=pt.beta, rates=pt.rates, cost=pt.value,
                               segment=pt.segment, iterations=iterations,
-                              evaluations=evaluations)
+                              evaluations=evaluations,
+                              probes=tuple(seen.values()))
 
     lo, hi = rco.value, oracle.total()
     lo_pt, lo_slope, lo_int = probe(lo)
@@ -533,8 +590,10 @@ def ilp_rates(oracle: EntropyOracle, alpha: Sequence[Value], n: int,
     multiple of 1/n as well, so it suffices to compare h at the floor and
     ceiling roundings of the unconstrained optimum, clamped upward to the
     rounded-up minimum sum rate.  The cost exceeds the unconstrained
-    optimum by at most max(alpha)/n.  A float oracle is refused with
-    ``NonIntegerRates``: its rates are real numbers, not multiples of 1/n.
+    optimum by at most max(alpha)/n.  A candidate budget that the
+    weighted bracket already probed is recalled from its ``probes``, not
+    swept again.  A float oracle is refused with ``NonIntegerRates``: its
+    rates are real numbers, not multiples of 1/n.
     """
     if not isinstance(n, int) or n < 1:
         raise InvalidN(f"block length n must be a positive integer, got {n!r}")
@@ -552,8 +611,9 @@ def ilp_rates(oracle: EntropyOracle, alpha: Sequence[Value], n: int,
     star = weighted.beta_star * n
     candidates = sorted({max(Fraction(k, n), lower)
                          for k in (math.floor(star), math.ceil(star))})
+    seen = {pt.beta: pt for pt in weighted.probes}
     # Ties keep the smaller budget, the first in the sorted order.
-    best = min((h_eval(oracle, alpha, cand) for cand in candidates),
+    best = min((_probe(oracle, alpha, cand, seen) for cand in candidates),
                key=lambda pt: pt.value)
     bad = [v for v in best.rates.values if (n * Fraction(v)).denominator != 1]
     if bad:

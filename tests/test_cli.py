@@ -341,6 +341,30 @@ def test_integer_literals_past_the_digit_limit_exit_2(capsys, tmp_path):
     assert err.startswith(f"error: {path}: Exceeds the limit (4300 digits)")
 
 
+# Weights that parse but whose outputs Python cannot print: the weight
+# itself, or a cost of (3/2) * (10^4300 - 1), past 4300 digits.
+UNPRINTABLE_WEIGHTS = {
+    "1e4300": (["1e4300", 1, 1], "1.00e+4300"),
+    "1e-4300": (["1e-4300", 1, 1], "1e-4300"),
+    "4300-digit int": ([10 ** 4300 - 1] * 3, "1.50e+4300"),
+}
+
+
+@pytest.mark.parametrize("command", ["rates", "ilp"])
+@pytest.mark.parametrize("name", sorted(UNPRINTABLE_WEIGHTS))
+def test_values_past_the_digit_limit_exit_2(tmp_path, name, command):
+    weights, about = UNPRINTABLE_WEIGHTS[name]
+    doc = json.loads(Path(EX1).read_text())
+    doc["weights"] = weights
+    path = tmp_path / "weights.json"
+    path.write_text(json.dumps(doc))
+    done = omniex_cli(command, str(path), cwd=tmp_path)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith(f"error: the exact value {about} has a numerator "
+                                  "or denominator of more than 4300 digits")
+    assert "Traceback" not in done.stderr
+
+
 def test_alpha_with_a_huge_exponent_exits_2(capsys):
     code, out, err = run(capsys, "rates", EX1, "--alpha", "1e100000000,1,1")
     assert (code, out) == (2, "")

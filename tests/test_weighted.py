@@ -16,6 +16,7 @@ from omniex import (
     h_eval,
     ilp_rates,
     make_dmms_source,
+    make_linear_source,
     minimize_weighted,
     modified_edmond,
     rco_sum_rate,
@@ -352,3 +353,114 @@ def test_float_weights_on_linear_sources_bracket_as_their_binary_rationals():
         iterated += got.iterations > 0
     # The other sources stop at an end of the bracket on a slope's sign.
     assert iterated >= 20
+
+
+def weighted_corpus_lines():
+    """repr of the weighted and ilp results, types included, on seeded
+    linear sources with integer weights, float weights on linear sources
+    and weighted binary pmf sources."""
+    rng = random.Random(43)
+    lines = []
+    for i in range(40):
+        m = 3 + i % 7
+        oracle = EntropyOracle(random_linear_source(rng, m=m, n_max=2 * m, p=101))
+        alpha = tuple(rng.randint(0, 9) for _ in range(m))
+        rco = rco_sum_rate(oracle)
+        lines.append(repr(minimize_weighted(oracle, alpha, rco=rco)))
+        lines.extend(repr(ilp_rates(oracle, alpha, n, rco=rco)) for n in range(1, 5))
+        if i % 4 == 0:
+            floats = tuple(10 ** rng.uniform(-3, 1) for _ in range(m))
+            lines.append(repr(minimize_weighted(oracle, floats, rco=rco)))
+            lines.append(repr(ilp_rates(oracle, floats, 2, rco=rco)))
+    for seed in range(12):
+        m = 2 + seed % 4
+        oracle = EntropyOracle(make_dmms_source((2,) * m, skewed_pmf(seed, m)))
+        for alpha in (tuple(rng.randint(0, 9) for _ in range(m)),
+                      tuple(10 ** rng.uniform(-3, 1) for _ in range(m))):
+            lines.append(repr(minimize_weighted(oracle, alpha)))
+    return lines
+
+
+# sha256 of the joined lines, recorded before weighted solves reused
+# their probes.
+WEIGHTED_CORPUS = "f3bab3de3c68cf56394c490cb7b91eec3ff42f24655395956ef339575aed1f6a"
+
+
+def test_weighted_corpus_keeps_its_results():
+    text = "\n".join(weighted_corpus_lines())
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == WEIGHTED_CORPUS
+
+
+def cross_at_the_top():
+    """A source and weights whose bracket crosses at H(X_M) = 3, a budget
+    first probed as the int 3 and then as Fraction(3)."""
+    src = make_linear_source([[[0, 0, 4], [1, 4, 4]], [[4, 1, 3], [4, 4, 2]],
+                              [[1, 0, 0]], [[4, 3, 3]]], p=5, N=3)
+    return EntropyOracle(src), (1, 8, 6, 9)
+
+
+def test_a_budget_probed_as_int_and_fraction_keeps_the_fraction_types():
+    oracle, alpha = cross_at_the_top()
+    res = minimize_weighted(oracle, alpha)
+    assert type(res.beta_star) is Fraction
+    assert repr(res) == (
+        "WeightedResult(beta_star=Fraction(3, 1), rates=RateVector(values=("
+        "Fraction(2, 1), Fraction(0, 1), Fraction(1, 1), Fraction(0, 1)), "
+        "denominator=1, unit='F_5-symbols'), cost=Fraction(8, 1), segment="
+        "LinearSegment(b=(1, 0, 0, 0), c=(-1, 0, 1, 0)), iterations=1, "
+        "evaluations=90)")
+    for n in (1, 2):
+        ilp = ilp_rates(oracle, alpha, n)
+        assert type(ilp.beta) is Fraction
+        assert repr(ilp) == (
+            "IlpResult(rates=RateVector(values=(Fraction(2, 1), Fraction(0, 1), "
+            f"Fraction(1, 1), Fraction(0, 1)), denominator={n}, unit='F_5-symbols'), "
+            f"cost=Fraction(8, 1), beta=Fraction(3, 1), gap_bound={Fraction(9, n)!r})")
+
+
+def test_one_weighted_solve_sweeps_each_budget_once(capsys, monkeypatch, tmp_path):
+    swept = []
+    sweep = rates.modified_edmond
+
+    def counted(oracle, beta, *args, **kwargs):
+        swept.append(beta)
+        return sweep(oracle, beta, *args, **kwargs)
+
+    monkeypatch.setattr(rates, "modified_edmond", counted)
+    rng = random.Random(47)
+    sources = [cross_at_the_top()]
+    for _ in range(30):
+        m = rng.randint(2, 6)
+        oracle = EntropyOracle(random_linear_source(rng, m=m, n_max=2 * m, p=101))
+        sources.append((oracle, tuple(rng.randint(0, 9) for _ in range(m))))
+    probes = sweeps = 0
+    for oracle, alpha in sources:
+        rco = rco_sum_rate(oracle)
+        swept.clear()
+        res = minimize_weighted(oracle, alpha, rco=rco)
+        assert len(set(swept)) == len(swept), swept
+        if res.iterations:
+            # Every probe counts its evaluations, recalled or swept:
+            # lo, hi and one per iteration, each over 2^m - 1 sets.
+            probes += 2 + res.iterations
+            sweeps += len(swept)
+            assert res.evaluations == (
+                rco.evaluations + (2 + res.iterations) * ((1 << oracle.m) - 1))
+        for n in (1, 2, 3):
+            swept.clear()
+            ilp_rates(oracle, alpha, n, rco=rco)
+            assert len(set(swept)) == len(swept), swept
+    assert sweeps < probes
+    # The command line counts the recalled cross at H(X_M) = 3 as well:
+    # three probes of 15 sets after a sum-rate walk of 45.
+    oracle, alpha = cross_at_the_top()
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"source": {
+        "kind": "linear", "p": 5, "N": 3,
+        "matrices": [a.to_rows() for a in oracle.source.matrices]},
+        "weights": list(alpha)}))
+    swept.clear()
+    assert main(["rates", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["diagnostics"]["sfm_evaluations"] == 90
+    assert doc["beta_star"] == "3"
