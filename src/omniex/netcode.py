@@ -14,6 +14,14 @@ conversion (super node, sender and relay nodes, expanded transfer
 matrices), an independent verification view, lives in
 ``omniex.reference``.
 
+A scheme builds each sender's broadcast matrix once, block by block
+without expanding I_n (x) A_i, and keeps it for the later ranks,
+broadcasts and decodes on the same scheme object.  ``receiver_ranks``
+shares eliminations among receivers: the m receivers are split in halves
+recursively, and each half starts from a copy of one row space holding
+every sender outside it, so a sender's rows are eliminated about log2(m)
+times, not m - 1 times.
+
 Every receiver's system is n*N columns wide, and its elimination grows
 with the square of that width and more, so construction, verification
 and decoding refuse a width above ``WIDTH_CAP`` with ``TooLarge`` before
@@ -24,7 +32,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -75,11 +83,17 @@ class TransmissionScheme:
     User i broadcasts C_i @ (I_n (x) A_i) @ W, i.e. C_i has one row per
     transmitted symbol and one column per observed symbol, so every
     broadcast is a function of that user's own observations only.
+
+    Each broadcast matrix is kept once built, keyed by the user and its
+    observation matrix A_i, for the life of the scheme object.  The memo
+    takes no part in equality, hashing or ``repr``.
     """
 
     n: int
     p: int
     coefficients: tuple[ff.FieldMatrix, ...]
+    _broadcast: dict = field(default_factory=dict, init=False, compare=False,
+                             hash=False, repr=False)
 
     @property
     def m(self) -> int:
@@ -101,35 +115,113 @@ class TransmissionScheme:
                     f"mod {c.p}, expected {c.rows}x{want} mod {src.p}")
 
     def broadcast_matrix(self, src: LinearSource, i: int) -> ff.FieldMatrix:
-        """Map from the full packet block W to user i's broadcast symbols."""
-        return self.coefficients[i].mul(ff.kron_block(self.n, src.matrices[i]))
+        """Map from the full packet block W to user i's broadcast symbols,
+        C_i @ (I_n (x) A_i), built on first use and then recalled.
+
+        Row block b of the product is C_i's b-th column block times A_i,
+        so each row is n combinations of A_i's rows, and I_n (x) A_i is
+        never built.
+        """
+        a = src.matrices[i]
+        key = (i, a)
+        t = self._broadcast.get(key)
+        if t is None:
+            t = self._broadcast[key] = _block_product(self.coefficients[i], self.n, a)
+        return t
 
     def broadcast_matrices(self, src: LinearSource) -> tuple[ff.FieldMatrix, ...]:
         return tuple(self.broadcast_matrix(src, i) for i in range(self.m))
+
+
+def _block_product(c: ff.FieldMatrix, n: int, a: ff.FieldMatrix) -> ff.FieldMatrix:
+    """c @ (I_n (x) a), from c's n column blocks and a's rows.
+
+    Each row block of the product is one combination of a's rows, which
+    are packed once with one lane per column: the combination is a sum of
+    big-int products, unpacked lane by lane.  A lane sums at most a.rows
+    products below p^2, so at bit_length(a.rows * (p - 1)^2) bits it never
+    carries.
+    """
+    if c.p != a.p:
+        raise DimensionMismatch("modulus mismatch")
+    r, cols, p = a.rows, a.cols, a.p
+    if c.cols != n * r:
+        raise DimensionMismatch(
+            f"cannot multiply {c.shape} by {(n * r, n * cols)}")
+    lane = (r * (p - 1) ** 2).bit_length() or 1
+    mask = (1 << lane) - 1
+    shifts = range((cols - 1) * lane, -1, -lane)
+    packed = _packed_rows(a, lane)
+    out: list[int] = []
+    for i in range(c.rows):
+        row = c.row(i)
+        for b in range(n):
+            acc = 0
+            for f, w in zip(row[b * r:(b + 1) * r], packed):
+                if f:
+                    acc += f * w
+            out.extend((acc >> s & mask) % p for s in shifts)
+    return ff.FieldMatrix._reduced(c.rows, n * cols, p, out)
+
+
+def _packed_rows(a: ff.FieldMatrix, lane: int) -> list[int]:
+    """a's rows, each one int with one ``lane`` bits wide field per column,
+    column 0 in the top lane, as ``RowSpace.pack`` lays them out."""
+    packed = []
+    for k in range(a.rows):
+        w = 0
+        for x in a.row(k):
+            w = w << lane | x
+        packed.append(w)
+    return packed
+
+
+def _expanded_rows(space: ff.RowSpace, n: int, a: ff.FieldMatrix) -> list[int]:
+    """The rows of I_n (x) a packed for ``space``: a's packed rows shifted
+    into each of the n column blocks, the first block in the top lanes."""
+    packed = _packed_rows(a, space.lane)
+    block = space.lane * a.cols
+    return [w << block * b for b in range(n - 1, -1, -1) for w in packed]
 
 
 def receiver_ranks(src: LinearSource, scheme: TransmissionScheme
                    ) -> list[tuple[int, int]]:
     """Per receiver: (achieved stacked rank, required rank n*N).
 
-    Each sender's broadcast rows are built and packed once, then added to
-    the row space of every receiver but itself, after the receiver's own
-    block-expanded observations.
+    Receiver j's rank is that of its own block-expanded observations
+    stacked over every other sender's broadcast rows.  The receivers are
+    split in halves recursively, starting from an empty row space: each
+    half gets a copy of its parent's space (the copy shares the pivots)
+    with the other half's senders added, and a single receiver adds its
+    own expanded rows last.  A sender's rows are so eliminated about
+    log2(m) times, and since a rank does not depend on the order of the
+    rows, every rank is that of the stacked system.
     """
     scheme.check_source(src)
     need = scheme.n * src.N
     root = ff.RowSpace(need, src.p)
     sent = [list(map(root.pack, t.to_rows())) for t in scheme.broadcast_matrices(src)]
-    ranks = []
-    for j in range(src.m):
-        space = root.copy()
-        for w in map(root.pack, ff.kron_block(scheme.n, src.matrices[j]).to_rows()):
-            space.add_packed(w)
-        for i, rows in enumerate(sent):
-            if i != j:
-                for w in rows:
-                    space.add_packed(w)
-        ranks.append((space.rank, need))
+    ranks = [(0, need)] * src.m
+
+    def fill(space: ff.RowSpace, lo: int, hi: int) -> None:
+        # ``space`` holds every sender outside lo..hi-1, and is consumed.
+        if hi - lo == 1:
+            for w in _expanded_rows(space, scheme.n, src.matrices[lo]):
+                space.add_packed(w)
+            ranks[lo] = (space.rank, need)
+            return
+        mid = (lo + hi) // 2
+        left = space.copy()
+        for rows in sent[mid:hi]:
+            for w in rows:
+                left.add_packed(w)
+        fill(left, lo, mid)
+        for rows in sent[lo:mid]:
+            for w in rows:
+                space.add_packed(w)
+        fill(space, mid, hi)
+
+    fill(root, 0, src.m)
     return ranks
 
 
@@ -141,8 +233,18 @@ def verify_omniscience(src: LinearSource, scheme: TransmissionScheme) -> bool:
 
 def user_observation(src: LinearSource, i: int, w: Sequence[int], n: int
                      ) -> tuple[int, ...]:
-    """X_i over an n-block: (I_n (x) A_i) @ W."""
-    return ff.kron_block(n, src.matrices[i]).mul_vector(w)
+    """X_i over an n-block: (I_n (x) A_i) @ W, as A_i times each of the n
+    blocks of W."""
+    a = src.matrices[i]
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    cols = a.cols
+    if len(w) != n * cols:
+        raise DimensionMismatch(f"vector length {len(w)} != cols {n * cols}")
+    out: list[int] = []
+    for b in range(n):
+        out.extend(a.mul_vector(w[b * cols:(b + 1) * cols]))
+    return tuple(out)
 
 
 def broadcast_symbols(src: LinearSource, scheme: TransmissionScheme,

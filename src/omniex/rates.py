@@ -68,6 +68,7 @@ solver calls may run concurrently on the same oracle.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -620,10 +621,17 @@ def ilp_rates(oracle: EntropyOracle, alpha: Sequence[Value], n: int,
         # Each rate is an integer combination of the budget, a multiple of
         # 1/n, and of entropies, so only a fractional entropy explains it.
         for s in range(1, oracle.full_mask + 1):
-            if (n * Fraction(oracle.entropy(s))).denominator != 1:
-                raise NonIntegerRates(
-                    f"ilp at n={n} needs every entropy to be a multiple of "
-                    f"1/{n}: H({label(s)}) = {oracle.entropy(s)}")
+            h = oracle.entropy(s)
+            if (n * Fraction(h)).denominator != 1:
+                need = (f"ilp at n={n} needs every entropy to be a multiple of "
+                        f"1/{n}: H({label(s)})")
+                try:
+                    shown = f"{need} = {h}"
+                except ValueError:
+                    # Python prints no integer past its digit limit.
+                    shown = (f"{need} is not, and its numerator or denominator "
+                             f"has more than {sys.get_int_max_str_digits()} digits")
+                raise NonIntegerRates(shown)
         raise NonConvergence(f"rate {bad[0]} is not a multiple of 1/{n}")
     rates = RateVector(values=best.rates.values, denominator=n, unit=oracle.unit)
     amax = max(alpha)

@@ -485,6 +485,19 @@ def test_ilp_refuses_entropies_that_are_not_multiples_of_one_over_n(capsys, tmp_
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == ILP_THIRDS_N3
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_ilp_refusal_names_an_entropy_past_the_digit_limit(tmp_path, n):
+    # 1e-4300 is exact, but its denominator has too many digits to print.
+    path = tmp_path / "tiny.json"
+    path.write_text('{"source": {"kind": "table", "m": 2, '
+                    '"entropies": {"1": "1e-4300", "2": 1, "1,2": 1}}}')
+    done = omniex_cli("ilp", str(path), "--n", str(n), cwd=tmp_path)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == (f"error: ilp at n={n} needs every entropy to be a "
+                           f"multiple of 1/{n}: H({{1}}) is not, and its numerator "
+                           f"or denominator has more than 4300 digits\n")
+
+
 def test_selfcheck_large_instance_skips_exhaustive_parts(capsys, tmp_path):
     matrices = [[[1 if c == r else 0 for c in range(10)]
                  for r in range(10) if r % 10 != u] for u in range(10)]

@@ -30,6 +30,7 @@ from omniex import (
     verify_feasible,
     verify_omniscience,
 )
+from omniex.netcode import _repeat_scheme
 from omniex.reference import (
     build_network,
     expanded_transfer_matrix,
@@ -469,3 +470,146 @@ def test_receiver_ranks_equal_the_stacked_system_ranks():
             parts += [t for i, t in enumerate(sent) if i != j]
             expected.append((stack(parts, cols=n * src.N, p=src.p).rank(), n * src.N))
         assert receiver_ranks(src, scheme) == expected, trial
+
+
+def expanded_product(scheme, src, i):
+    # The definition of a broadcast matrix, through the expanded matrix.
+    return scheme.coefficients[i].mul(kron_block(scheme.n, src.matrices[i]))
+
+
+def stacked_ranks(src, scheme):
+    # Each receiver's rank from its own stacked system, built without
+    # the scheme's broadcast matrices.
+    need = scheme.n * src.N
+    sent = [expanded_product(scheme, src, i) for i in range(src.m)]
+    ranks = []
+    for j in range(src.m):
+        parts = [kron_block(scheme.n, src.matrices[j])]
+        parts += [t for i, t in enumerate(sent) if i != j]
+        ranks.append((stack(parts, cols=need, p=src.p).rank(), need))
+    return ranks
+
+
+@pytest.mark.parametrize("p", [2, 5, 101, 2 ** 61 - 1])
+def test_broadcast_matrix_equals_the_expanded_product(p):
+    rng = random.Random(p)
+    for n in range(1, 5):
+        for _ in range(6):
+            n_packets = rng.randint(1, 5)
+            # Users may hold more rows than packets, or none at all.
+            mats = [FieldMatrix.random(rng.randint(0, 2 * n_packets), n_packets, p, rng)
+                    for _ in range(rng.randint(1, 4))]
+            src = make_linear_source(mats, p=p, N=n_packets)
+            coeffs = tuple(
+                FieldMatrix.random(rng.choice((0, rng.randint(1, n * a.rows + 2))),
+                                   n * a.rows, p, rng)
+                for a in mats)
+            scheme = TransmissionScheme(n=n, p=p, coefficients=coeffs)
+            for i in range(src.m):
+                got = scheme.broadcast_matrix(src, i)
+                assert got == expanded_product(scheme, src, i), (n, i)
+                assert got.shape == (coeffs[i].rows, n * n_packets)
+
+
+def test_block_product_lanes_hold_their_largest_sums():
+    # Five rows over two packets at p = 2^61 - 1, every entry p - 1: each
+    # lane of the block product sums five products of (p - 1)^2, its bound.
+    p = 2 ** 61 - 1
+    a = FieldMatrix.from_rows([[p - 1, p - 1]] * 5, p)
+    src = make_linear_source([a], p=p)
+    coeffs = (FieldMatrix.from_rows([[p - 1] * 15, [1] * 15], p),)
+    scheme = TransmissionScheme(n=3, p=p, coefficients=coeffs)
+    got = scheme.broadcast_matrix(src, 0)
+    assert got == expanded_product(scheme, src, 0)
+    assert got.row(0) == (5 % p,) * 6
+    assert got.row(1) == (-5 % p,) * 6
+
+
+def test_each_source_gets_its_own_broadcast_matrices():
+    rng = random.Random(61)
+    first = random_linear_source(rng, m=3, n_packets=4, p=7)
+    second = make_linear_source(
+        [FieldMatrix.random(a.rows, 4, 7, rng) for a in first.matrices], p=7, N=4)
+    assert first.matrices != second.matrices
+    coeffs = tuple(FieldMatrix.random(2, 2 * a.rows, 7, rng) for a in first.matrices)
+    scheme = TransmissionScheme(n=2, p=7, coefficients=coeffs)
+    for src in (first, second, first):
+        for i in range(3):
+            assert scheme.broadcast_matrix(src, i) == expanded_product(scheme, src, i)
+    assert receiver_ranks(second, scheme) == stacked_ranks(second, scheme)
+    assert receiver_ranks(first, scheme) == stacked_ranks(first, scheme)
+
+
+def test_a_warm_scheme_compares_hashes_and_prints_as_a_fresh_one():
+    src = example1_source()
+    warm = handbuilt_example1_scheme()
+    w = [1, 2, 3, 4, 0, 1]
+    casts = broadcast_symbols(src, warm, w)
+    decode(src, warm, 0, user_observation(src, 0, w, 2), casts)
+    assert warm._broadcast
+    fresh = handbuilt_example1_scheme()
+    assert not fresh._broadcast
+    assert warm == fresh
+    assert hash(warm) == hash(fresh)
+    assert repr(warm) == repr(fresh)
+    assert "_broadcast" not in repr(warm)
+
+
+def test_a_repeated_scheme_starts_with_an_empty_memo():
+    src = example1_source()
+    base = handbuilt_example1_scheme()
+    assert verify_omniscience(src, base)
+    assert len(base._broadcast) == 3
+    for times in (2, 3):
+        repeated = _repeat_scheme(src, base, times)
+        assert repeated._broadcast == {}
+        assert repeated.n == 2 * times
+        assert receiver_ranks(src, repeated) == stacked_ranks(src, repeated)
+
+
+def test_user_observation_equals_the_expanded_product():
+    rng = random.Random(62)
+    for n in range(1, 5):
+        src = random_linear_source(rng, m_max=4, n_max=5, primes=(2, 5, 101, 2 ** 61 - 1))
+        w = [rng.randrange(-3 * src.p, 3 * src.p) for _ in range(n * src.N)]
+        for i in range(src.m):
+            want = kron_block(n, src.matrices[i]).mul_vector(w)
+            assert user_observation(src, i, w, n) == want
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_leave_one_out_ranks_equal_the_stacked_ranks(m):
+    # Odd and even splits, users that send nothing, and random heights.
+    rng = random.Random(200 + m)
+    for _ in range(6):
+        src = random_linear_source(rng, m=m, n_packets=rng.randint(1, 5),
+                                   primes=(2, 5, 7, 101))
+        n = rng.randint(1, 3)
+        coeffs = tuple(
+            FieldMatrix.random(rng.choice((0, rng.randint(0, n * a.rows))),
+                               n * a.rows, src.p, rng)
+            for a in src.matrices)
+        scheme = TransmissionScheme(n=n, p=src.p, coefficients=coeffs)
+        assert receiver_ranks(src, scheme) == stacked_ranks(src, scheme)
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_leave_one_out_ranks_keep_each_receiver_to_its_own_rows(m):
+    # Every user but one observes all of W and sends nothing; the one user
+    # observes a part and hears only a part of the rest.  If another
+    # receiver's rows reached its space, it would read full rank.
+    rng = random.Random(300 + m)
+    p, n_packets = 5, 4
+    for short in range(m):
+        mats = [FieldMatrix.identity(n_packets, p) for _ in range(m)]
+        mats[short] = FieldMatrix.from_rows([[1, 0, 0, 0]], p)
+        src = make_linear_source(mats, p=p, N=n_packets)
+        n = rng.randint(1, 3)
+        coeffs = [FieldMatrix.zeros(0, n * a.rows, p) for a in mats]
+        helper = (short + 1) % m
+        coeffs[helper] = FieldMatrix.random(n, n * n_packets, p, rng)
+        scheme = TransmissionScheme(n=n, p=p, coefficients=tuple(coeffs))
+        got = receiver_ranks(src, scheme)
+        assert got == stacked_ranks(src, scheme)
+        assert [j for j, (r, need) in enumerate(got) if r < need] == [short]
+        assert got[short][0] <= 2 * n
