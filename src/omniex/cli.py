@@ -229,8 +229,11 @@ def cmd_code(args) -> int:
                                     max_tries=args.max_tries)
     ranks = netcode.receiver_ranks(src, scheme)
     scheme_doc = docs.scheme_to_json(scheme, oracle.unit)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(docs.dump_json(scheme_doc))
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(docs.dump_json(scheme_doc))
+    except OSError as exc:
+        raise ValidationError(f"{args.out}: {exc}") from None
     out = _base_result(doc, "code", oracle.unit)
     out.update({
         "n": n,

@@ -83,7 +83,8 @@ def format_value(v: Value) -> Union[str, float]:
         except ValueError:
             # Python prints no integer past its digit limit; Decimal
             # rounds the value without printing one.
-            with localcontext(prec=3) as ctx:
+            with localcontext() as ctx:
+                ctx.prec = 3
                 about = Decimal(v.numerator) / ctx.create_decimal(v.denominator)
             raise ValidationError(
                 f"the exact value {about:e} has a numerator or denominator of "

@@ -8,18 +8,17 @@ every size requirement in this package can be met by picking a larger
 prime instead.
 
 There is one elimination kernel, ``RowSpace``: forward elimination into
-echelon form, one row at a time.  It packs a row into one Python int with
-one fixed-width lane per column, so reducing a row by a pivot is a single
-big-int multiply-add.  Lane invariant: a lane starts below p and receives
-at most one addition of at most (p - 1)^2 from each pivot on its left, so
-a lane of bit_length(p - 1 + cols * (p - 1)^2) bits never carries and
-never goes negative, and every value stays an exact Python int at every
-modulus below 2**61.  ``FieldMatrix.rank``, ``solve_with_rank`` (which
-back-substitutes the pivots), the subset-rank table of the entropy oracle
-and the row selections of ``netcode`` all go through it.  The reduced row
-echelon form of ``FieldMatrix._echelon`` is kept only for ``inv``, which
-needs the back-substituted rows of an augmented identity, and for the
-tests, which check ranks against it.
+echelon form, one row at a time, on rows packed into one Python int with
+one fixed-width lane per column, and back-substitution of an augmented
+system.  The packed format is known to this module alone:
+``RowSpace.pack_rows`` packs a matrix's rows, block-expanded and with a
+right-hand side if asked, and ``block_product`` multiplies through packed
+rows.  ``FieldMatrix.rank`` and ``solve_with_rank``, the subset-rank table
+of the entropy oracle, and the receiver ranks and decoding of ``netcode``
+all go through ``RowSpace``.  The reduced row echelon form of
+``FieldMatrix._echelon`` is kept only for ``inv``, which needs the
+back-substituted rows of an augmented identity, and for the tests, which
+check ranks and solutions against it.
 """
 
 from __future__ import annotations
@@ -96,9 +95,9 @@ class RowSpace:
     big-int multiply-add, ``w += f * tail``; the row's first column without
     a pivot, if any, becomes a new pivot.
 
-    Lane invariant: ``pack`` reduces every entry, so a lane starts below p.
-    The leading lane is cleared at each step and the next one is strictly
-    to its right, so a lane receives at most one addition of
+    Lane invariant: rows are packed with reduced entries, so a lane starts
+    below p.  The leading lane is cleared at each step and the next one is
+    strictly to its right, so a lane receives at most one addition of
     f * tail entry <= (p - 1)^2 from each pivot on its left, and never
     exceeds p - 1 + cols * (p - 1)^2.  A lane of that bit length never
     carries into its neighbour and no lane goes negative, so every lane
@@ -139,6 +138,22 @@ class RowSpace:
             w = w << lane | x % p
         return w
 
+    def pack_rows(self, a: "FieldMatrix", n: int = 1,
+                  rhs: Optional[Sequence[int]] = None) -> list[int]:
+        """The rows of I_n (x) a packed for ``add_packed``; with ``rhs``,
+        each ends in its entry of ``rhs`` reduced mod p, as in [M | y]."""
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        if a.p != self.p or n * a.cols + (rhs is not None) != self.cols:
+            raise DimensionMismatch(
+                f"I_{n} (x) {a.shape} mod {a.p} does not fit {self.cols} "
+                f"columns mod {self.p}")
+        rows = _pack_rows(a, self.lane, n)
+        if rhs is None:
+            return rows
+        p, lane = self.p, self.lane
+        return [w << lane | int(y % p) for w, y in zip(rows, rhs, strict=True)]
+
     def add_packed(self, w: int) -> bool:
         """Add the packed row ``w`` (every lane below p, as ``pack`` makes
         it); True iff it was not already in the space."""
@@ -173,6 +188,32 @@ class RowSpace:
     def extend(self, rows: Iterable[Sequence[int]]) -> None:
         for row in rows:
             self.try_add(row)
+
+    def extend_packed(self, rows: Iterable[int]) -> None:
+        for w in rows:
+            self.add_packed(w)
+
+    def back_substitute(self) -> Optional[tuple[int, ...]]:
+        """The solution x of the system [M | y] that this space holds, with
+        free variables 0 (the one read off the reduced row echelon form),
+        or None when a pivot in the last column makes it inconsistent."""
+        n, p, tails = self.cols - 1, self.p, self._pivots  # lane k: column n - k
+        if tails[0] is not None:
+            return None
+        lane = self.lane
+        mask = (1 << lane) - 1
+        x = [0] * n
+        for c in range(n - 1, -1, -1):
+            tail = tails[n - c]
+            if tail is None:
+                continue
+            # The stored tail is minus the scaled row: x_c = sum t_j x_j - t_y.
+            acc = -(tail & mask)
+            for j in range(c + 1, n):
+                if x[j]:
+                    acc += (tail >> (n - j) * lane & mask) * x[j]
+            x[c] = acc % p
+        return tuple(x)
 
 
 class FieldMatrix:
@@ -279,19 +320,10 @@ class FieldMatrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.shape} by {other.shape}")
         p = self.p
-        # The nonzero (column, value) pairs of each row of the right factor,
-        # listed once: a block-diagonal factor has few of them.
-        nonzero = [[(j, b) for j, b in enumerate(other.row(k)) if b]
-                   for k in range(other.rows)]
-        out: list[int] = []
-        for i in range(self.rows):
-            acc = [0] * other.cols
-            for a, pairs in zip(self.row(i), nonzero):
-                if a:
-                    for j, b in pairs:
-                        acc[j] += a * b
-            out.extend(x % p for x in acc)
-        return FieldMatrix._reduced(self.rows, other.cols, p, out)
+        columns = [other._data[j::other.cols] for j in range(other.cols)]
+        return FieldMatrix._reduced(self.rows, other.cols, p, [
+            sum(a * b for a, b in zip(self.row(i), col)) % p
+            for i in range(self.rows) for col in columns])
 
     def mul_vector(self, vec: Sequence[int]) -> tuple[int, ...]:
         if len(vec) != self.cols:
@@ -337,7 +369,7 @@ class FieldMatrix:
 
     def rank(self) -> int:
         space = RowSpace(self.cols, self.p)
-        space.extend(self.row(r) for r in range(self.rows))
+        space.extend_packed(space.pack_rows(self))
         return space.rank
 
     def solve(self, y: Sequence[int]) -> Optional[tuple[int, ...]]:
@@ -349,34 +381,14 @@ class FieldMatrix:
         """rank(M) and ``solve(y)`` from one forward elimination of [M | y].
 
         A pivot in the last column means the system is inconsistent, and
-        the rank is the number of pivots left of it.  Otherwise the pivots
-        are back-substituted from right to left with free variables 0: the
-        pivot columns are those of the reduced row echelon form, so the
-        solution is the one read off it.
+        the rank is the number of pivots left of it.
         """
         if len(y) != self.rows:
             raise DimensionMismatch(f"rhs length {len(y)} != rows {self.rows}")
-        n, p = self.cols, self.p
-        space = RowSpace(n + 1, p)
-        for r in range(self.rows):
-            space.try_add((*self.row(r), int(y[r] % p)))
-        tails = space._pivots           # lane k holds column n - k
-        if tails[0] is not None:
-            return space.rank - 1, None
-        lane = space.lane
-        mask = (1 << lane) - 1
-        x = [0] * n
-        for c in range(n - 1, -1, -1):
-            tail = tails[n - c]
-            if tail is None:
-                continue
-            # The stored tail is minus the scaled row: x_c = sum t_j x_j - t_y.
-            acc = -(tail & mask)
-            for j in range(c + 1, n):
-                if x[j]:
-                    acc += (tail >> (n - j) * lane & mask) * x[j]
-            x[c] = acc % p
-        return space.rank, tuple(x)
+        space = RowSpace(self.cols + 1, self.p)
+        space.extend_packed(space.pack_rows(self, rhs=y))
+        x = space.back_substitute()
+        return space.rank - (x is None), x
 
     def det(self) -> int:
         if self.rows != self.cols:
@@ -467,3 +479,47 @@ def kron_block(n: int, a: FieldMatrix) -> FieldMatrix:
             for c in range(cols):
                 out[base + c] = src[c]
     return FieldMatrix._reduced(n * rows, n * cols, a.p, out)
+
+
+def block_product(c: FieldMatrix, n: int, a: FieldMatrix) -> FieldMatrix:
+    """c @ (I_n (x) a), from c's n column blocks and a's rows.
+
+    Each row block of the product is one combination of a's rows, which
+    are packed once: the combination is a sum of big-int products,
+    unpacked lane by lane.  A lane sums at most a.rows products below p^2,
+    so at bit_length(a.rows * (p - 1)^2) bits it never carries.
+    """
+    if c.p != a.p:
+        raise DimensionMismatch("modulus mismatch")
+    r, cols, p = a.rows, a.cols, a.p
+    if c.cols != n * r:
+        raise DimensionMismatch(
+            f"cannot multiply {c.shape} by {(n * r, n * cols)}")
+    lane = (r * (p - 1) ** 2).bit_length() or 1
+    mask = (1 << lane) - 1
+    shifts = range((cols - 1) * lane, -1, -lane)
+    packed = _pack_rows(a, lane)
+    out: list[int] = []
+    for i in range(c.rows):
+        row = c.row(i)
+        for b in range(n):
+            acc = 0
+            for f, w in zip(row[b * r:(b + 1) * r], packed):
+                if f:
+                    acc += f * w
+            out.extend((acc >> s & mask) % p for s in shifts)
+    return FieldMatrix._reduced(c.rows, n * cols, p, out)
+
+
+def _pack_rows(a: FieldMatrix, lane: int, n: int = 1) -> list[int]:
+    """The rows of I_n (x) a, each one int with one ``lane`` bits wide
+    field per column, column 0 in the top lane, as ``RowSpace.pack`` lays
+    them out."""
+    packed = []
+    for k in range(a.rows):
+        w = 0
+        for x in a.row(k):
+            w = w << lane | x
+        packed.append(w)
+    block = lane * a.cols
+    return [w << block * b for b in range(n - 1, -1, -1) for w in packed]

@@ -20,7 +20,8 @@ broadcasts and decodes on the same scheme object.  ``receiver_ranks``
 shares eliminations among receivers: the m receivers are split in halves
 recursively, and each half starts from a copy of one row space holding
 every sender outside it, so a sender's rows are eliminated about log2(m)
-times, not m - 1 times.
+times, not m - 1 times.  ``decode`` eliminates the same rows, each with
+its received symbol in an extra column, and back-substitutes.
 
 Every receiver's system is n*N columns wide, and its elimination grows
 with the square of that width and more, so construction, verification
@@ -116,72 +117,17 @@ class TransmissionScheme:
 
     def broadcast_matrix(self, src: LinearSource, i: int) -> ff.FieldMatrix:
         """Map from the full packet block W to user i's broadcast symbols,
-        C_i @ (I_n (x) A_i), built on first use and then recalled.
-
-        Row block b of the product is C_i's b-th column block times A_i,
-        so each row is n combinations of A_i's rows, and I_n (x) A_i is
-        never built.
-        """
+        C_i @ (I_n (x) A_i) by ``field.block_product``, built on first use
+        and then recalled."""
         a = src.matrices[i]
         key = (i, a)
         t = self._broadcast.get(key)
         if t is None:
-            t = self._broadcast[key] = _block_product(self.coefficients[i], self.n, a)
+            t = self._broadcast[key] = ff.block_product(self.coefficients[i], self.n, a)
         return t
 
     def broadcast_matrices(self, src: LinearSource) -> tuple[ff.FieldMatrix, ...]:
         return tuple(self.broadcast_matrix(src, i) for i in range(self.m))
-
-
-def _block_product(c: ff.FieldMatrix, n: int, a: ff.FieldMatrix) -> ff.FieldMatrix:
-    """c @ (I_n (x) a), from c's n column blocks and a's rows.
-
-    Each row block of the product is one combination of a's rows, which
-    are packed once with one lane per column: the combination is a sum of
-    big-int products, unpacked lane by lane.  A lane sums at most a.rows
-    products below p^2, so at bit_length(a.rows * (p - 1)^2) bits it never
-    carries.
-    """
-    if c.p != a.p:
-        raise DimensionMismatch("modulus mismatch")
-    r, cols, p = a.rows, a.cols, a.p
-    if c.cols != n * r:
-        raise DimensionMismatch(
-            f"cannot multiply {c.shape} by {(n * r, n * cols)}")
-    lane = (r * (p - 1) ** 2).bit_length() or 1
-    mask = (1 << lane) - 1
-    shifts = range((cols - 1) * lane, -1, -lane)
-    packed = _packed_rows(a, lane)
-    out: list[int] = []
-    for i in range(c.rows):
-        row = c.row(i)
-        for b in range(n):
-            acc = 0
-            for f, w in zip(row[b * r:(b + 1) * r], packed):
-                if f:
-                    acc += f * w
-            out.extend((acc >> s & mask) % p for s in shifts)
-    return ff.FieldMatrix._reduced(c.rows, n * cols, p, out)
-
-
-def _packed_rows(a: ff.FieldMatrix, lane: int) -> list[int]:
-    """a's rows, each one int with one ``lane`` bits wide field per column,
-    column 0 in the top lane, as ``RowSpace.pack`` lays them out."""
-    packed = []
-    for k in range(a.rows):
-        w = 0
-        for x in a.row(k):
-            w = w << lane | x
-        packed.append(w)
-    return packed
-
-
-def _expanded_rows(space: ff.RowSpace, n: int, a: ff.FieldMatrix) -> list[int]:
-    """The rows of I_n (x) a packed for ``space``: a's packed rows shifted
-    into each of the n column blocks, the first block in the top lanes."""
-    packed = _packed_rows(a, space.lane)
-    block = space.lane * a.cols
-    return [w << block * b for b in range(n - 1, -1, -1) for w in packed]
 
 
 def receiver_ranks(src: LinearSource, scheme: TransmissionScheme
@@ -200,25 +146,20 @@ def receiver_ranks(src: LinearSource, scheme: TransmissionScheme
     scheme.check_source(src)
     need = scheme.n * src.N
     root = ff.RowSpace(need, src.p)
-    sent = [list(map(root.pack, t.to_rows())) for t in scheme.broadcast_matrices(src)]
+    sent = [root.pack_rows(t) for t in scheme.broadcast_matrices(src)]
     ranks = [(0, need)] * src.m
 
     def fill(space: ff.RowSpace, lo: int, hi: int) -> None:
         # ``space`` holds every sender outside lo..hi-1, and is consumed.
         if hi - lo == 1:
-            for w in _expanded_rows(space, scheme.n, src.matrices[lo]):
-                space.add_packed(w)
+            space.extend_packed(space.pack_rows(src.matrices[lo], scheme.n))
             ranks[lo] = (space.rank, need)
             return
         mid = (lo + hi) // 2
         left = space.copy()
-        for rows in sent[mid:hi]:
-            for w in rows:
-                left.add_packed(w)
+        left.extend_packed(w for rows in sent[mid:hi] for w in rows)
         fill(left, lo, mid)
-        for rows in sent[lo:mid]:
-            for w in rows:
-                space.add_packed(w)
+        space.extend_packed(w for rows in sent[lo:mid] for w in rows)
         fill(space, mid, hi)
 
     fill(root, 0, src.m)
@@ -267,11 +208,14 @@ def decode(src: LinearSource, scheme: TransmissionScheme, receiver: int,
         raise UnknownReceiver(f"receiver {receiver} outside 1..{src.m}")
     if len(broadcasts) != src.m:
         raise DimensionMismatch(f"need {src.m} broadcast vectors, got {len(broadcasts)}")
-    parts = [ff.kron_block(scheme.n, src.matrices[receiver])]
-    rhs: list[int] = list(side_info)
-    if len(side_info) != parts[0].rows:
+    own = src.matrices[receiver]
+    if len(side_info) != scheme.n * own.rows:
         raise DimensionMismatch(
-            f"side information has {len(side_info)} symbols, expected {parts[0].rows}")
+            f"side information has {len(side_info)} symbols, "
+            f"expected {scheme.n * own.rows}")
+    need = scheme.n * src.N
+    space = ff.RowSpace(need + 1, src.p)
+    rows = space.pack_rows(own, scheme.n, side_info)
     for i in range(src.m):
         if i == receiver:
             continue
@@ -280,11 +224,10 @@ def decode(src: LinearSource, scheme: TransmissionScheme, receiver: int,
             raise DimensionMismatch(
                 f"user {i + 1} broadcast has {len(broadcasts[i])} symbols, "
                 f"expected {t.rows}")
-        parts.append(t)
-        rhs.extend(broadcasts[i])
-    system = ff.stack(parts, cols=scheme.n * src.N, p=src.p)
-    rank, solution = system.solve_with_rank(rhs)
-    if rank < system.cols:
+        rows += space.pack_rows(t, rhs=broadcasts[i])
+    space.extend_packed(rows)
+    solution = space.back_substitute()
+    if space.rank - (solution is None) < need:
         raise InconsistentObservations(
             "received symbols do not determine the packet block uniquely")
     if solution is None:
@@ -299,17 +242,13 @@ def _random_scheme(src: LinearSource, tx: Sequence[int], n: int,
     return TransmissionScheme(n=n, p=src.p, coefficients=tuple(coeffs))
 
 
-def _repeat_scheme(src: LinearSource, base: TransmissionScheme, times: int
-                   ) -> TransmissionScheme:
+def _repeat_scheme(base: TransmissionScheme, times: int) -> TransmissionScheme:
     """Repeat a scheme built for a shorter block: the coefficient matrix
     becomes block diagonal over the repetitions."""
     if times == 1:
         return base
-    coeffs = []
-    for i in range(src.m):
-        c = base.coefficients[i]
-        coeffs.append(ff.kron_block(times, c))
-    return TransmissionScheme(n=base.n * times, p=base.p, coefficients=tuple(coeffs))
+    coeffs = tuple(ff.kron_block(times, c) for c in base.coefficients)
+    return TransmissionScheme(n=base.n * times, p=base.p, coefficients=coeffs)
 
 
 def construct_code(src: LinearSource, rates: RateVector, n: int,
@@ -342,7 +281,7 @@ def construct_code(src: LinearSource, rates: RateVector, n: int,
     for _ in range(max_tries):
         scheme = _random_scheme(src, reduced_tx, reduced_n, rng)
         if verify_omniscience(src, scheme):
-            return _repeat_scheme(src, scheme, g)
+            return _repeat_scheme(scheme, g)
 
     raise ConstructionFailed(
         f"no valid scheme after {max_tries} random draws; the draw budget "

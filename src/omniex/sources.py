@@ -314,7 +314,7 @@ class EntropyOracle:
         ranks = memoryview(table)
         cube = table.reshape((2,) * m)
         root = ff.RowSpace(n_packets, src.p)
-        user_rows = [list(map(root.pack, a.to_rows())) for a in src.matrices]
+        user_rows = [root.pack_rows(a) for a in src.matrices]
         order = sorted(range(m), key=lambda u: -len(user_rows[u]))
         # index[m - 1 - u]: user u's coordinate in the cube, a slice while
         # user u is not yet placed on the current path.
@@ -324,8 +324,7 @@ class EntropyOracle:
             for d in range(start, m):
                 u = order[d]
                 child = space.copy()
-                for w in user_rows[u]:
-                    child.add_packed(w)
+                child.extend_packed(user_rows[u])
                 grown = mask | bit(u)
                 index[m - 1 - u] = 1
                 if child.rank == n_packets:

@@ -93,6 +93,16 @@ def test_code_then_verify_pipeline(capsys, tmp_path):
     assert report["omniscience"] is True
 
 
+@pytest.mark.parametrize("where", ["missing/scheme.json", "."])
+def test_code_out_that_cannot_be_written_exits_2(capsys, tmp_path, where):
+    # A missing directory and a directory: the scheme write fails as a
+    # scheme read does, with the path and no traceback.
+    out_path = str(tmp_path / where)
+    code, out, err = run(capsys, "code", EX1, "--n", "2", "--out", out_path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {out_path}: ")
+
+
 def test_code_seed_determinism(capsys, tmp_path):
     a_path = str(tmp_path / "a.json")
     b_path = str(tmp_path / "b.json")

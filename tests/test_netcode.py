@@ -490,6 +490,75 @@ def stacked_ranks(src, scheme):
     return ranks
 
 
+def echelon_decode(src, scheme, j, side_info, broadcasts):
+    # The reference decoder: the reduced row echelon form of receiver j's
+    # whole augmented system [I_n (x) A_j; C_i (I_n (x) A_i) | y], built
+    # without the scheme's broadcast matrices.
+    need = scheme.n * src.N
+    parts = [kron_block(scheme.n, src.matrices[j])]
+    parts += [expanded_product(scheme, src, i) for i in range(src.m) if i != j]
+    system = stack(parts, cols=need, p=src.p)
+    rhs = [*side_info, *(y for i in range(src.m) if i != j for y in broadcasts[i])]
+    augmented = FieldMatrix.from_rows(
+        [[*system.row(r), rhs[r]] for r in range(system.rows)], src.p, cols=need + 1)
+    rows, pivots = augmented._echelon()
+    if len([c for c in pivots if c < need]) < need:
+        raise InconsistentObservations(
+            "received symbols do not determine the packet block uniquely")
+    if need in pivots:
+        raise InconsistentObservations("received symbols are contradictory")
+    return tuple(row[need] for row in rows)
+
+
+def decode_outcome(decoder, *args):
+    try:
+        return decoder(*args)
+    except InconsistentObservations as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("p", [2, 5, 101, 2 ** 61 - 1])
+def test_decode_matches_the_echelon_of_the_stacked_augmented_system(p):
+    # Users and senders with no rows, symbols off by multiples of p (negative
+    # ones too), one tampered symbol per receiver, and receivers that the
+    # broadcasts leave short of full rank.
+    rng = random.Random(400 + p % 1000)
+    seen = set()
+    for n in range(1, 5):
+        for _ in range(8):
+            n_packets = rng.randint(1, 4)
+            mats = [FieldMatrix.random(rng.randint(0, 2 * n_packets), n_packets, p, rng)
+                    for _ in range(rng.randint(1, 4))]
+            src = make_linear_source(mats, p=p, N=n_packets)
+            coeffs = tuple(
+                FieldMatrix.random(rng.choice((0, n * a.rows, rng.randint(0, n * a.rows))),
+                                   n * a.rows, p, rng)
+                for a in mats)
+            scheme = TransmissionScheme(n=n, p=p, coefficients=coeffs)
+            w = [rng.randrange(p) for _ in range(n * n_packets)]
+            casts = [[y + p * rng.randint(-2, 2) for y in c]
+                     for c in broadcast_symbols(src, scheme, w)]
+            for j in range(src.m):
+                side = [y + p * rng.randint(-2, 2)
+                        for y in user_observation(src, j, w, n)]
+                cases = [casts]
+                senders = [i for i in range(src.m) if i != j and casts[i]]
+                if senders:
+                    tampered = [list(c) for c in casts]
+                    i = rng.choice(senders)
+                    tampered[i][rng.randrange(len(tampered[i]))] += rng.randrange(1, p)
+                    cases.append(tampered)
+                for received in cases:
+                    args = (src, scheme, j, side, received)
+                    got = decode_outcome(decode, *args)
+                    assert got == decode_outcome(echelon_decode, *args), (n, j)
+                    if received is casts and isinstance(got, tuple):
+                        assert list(got) == w
+                    seen.add(got if isinstance(got, str) else "solved")
+    assert seen == {"solved", "received symbols are contradictory",
+                    "received symbols do not determine the packet block uniquely"}
+
+
 @pytest.mark.parametrize("p", [2, 5, 101, 2 ** 61 - 1])
 def test_broadcast_matrix_equals_the_expanded_product(p):
     rng = random.Random(p)
@@ -561,7 +630,7 @@ def test_a_repeated_scheme_starts_with_an_empty_memo():
     assert verify_omniscience(src, base)
     assert len(base._broadcast) == 3
     for times in (2, 3):
-        repeated = _repeat_scheme(src, base, times)
+        repeated = _repeat_scheme(base, times)
         assert repeated._broadcast == {}
         assert repeated.n == 2 * times
         assert receiver_ranks(src, repeated) == stacked_ranks(src, repeated)
