@@ -37,12 +37,10 @@ from .errors import (
 )
 from .field import FieldMatrix, ff_inv, is_prime, kron_block, stack
 from .netcode import (
-    GreedySelection,
     TransmissionScheme,
     broadcast_symbols,
     construct_code,
     decode,
-    greedy_row_selection,
     receiver_ranks,
     user_observation,
     verify_omniscience,
@@ -59,7 +57,6 @@ from .rates import (
     ilp_rates,
     minimize_weighted,
     modified_edmond,
-    optimal_partition,
     rco_partition_formula,
     rco_sum_rate,
     verify_feasible,

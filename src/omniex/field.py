@@ -16,9 +16,10 @@ right-hand side if asked, and ``block_product`` multiplies through packed
 rows.  ``FieldMatrix.rank`` and ``solve_with_rank``, the subset-rank table
 of the entropy oracle, and the receiver ranks and decoding of ``netcode``
 all go through ``RowSpace``.  The reduced row echelon form of
-``FieldMatrix._echelon`` is kept only for ``inv``, which needs the
-back-substituted rows of an augmented identity, and for the tests, which
-check ranks and solutions against it.
+``FieldMatrix._echelon`` is kept only for the tests, which check ranks
+and solutions against it.  The determinant and inverse serve only the
+multicast transfer-matrix view, so they live with it in
+``omniex.reference``.
 """
 
 from __future__ import annotations
@@ -339,8 +340,8 @@ class FieldMatrix:
     def _echelon(self) -> tuple[list[list[int]], list[int]]:
         """Reduced row echelon form; returns (rows, pivot column indices).
 
-        Used by ``inv``, which needs the back-substituted rows, and as the
-        tests' reference; ranks and solutions go through ``RowSpace``.
+        Kept as the tests' reference only; ranks and solutions go through
+        ``RowSpace``.
         """
         p = self.p
         work = [list(self.row(r)) for r in range(self.rows)]
@@ -389,47 +390,6 @@ class FieldMatrix:
         space.extend_packed(space.pack_rows(self, rhs=y))
         x = space.back_substitute()
         return space.rank - (x is None), x
-
-    def det(self) -> int:
-        if self.rows != self.cols:
-            raise DimensionMismatch("determinant needs a square matrix")
-        p = self.p
-        work = [list(self.row(r)) for r in range(self.rows)]
-        n = self.rows
-        det = 1
-        for c in range(n):
-            pivot = None
-            for i in range(c, n):
-                if work[i][c] != 0:
-                    pivot = i
-                    break
-            if pivot is None:
-                return 0
-            if pivot != c:
-                work[c], work[pivot] = work[pivot], work[c]
-                det = (-det) % p
-            det = det * work[c][c] % p
-            inv = pow(work[c][c], p - 2, p)
-            for i in range(c + 1, n):
-                if work[i][c] != 0:
-                    f = work[i][c] * inv % p
-                    work[i] = [(x - f * y) % p for x, y in zip(work[i], work[c])]
-        return det
-
-    def inv(self) -> "FieldMatrix":
-        if self.rows != self.cols:
-            raise DimensionMismatch("inverse needs a square matrix")
-        n = self.rows
-        aug_rows = []
-        for r in range(n):
-            row = list(self.row(r)) + [0] * n
-            row[self.cols + r] = 1
-            aug_rows.append(row)
-        aug = FieldMatrix.from_rows(aug_rows, self.p, cols=2 * n)
-        ech, pivots = aug._echelon()
-        if len(pivots) < n or pivots != list(range(n)):
-            raise ZeroInverse("matrix is singular")
-        return FieldMatrix.from_rows([row[n:] for row in ech], self.p, cols=n)
 
 
 def stack(parts: Sequence[FieldMatrix], *, cols: Optional[int] = None,

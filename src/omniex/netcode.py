@@ -35,11 +35,10 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import field as ff
 from .errors import (
-    ConstraintViolation,
     ConstructionFailed,
     DimensionMismatch,
     FieldTooSmall,
@@ -287,48 +286,3 @@ def construct_code(src: LinearSource, rates: RateVector, n: int,
         f"no valid scheme after {max_tries} random draws; the draw budget "
         f"ran out (--max-tries raises it)")
 
-
-@dataclass(frozen=True)
-class GreedySelection:
-    """Result of the greedy per-receiver row selection."""
-
-    ordering: tuple[int, ...]
-    selections: tuple[tuple[int, ...], ...]   # per user, selected row indices
-    ranks: tuple[int, ...]                    # stacked rank after each user
-    rates: tuple[int, ...]                    # |selection| per user
-
-
-def greedy_row_selection(src: LinearSource, receiver: int,
-                         ordering: Optional[Sequence[int]] = None
-                         ) -> GreedySelection:
-    """Greedily pick, user by user, the observation rows that strictly grow
-    the stacked rank seen from one receiver.
-
-    The selection has the maximum-rank property: after any prefix of
-    users, the selected rows span the same space as all their rows
-    stacked, so the per-user counts equal the marginal ranks along the
-    ordering and always total N minus the receiver's own rank.
-    """
-    if not 0 <= receiver < src.m:
-        raise UnknownReceiver(f"receiver {receiver} outside 1..{src.m}")
-    if ordering is None:
-        ordering = (receiver, *[i for i in range(src.m) if i != receiver])
-    ordering = tuple(ordering)
-    if sorted(ordering) != list(range(src.m)) or ordering[0] != receiver:
-        raise ConstraintViolation(
-            f"ordering must be a permutation of the users starting at {receiver}")
-    tracker = ff.RowSpace(src.N, src.p)
-    selections: list[tuple[int, ...]] = [()] * src.m
-    ranks: list[int] = []
-    tracker.extend(src.matrices[receiver].to_rows())
-    ranks.append(tracker.rank)
-    for u in ordering[1:]:
-        chosen = []
-        for k, row in enumerate(src.matrices[u].to_rows()):
-            if tracker.try_add(row):
-                chosen.append(k)
-        selections[u] = tuple(chosen)
-        ranks.append(tracker.rank)
-    rates = tuple(len(selections[i]) for i in range(src.m))
-    return GreedySelection(ordering=ordering, selections=tuple(selections),
-                           ranks=tuple(ranks), rates=rates)

@@ -242,8 +242,7 @@ def _merge_block(blocks: list[int], new: int) -> None:
 
 def modified_edmond(oracle: EntropyOracle, beta: Value,
                     alpha: Optional[Sequence[Value]] = None,
-                    ordering: str = "descending",
-                    unit: Optional[str] = None) -> ModifiedEdmondResult:
+                    ordering: str = "descending") -> ModifiedEdmondResult:
     """One greedy sweep over f(., beta) with symbolic segment tracking.
 
     Visits users ordered by weight (descending for maximization over
@@ -258,7 +257,6 @@ def modified_edmond(oracle: EntropyOracle, beta: Value,
     deterministic; on float keys every candidate within DELTA of the
     least key is a minimizer.  A float budget must be finite.
     """
-    oracle.check_unit(unit)
     if isinstance(beta, float) and not math.isfinite(beta):
         raise InfeasibleBeta(f"beta = {beta} must be finite")
     if value_lt(beta, 0, oracle.exact and not isinstance(beta, float)):
@@ -357,15 +355,6 @@ def modified_edmond(oracle: EntropyOracle, beta: Value,
         partition=partition, g_value=g_value, evaluations=evaluations)
 
 
-def optimal_partition(oracle: EntropyOracle, beta: Value) -> PartitionResult:
-    """Partition of the user set minimizing sum(f(V, beta)) over blocks.
-
-    Built from the greedy sweep by merging each step's minimizer with the
-    blocks it touches; the value equals the Dilworth truncation g(M, beta).
-    """
-    return modified_edmond(oracle, beta).partition
-
-
 def rco_sum_rate(oracle: EntropyOracle) -> SumRateResult:
     """Minimum sum rate for omniscience plus an achieving rate vector.
 
@@ -448,8 +437,7 @@ def rco_partition_formula(oracle: EntropyOracle) -> Value:
     return total - best
 
 
-def h_eval(oracle: EntropyOracle, alpha: Sequence[Value], beta: Value,
-           unit: Optional[str] = None) -> HPoint:
+def h_eval(oracle: EntropyOracle, alpha: Sequence[Value], beta: Value) -> HPoint:
     """Minimum weighted cost at total rate exactly beta.
 
     Runs the ascending-weight sweep; the output lies in the budget-beta
@@ -460,7 +448,7 @@ def h_eval(oracle: EntropyOracle, alpha: Sequence[Value], beta: Value,
     Fraction for a Fraction budget.  Other weights sum alpha_i * R_i left
     to right.
     """
-    result = modified_edmond(oracle, beta, alpha, ordering="ascending", unit=unit)
+    result = modified_edmond(oracle, beta, alpha, ordering="ascending")
     exact = oracle.exact and not isinstance(beta, float)
     if not value_eq(result.g_value, beta, exact):
         raise InfeasibleBeta(

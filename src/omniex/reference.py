@@ -1,7 +1,8 @@
 """Brute-force and independent reference oracles that check the solvers:
 set-function enumerations, the sweep over a raw set function, the joint
-pmf of a small linear source and the multicast transfer-matrix view.  No
-solver calls this module; the tests and ``selfcheck`` do.
+pmf of a small linear source and the multicast transfer-matrix view, with
+the determinant and inverse over F_p (``det``, ``inverse``) that the view
+needs.  No solver calls this module; the tests and ``selfcheck`` do.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .errors import (
     TooLarge,
     UnknownReceiver,
     ValidationError,
+    ZeroInverse,
 )
 from .netcode import TransmissionScheme, _integer_tx_counts
 from .rates import (
@@ -264,6 +266,44 @@ def dmms_from_linear(src: LinearSource) -> DmmsSource:
     return DmmsSource(alphabets=alphabets, pmf=table)
 
 
+def _gauss_jordan(a: ff.FieldMatrix, what: str) -> tuple[int, Optional[list[list[int]]]]:
+    """det(a) and, when it is nonzero, the rows of a^-1, from one
+    Gauss-Jordan elimination of [a | I] that keeps clear of ``RowSpace``,
+    so the transfer-matrix view checks the production kernel
+    independently."""
+    if a.rows != a.cols:
+        raise DimensionMismatch(f"{what} needs a square matrix")
+    p, n = a.p, a.rows
+    work = [list(a.row(r)) + [int(c == r) for c in range(n)] for r in range(n)]
+    det = 1
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if work[i][c] != 0), None)
+        if pivot is None:
+            return 0, None
+        if pivot != c:
+            work[c], work[pivot] = work[pivot], work[c]
+            det = (-det) % p
+        det = det * work[c][c] % p
+        inv = pow(work[c][c], p - 2, p)
+        work[c] = [(x * inv) % p for x in work[c]]
+        for i in range(n):
+            if i != c and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [(x - f * y) % p for x, y in zip(work[i], work[c])]
+    return det, [row[n:] for row in work]
+
+
+def det(a: ff.FieldMatrix) -> int:
+    return _gauss_jordan(a, "determinant")[0]
+
+
+def inverse(a: ff.FieldMatrix) -> ff.FieldMatrix:
+    rows = _gauss_jordan(a, "inverse")[1]
+    if rows is None:
+        raise ZeroInverse("matrix is singular")
+    return ff.FieldMatrix.from_rows(rows, a.p, cols=a.cols)
+
+
 @dataclass(frozen=True)
 class MulticastNetwork:
     """Multicast model of the exchange: a super node S feeding sender
@@ -393,7 +433,7 @@ class ExpandedTransferMatrix:
         return ff.FieldMatrix(self.size, self.size, self.p, flat)
 
     def det(self) -> int:
-        return self.to_field_matrix().det()
+        return det(self.to_field_matrix())
 
 
 def _receiver_incoming(net: MulticastNetwork, receiver: int) -> list[tuple]:
@@ -545,4 +585,4 @@ def transfer_matrix(net: MulticastNetwork, src: LinearSource, receiver: int,
         for c in range(dim):
             b[row][c] = resolve(Slot("dec", receiver, local, c))
     b_mat = ff.FieldMatrix(ell, dim, p, [x for row in b for x in row])
-    return a_mat.mul(i_minus_gamma.inv()).mul(b_mat)
+    return a_mat.mul(inverse(i_minus_gamma)).mul(b_mat)

@@ -22,7 +22,6 @@ from omniex import (
     ilp_rates,
     minimize_weighted,
     modified_edmond,
-    optimal_partition,
     rco_partition_formula,
     rco_sum_rate,
     user_observation,
@@ -206,7 +205,7 @@ def test_criterion_07_structural_invariants():
         grid = [Fraction(k * (total + 1), 49) for k in range(50)]
         values, sizes = [], []
         for beta in grid:
-            part = optimal_partition(oracle, beta)
+            part = modified_edmond(oracle, beta).partition
             values.append(part.g_value)
             sizes.append(part.size)
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))

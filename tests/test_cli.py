@@ -111,6 +111,15 @@ def test_code_seed_determinism(capsys, tmp_path):
     assert open(a_path).read() == open(b_path).read()
 
 
+def test_code_refuses_a_negative_seed(capsys, tmp_path):
+    # random.Random seeds by |seed|, so -4 would repeat the scheme of 4.
+    out_path = tmp_path / "scheme.json"
+    code, out, err = run(capsys, "code", EX1, "--seed", "-4", "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert err == "error: --seed: expected a nonnegative integer, got -4\n"
+    assert not out_path.exists()
+
+
 def test_code_figure_document(capsys, tmp_path):
     out_path = str(tmp_path / "scheme.json")
     code, doc = run_json(capsys, "code", FIG1, "--out", out_path)

@@ -14,6 +14,7 @@ from omniex import (
     stack,
 )
 from omniex.field import MAX_MODULUS, RowSpace, validate_modulus
+from omniex.reference import det, inverse
 
 from conftest import example1_source
 
@@ -173,17 +174,44 @@ def test_solve_inverts_full_column_rank_maps():
 
 def test_det_and_inverse_consistency():
     rng = random.Random(13)
-    for _ in range(40):
-        p = rng.choice((5, 7))
+    for _ in range(60):
+        p = rng.choice((2, 5, 7, MAX_MODULUS - 1))
         n = rng.randint(1, 5)
         m = FieldMatrix.random(n, n, p, rng)
         if m.rank() < n:
-            assert m.det() == 0
-            with pytest.raises(ZeroInverse):
-                m.inv()
+            assert det(m) == 0
+            with pytest.raises(ZeroInverse, match="matrix is singular"):
+                inverse(m)
         else:
-            assert m.det() != 0
-            assert m.mul(m.inv()) == FieldMatrix.identity(n, p)
+            assert det(m) != 0
+            identity = FieldMatrix.identity(n, p)
+            assert m.mul(inverse(m)) == identity
+            assert inverse(m).mul(m) == identity
+    empty = FieldMatrix.zeros(0, 0, 7)
+    assert det(empty) == 1
+    assert inverse(empty) == empty
+    with pytest.raises(DimensionMismatch):
+        det(FieldMatrix.zeros(2, 3, 7))
+    with pytest.raises(DimensionMismatch):
+        inverse(FieldMatrix.zeros(3, 2, 7))
+    with pytest.raises(ZeroInverse, match="matrix is singular"):
+        inverse(FieldMatrix.from_rows([[1, 2], [2, 4]], 7))
+    for p in (2, 5, MAX_MODULUS - 1):
+        for n in range(1, 6):
+            # A permutation matrix's determinant is the permutation's sign.
+            perm = list(range(n))
+            rng.shuffle(perm)
+            rows = [[int(c == perm[r]) for c in range(n)] for r in range(n)]
+            inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+            assert det(FieldMatrix.from_rows(rows, p)) == (-1) ** inversions % p
+            # A triangular matrix's determinant is the product of its diagonal.
+            upper = [[rng.randrange(p) if c >= r else 0 for c in range(n)] for r in range(n)]
+            product = 1
+            for r in range(n):
+                product = product * upper[r][r] % p
+            assert det(FieldMatrix.from_rows(upper, p)) == product
+            lower = [list(col) for col in zip(*upper)]
+            assert det(FieldMatrix.from_rows(lower, p)) == product
 
 
 @settings(max_examples=60, deadline=None)

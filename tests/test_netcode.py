@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from omniex import (
-    ConstraintViolation,
     ConstructionFailed,
     EntropyOracle,
     FieldMatrix,
@@ -19,7 +18,6 @@ from omniex import (
     broadcast_symbols,
     construct_code,
     decode,
-    greedy_row_selection,
     ilp_rates,
     kron_block,
     make_linear_source,
@@ -33,6 +31,7 @@ from omniex import (
 from omniex.netcode import _repeat_scheme
 from omniex.reference import (
     build_network,
+    det,
     expanded_transfer_matrix,
     scheme_assignment,
     transfer_matrix,
@@ -284,61 +283,6 @@ def test_decode_reports_underdetermined_before_contradictory():
         decode(src, scheme, 1, full, [[1], [3]])
 
 
-def test_greedy_row_selection_example_instance():
-    sel = greedy_row_selection(example1_source(), 0)
-    assert sel.ordering == (0, 1, 2)
-    assert sel.rates == (0, 1, 0)
-    assert sel.selections[1] == (1,)
-    assert sel.selections[2] == ()
-    assert sel.ranks == (2, 3, 3)
-
-
-def test_greedy_row_selection_with_omniscient_receiver():
-    src = make_linear_source([[[1, 0], [0, 1]], [[1, 0]]], p=5)
-    sel = greedy_row_selection(src, 0)
-    assert sel.rates == (0, 0)
-    assert sel.ranks == (2, 2)
-
-
-def test_greedy_row_selection_validates_ordering():
-    src = example1_source()
-    with pytest.raises(ConstraintViolation):
-        greedy_row_selection(src, 0, ordering=(1, 0, 2))
-    with pytest.raises(ConstraintViolation):
-        greedy_row_selection(src, 0, ordering=(0, 1))
-
-
-def test_greedy_selection_has_the_maximum_rank_property():
-    rng = random.Random(33)
-    for _ in range(10):
-        src = random_linear_source(rng, m_max=4, n_max=6)
-        order = list(range(src.m))
-        rng.shuffle(order)
-        sel = greedy_row_selection(src, order[0], ordering=tuple(order))
-        for prefix_len in range(1, src.m + 1):
-            prefix = order[:prefix_len]
-            stacked = stack([src.matrices[i] for i in prefix],
-                            cols=src.N, p=src.p)
-            picked = [src.matrices[order[0]].to_rows()]
-            for u in prefix[1:]:
-                rows = src.matrices[u].to_rows()
-                picked.append([rows[k] for k in sel.selections[u]])
-            flat = [r for block in picked for r in block]
-            chosen = FieldMatrix.from_rows(flat, src.p, cols=src.N)
-            assert chosen.rank() == stacked.rank()
-            assert sel.ranks[prefix_len - 1] == stacked.rank()
-        assert sel.ranks[-1] == src.N
-
-
-def test_greedy_selection_totals_cover_the_file():
-    rng = random.Random(34)
-    for _ in range(10):
-        src = random_linear_source(rng, m_max=4, n_max=6)
-        sel = greedy_row_selection(src, 0)
-        own = src.matrices[0].rows
-        assert own + sum(sel.rates) >= src.N
-
-
 def test_expanded_matrix_is_square_with_the_right_size():
     src = example1_source()
     net = build_network(src, halves(), 2)
@@ -376,7 +320,7 @@ def test_expanded_matrix_determinant_matches_transfer_matrix():
         assignment = scheme_assignment(net, src, scheme)
         for j in range(3):
             e_det = expanded_transfer_matrix(net, src, j, assignment).det()
-            m_det = transfer_matrix(net, src, j, assignment).det()
+            m_det = det(transfer_matrix(net, src, j, assignment))
             p = src.p
             assert e_det % p in (m_det % p, (-m_det) % p)
             assert (e_det != 0) == (m_det != 0)

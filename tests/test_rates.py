@@ -12,12 +12,10 @@ from omniex import (
     NegativeWeight,
     NonTermination,
     RateVector,
-    UnitMismatch,
     ilp_rates,
     make_dmms_source,
     make_linear_source,
     modified_edmond,
-    optimal_partition,
     rco_partition_formula,
     rco_sum_rate,
     verify_feasible,
@@ -89,7 +87,7 @@ def test_partition_value_matches_block_sum():
     for _ in range(10):
         oracle = EntropyOracle(random_linear_source(rng, m_max=5, n_max=6))
         beta = Fraction(rng.randint(0, 2 * oracle.total()), 2)
-        part = optimal_partition(oracle, beta)
+        part = modified_edmond(oracle, beta).partition
         f = oracle.f_beta(beta)
         assert part.g_value == sum(f(b) for b in part.blocks)
         covered = 0
@@ -101,10 +99,10 @@ def test_partition_value_matches_block_sum():
 
 def test_partition_fixed_points_of_example_instance():
     oracle = EntropyOracle(example1_source())
-    p0 = optimal_partition(oracle, Fraction(0))
+    p0 = modified_edmond(oracle, Fraction(0)).partition
     assert p0.as_sets() == ((0,), (1,), (2,))
     assert p0.g_value == -3
-    popt = optimal_partition(oracle, Fraction(3, 2))
+    popt = modified_edmond(oracle, Fraction(3, 2)).partition
     assert popt.as_sets() == ((0, 1, 2),)
     assert popt.g_value == Fraction(3, 2)
 
@@ -113,7 +111,7 @@ def test_partition_at_total_entropy_is_trivial():
     rng = random.Random(10)
     for _ in range(10):
         oracle = EntropyOracle(random_linear_source(rng, m_max=5, n_max=6))
-        part = optimal_partition(oracle, Fraction(oracle.total()))
+        part = modified_edmond(oracle, Fraction(oracle.total())).partition
         assert part.as_sets() == (tuple(range(oracle.m)),)
         assert part.g_value == oracle.total()
 
@@ -181,14 +179,14 @@ def test_sum_rate_walk_is_monotone_and_short():
         # Replay the walk and check the iterates strictly increase.
         beta = Fraction(0)
         seen = [beta]
-        part = optimal_partition(oracle, beta)
+        part = modified_edmond(oracle, beta).partition
         while part.size > 1:
             beta = Fraction(
                 sum(oracle.total() - oracle.entropy(b) for b in part.blocks),
                 part.size - 1)
             assert beta > seen[-1]
             seen.append(beta)
-            part = optimal_partition(oracle, beta)
+            part = modified_edmond(oracle, beta).partition
         assert beta == res.value
 
 
@@ -203,7 +201,7 @@ def test_concavity_of_partition_value_on_a_grid():
         values = []
         sizes = []
         for beta in grid:
-            part = optimal_partition(oracle, beta)
+            part = modified_edmond(oracle, beta).partition
             values.append(part.g_value)
             sizes.append(part.size)
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
@@ -237,8 +235,8 @@ def test_nontermination_guard_fires_on_a_stuck_walk(monkeypatch):
     oracle = EntropyOracle(example1_source())
     real = rates_mod.modified_edmond
 
-    def stuck(oracle_arg, beta, alpha=None, ordering="descending", unit=None):
-        res = real(oracle_arg, Fraction(0), alpha, ordering, unit)
+    def stuck(oracle_arg, beta, alpha=None, ordering="descending"):
+        res = real(oracle_arg, Fraction(0), alpha, ordering)
         return res  # partition at beta=0 never collapses
 
     monkeypatch.setattr(rates_mod, "modified_edmond", stuck)
@@ -250,8 +248,6 @@ def test_sweep_rejects_bad_inputs():
     oracle = EntropyOracle(example1_source())
     with pytest.raises(NegativeWeight):
         modified_edmond(oracle, Fraction(2), alpha=(1, -1, 1))
-    with pytest.raises(UnitMismatch):
-        modified_edmond(oracle, Fraction(2), unit="bits")
     with pytest.raises(InfeasibleBeta):
         modified_edmond(oracle, Fraction(-1))
 

@@ -100,6 +100,39 @@ def test_production_module_does_not_import_reference(module):
     assert not imports_reference(path.read_text())
 
 
+def unused_imports(source: str) -> list[str]:
+    """Names that an import statement in ``source`` binds and that no
+    expression in it reads.  A deletion can leave such names behind, and
+    no linter runs over the package."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read)
+
+
+MODULES = sorted(path.stem for path in Path(omniex.__file__).parent.glob("*.py")
+                 if path.stem != "__init__")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_uses_every_name_it_imports(module):
+    path = Path(omniex.__file__).with_name(f"{module}.py")
+    assert unused_imports(path.read_text()) == []
+
+
+def test_dead_import_check_sees_unused_names():
+    source = ("from __future__ import annotations\nimport numpy as np\n"
+              "import os.path\nfrom typing import Optional, Sequence\n"
+              "from . import field as ff\n"
+              "def f(x: Sequence[int]) -> int:\n    return ff.p(os.sep)\n")
+    assert unused_imports(source) == ["Optional", "np"]
+
+
 def test_boundary_check_sees_every_import_form():
     for source in ("from . import reference", "from .reference import dual",
                    "from omniex.reference import dual", "import omniex.reference",

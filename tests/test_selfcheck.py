@@ -150,3 +150,31 @@ def test_selfcheck_checks_every_pair_of_twenty_users_quickly(tmp_path):
     assert done.returncode == 0, done.stderr
     status = {c["name"]: c["status"] for c in json.loads(done.stdout)["checks"]}
     assert status["entropy-submodular"] == "pass"
+
+
+# A float table that passes the entropy-function check within DELTA, on
+# which the sum-rate walk's rates miss a cut by about 1.4e-9 and the sweep
+# refuses the walk's own budget as below the minimum sum rate.
+FLOAT_TABLE = {"1": 4.0, "2": 3.0, "1,2": 3.9999999994, "3": 3.0, "1,3": 4.0000000006,
+               "2,3": 4.0, "1,2,3": 4.0000000006, "4": 2.9999999994, "1,4": 4.0,
+               "2,4": 4.0, "1,2,4": 4.0, "3,4": 4.0, "1,3,4": 4.0,
+               "2,3,4": 4.0000000006, "1,2,3,4": 4.0000000006}
+
+
+def test_selfcheck_reports_a_refused_budget_instead_of_stopping(tmp_path, capsys):
+    path = tmp_path / "float4.json"
+    path.write_text(json.dumps({"source": {"kind": "table", "m": 4,
+                                           "entropies": FLOAT_TABLE}}))
+    code = main(["selfcheck", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["ok"] is False
+    failed = [c["name"] for c in report["checks"] if c["status"] == "fail"]
+    assert failed == ["sum-rate-rates-feasible", "dilworth-cross-check",
+                      "segment-sum-law"]
+    segment = report["checks"][-1]
+    assert segment["name"] == "segment-sum-law"
+    assert segment["detail"].startswith("h_eval at beta = 1.000000001: ")
+    assert "below the minimum sum rate" in segment["detail"]
