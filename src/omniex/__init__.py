@@ -35,7 +35,7 @@ from .errors import (
     ValidationError,
     ZeroInverse,
 )
-from .field import FieldMatrix, ff_inv, is_prime, kron_block, stack
+from .field import FieldMatrix, is_prime, kron_block, stack
 from .netcode import (
     TransmissionScheme,
     broadcast_symbols,

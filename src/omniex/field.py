@@ -12,10 +12,11 @@ echelon form, one row at a time, on rows packed into one Python int with
 one fixed-width lane per column, and back-substitution of an augmented
 system.  The packed format is known to this module alone:
 ``RowSpace.pack_rows`` packs a matrix's rows, block-expanded and with a
-right-hand side if asked, and ``block_product`` multiplies through packed
-rows.  ``FieldMatrix.rank`` and ``solve_with_rank``, the subset-rank table
-of the entropy oracle, and the receiver ranks and decoding of ``netcode``
-all go through ``RowSpace``.  The reduced row echelon form of
+right-hand side if asked, and ``RowSpace.pack_product`` the rows of
+[c (I_n (x) a) | 0] without expanding I_n (x) a.  Packed rows are the one
+row form: a linear source packs each user's rows once, a scheme each
+sender's broadcast rows once, and every subset rank, receiver rank and
+decode eliminates them.  The reduced row echelon form of
 ``FieldMatrix._echelon`` is kept only for the tests, which check ranks
 and solutions against it.  The determinant and inverse serve only the
 multicast transfer-matrix view, so they live with it in
@@ -27,7 +28,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .errors import DimensionMismatch, ZeroInverse
+from .errors import DimensionMismatch
 
 MAX_MODULUS = 1 << 61
 
@@ -75,14 +76,6 @@ def validate_modulus(p: int) -> None:
             f"modulus {p} is not prime; extension fields are not supported, "
             f"use a prime modulus (any prime larger than the number of users)"
         )
-
-
-def ff_inv(a: int, p: int) -> int:
-    """Multiplicative inverse of a modulo the prime p."""
-    a %= p
-    if a == 0:
-        raise ZeroInverse(f"0 has no inverse mod {p}")
-    return pow(a, -1, p)
 
 
 class RowSpace:
@@ -155,6 +148,38 @@ class RowSpace:
         p, lane = self.p, self.lane
         return [w << lane | int(y % p) for w, y in zip(rows, rhs, strict=True)]
 
+    def pack_product(self, c: "FieldMatrix", n: int, a: "FieldMatrix") -> list[int]:
+        """The rows of [c (I_n (x) a) | 0] packed for ``add_packed``, from
+        c's n column blocks and a's rows.
+
+        Each row block is one combination of a's rows, packed once at a
+        narrow lane of bit_length(a.rows * (p - 1)^2) bits, which a sum of
+        a.rows products below p^2 never carries out of; each narrow lane is
+        then reduced mod p into this space's lane.
+        """
+        r, cols, p, lane = a.rows, a.cols, self.p, self.lane
+        if c.p != p or a.p != p or c.cols != n * r or n * cols + 1 != self.cols:
+            raise DimensionMismatch(
+                f"[{c.shape} (I_{n} (x) {a.shape}) | 0] mod {c.p} does not fit "
+                f"{self.cols} columns mod {p}")
+        narrow = (r * (p - 1) ** 2).bit_length() or 1
+        mask = (1 << narrow) - 1
+        shifts = range((cols - 1) * narrow, -1, -narrow)
+        packed = _pack_rows(a, narrow)
+        out = []
+        for i in range(c.rows):
+            row = c.row(i)
+            w = 0
+            for b in range(n):
+                acc = 0
+                for f, v in zip(row[b * r:(b + 1) * r], packed):
+                    if f:
+                        acc += f * v
+                for s in shifts:
+                    w = w << lane | (acc >> s & mask) % p
+            out.append(w << lane)
+        return out
+
     def add_packed(self, w: int) -> bool:
         """Add the packed row ``w`` (every lane below p, as ``pack`` makes
         it); True iff it was not already in the space."""
@@ -181,14 +206,6 @@ class RowSpace:
                 return True
             w += f * tail
         return False
-
-    def try_add(self, row: Sequence[int]) -> bool:
-        """Add ``row`` to the space; True iff it was not already in it."""
-        return self.add_packed(self.pack(row))
-
-    def extend(self, rows: Iterable[Sequence[int]]) -> None:
-        for row in rows:
-            self.try_add(row)
 
     def extend_packed(self, rows: Iterable[int]) -> None:
         for w in rows:
@@ -374,22 +391,13 @@ class FieldMatrix:
         return space.rank
 
     def solve(self, y: Sequence[int]) -> Optional[tuple[int, ...]]:
-        """Solve M x = y; returns x with free variables set to 0, or None
-        when the system is inconsistent."""
-        return self.solve_with_rank(y)[1]
-
-    def solve_with_rank(self, y: Sequence[int]) -> tuple[int, Optional[tuple[int, ...]]]:
-        """rank(M) and ``solve(y)`` from one forward elimination of [M | y].
-
-        A pivot in the last column means the system is inconsistent, and
-        the rank is the number of pivots left of it.
-        """
+        """Solve M x = y by one elimination of [M | y]: x with free
+        variables set to 0, or None when the system is inconsistent."""
         if len(y) != self.rows:
             raise DimensionMismatch(f"rhs length {len(y)} != rows {self.rows}")
         space = RowSpace(self.cols + 1, self.p)
         space.extend_packed(space.pack_rows(self, rhs=y))
-        x = space.back_substitute()
-        return space.rank - (x is None), x
+        return space.back_substitute()
 
 
 def stack(parts: Sequence[FieldMatrix], *, cols: Optional[int] = None,
@@ -439,36 +447,6 @@ def kron_block(n: int, a: FieldMatrix) -> FieldMatrix:
             for c in range(cols):
                 out[base + c] = src[c]
     return FieldMatrix._reduced(n * rows, n * cols, a.p, out)
-
-
-def block_product(c: FieldMatrix, n: int, a: FieldMatrix) -> FieldMatrix:
-    """c @ (I_n (x) a), from c's n column blocks and a's rows.
-
-    Each row block of the product is one combination of a's rows, which
-    are packed once: the combination is a sum of big-int products,
-    unpacked lane by lane.  A lane sums at most a.rows products below p^2,
-    so at bit_length(a.rows * (p - 1)^2) bits it never carries.
-    """
-    if c.p != a.p:
-        raise DimensionMismatch("modulus mismatch")
-    r, cols, p = a.rows, a.cols, a.p
-    if c.cols != n * r:
-        raise DimensionMismatch(
-            f"cannot multiply {c.shape} by {(n * r, n * cols)}")
-    lane = (r * (p - 1) ** 2).bit_length() or 1
-    mask = (1 << lane) - 1
-    shifts = range((cols - 1) * lane, -1, -lane)
-    packed = _pack_rows(a, lane)
-    out: list[int] = []
-    for i in range(c.rows):
-        row = c.row(i)
-        for b in range(n):
-            acc = 0
-            for f, w in zip(row[b * r:(b + 1) * r], packed):
-                if f:
-                    acc += f * w
-            out.extend((acc >> s & mask) % p for s in shifts)
-    return FieldMatrix._reduced(c.rows, n * cols, p, out)
 
 
 def _pack_rows(a: FieldMatrix, lane: int, n: int = 1) -> list[int]:

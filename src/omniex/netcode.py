@@ -14,14 +14,14 @@ conversion (super node, sender and relay nodes, expanded transfer
 matrices), an independent verification view, lives in
 ``omniex.reference``.
 
-A scheme builds each sender's broadcast matrix once, block by block
-without expanding I_n (x) A_i, and keeps it for the later ranks,
-broadcasts and decodes on the same scheme object.  ``receiver_ranks``
-shares eliminations among receivers: the m receivers are split in halves
+A scheme packs each sender's broadcast rows [C_i (I_n (x) A_i) | 0] once,
+without expanding I_n (x) A_i, and keeps them for the later ranks and
+decodes on the same scheme object.  ``receiver_ranks`` shares
+eliminations among receivers: the m receivers are split in halves
 recursively, and each half starts from a copy of one row space holding
 every sender outside it, so a sender's rows are eliminated about log2(m)
 times, not m - 1 times.  ``decode`` eliminates the same rows, each with
-its received symbol in an extra column, and back-substitutes.
+its received symbol in the last column, and back-substitutes.
 
 Every receiver's system is n*N columns wide, and its elimination grows
 with the square of that width and more, so construction, verification
@@ -47,6 +47,7 @@ from .errors import (
     NonIntegerRates,
     TooLarge,
     UnknownReceiver,
+    ValidationError,
 )
 from .rates import RateVector
 from .sources import LinearSource
@@ -84,9 +85,9 @@ class TransmissionScheme:
     transmitted symbol and one column per observed symbol, so every
     broadcast is a function of that user's own observations only.
 
-    Each broadcast matrix is kept once built, keyed by the user and its
-    observation matrix A_i, for the life of the scheme object.  The memo
-    takes no part in equality, hashing or ``repr``.
+    Each sender's broadcast rows are kept once packed, keyed by the user
+    and its observation matrix A_i, for the life of the scheme object.
+    The memo takes no part in equality, hashing or ``repr``.
     """
 
     n: int
@@ -114,51 +115,52 @@ class TransmissionScheme:
                     f"user {i + 1}: coefficient matrix is {c.rows}x{c.cols} "
                     f"mod {c.p}, expected {c.rows}x{want} mod {src.p}")
 
-    def broadcast_matrix(self, src: LinearSource, i: int) -> ff.FieldMatrix:
-        """Map from the full packet block W to user i's broadcast symbols,
-        C_i @ (I_n (x) A_i) by ``field.block_product``, built on first use
-        and then recalled."""
+    def broadcast_rows(self, src: LinearSource, i: int) -> list[int]:
+        """User i's rows of the receiver system [C_i (I_n (x) A_i) | 0],
+        packed by ``RowSpace.pack_product`` on first use and then recalled."""
         a = src.matrices[i]
         key = (i, a)
-        t = self._broadcast.get(key)
-        if t is None:
-            t = self._broadcast[key] = ff.block_product(self.coefficients[i], self.n, a)
-        return t
-
-    def broadcast_matrices(self, src: LinearSource) -> tuple[ff.FieldMatrix, ...]:
-        return tuple(self.broadcast_matrix(src, i) for i in range(self.m))
+        rows = self._broadcast.get(key)
+        if rows is None:
+            space = ff.RowSpace(self.n * src.N + 1, self.p)
+            rows = self._broadcast[key] = space.pack_product(
+                self.coefficients[i], self.n, a)
+        return rows
 
 
 def receiver_ranks(src: LinearSource, scheme: TransmissionScheme
                    ) -> list[tuple[int, int]]:
     """Per receiver: (achieved stacked rank, required rank n*N).
 
-    Receiver j's rank is that of its own block-expanded observations
-    stacked over every other sender's broadcast rows.  The receivers are
-    split in halves recursively, starting from an empty row space: each
-    half gets a copy of its parent's space (the copy shares the pivots)
-    with the other half's senders added, and a single receiver adds its
-    own expanded rows last.  A sender's rows are so eliminated about
-    log2(m) times, and since a rank does not depend on the order of the
-    rows, every rank is that of the stacked system.
+    Receiver j's rank is that of [M | 0], M its own block-expanded
+    observations stacked over every other sender's broadcast rows.  The
+    receivers are split in halves recursively, starting from an empty row
+    space: each half gets a copy of its parent's space (the copy shares
+    the pivots) with the other half's senders added, and a single
+    receiver adds its own expanded rows last.  A sender's rows are so
+    eliminated about log2(m) times, and since a rank does not depend on
+    the order of the rows, every rank is that of the stacked system.
     """
     scheme.check_source(src)
     need = scheme.n * src.N
-    root = ff.RowSpace(need, src.p)
-    sent = [root.pack_rows(t) for t in scheme.broadcast_matrices(src)]
+    root = ff.RowSpace(need + 1, src.p)
+    sent = [scheme.broadcast_rows(src, i) for i in range(src.m)]
     ranks = [(0, need)] * src.m
 
     def fill(space: ff.RowSpace, lo: int, hi: int) -> None:
         # ``space`` holds every sender outside lo..hi-1, and is consumed.
+        # Rows whose last column is 0 add nothing to a space of rank n*N.
         if hi - lo == 1:
-            space.extend_packed(space.pack_rows(src.matrices[lo], scheme.n))
+            own = src.matrices[lo]
+            rows = space.pack_rows(own, scheme.n, [0] * scheme.n * own.rows)
+            space.extend_packed(w for w in rows if space.rank < need)
             ranks[lo] = (space.rank, need)
             return
         mid = (lo + hi) // 2
         left = space.copy()
-        left.extend_packed(w for rows in sent[mid:hi] for w in rows)
+        left.extend_packed(w for rows in sent[mid:hi] for w in rows if left.rank < need)
         fill(left, lo, mid)
-        space.extend_packed(w for rows in sent[lo:mid] for w in rows)
+        space.extend_packed(w for rows in sent[lo:mid] for w in rows if space.rank < need)
         fill(space, mid, hi)
 
     fill(root, 0, src.m)
@@ -189,7 +191,10 @@ def user_observation(src: LinearSource, i: int, w: Sequence[int], n: int
 
 def broadcast_symbols(src: LinearSource, scheme: TransmissionScheme,
                       w: Sequence[int]) -> list[tuple[int, ...]]:
-    return [scheme.broadcast_matrix(src, i).mul_vector(w) for i in range(src.m)]
+    """C_i @ X_i for every user i, with X_i from ``user_observation``."""
+    scheme.check_source(src)
+    return [c.mul_vector(user_observation(src, i, w, scheme.n))
+            for i, c in enumerate(scheme.coefficients)]
 
 
 def decode(src: LinearSource, scheme: TransmissionScheme, receiver: int,
@@ -198,7 +203,8 @@ def decode(src: LinearSource, scheme: TransmissionScheme, receiver: int,
     """Recover the packet block W at one receiver.
 
     ``side_info`` is the receiver's own observation block and
-    ``broadcasts`` the per-user broadcast symbol vectors.  Raises
+    ``broadcasts`` the per-user broadcast symbol vectors; each symbol goes,
+    reduced mod p, into the last column of its packed row.  Raises
     InconsistentObservations when the equations are contradictory or do
     not pin W down uniquely (tampered or truncated inputs).
     """
@@ -212,19 +218,18 @@ def decode(src: LinearSource, scheme: TransmissionScheme, receiver: int,
         raise DimensionMismatch(
             f"side information has {len(side_info)} symbols, "
             f"expected {scheme.n * own.rows}")
-    need = scheme.n * src.N
-    space = ff.RowSpace(need + 1, src.p)
-    rows = space.pack_rows(own, scheme.n, side_info)
+    need, p = scheme.n * src.N, src.p
+    space = ff.RowSpace(need + 1, p)
+    space.extend_packed(space.pack_rows(own, scheme.n, side_info))
     for i in range(src.m):
         if i == receiver:
             continue
-        t = scheme.broadcast_matrix(src, i)
-        if len(broadcasts[i]) != t.rows:
+        sent = scheme.broadcast_rows(src, i)
+        if len(broadcasts[i]) != len(sent):
             raise DimensionMismatch(
                 f"user {i + 1} broadcast has {len(broadcasts[i])} symbols, "
-                f"expected {t.rows}")
-        rows += space.pack_rows(t, rhs=broadcasts[i])
-    space.extend_packed(rows)
+                f"expected {len(sent)}")
+        space.extend_packed(w | int(y % p) for w, y in zip(sent, broadcasts[i]))
     solution = space.back_substitute()
     if space.rank - (solution is None) < need:
         raise InconsistentObservations(
@@ -262,7 +267,8 @@ def construct_code(src: LinearSource, rates: RateVector, n: int,
     With p > m every draw at feasible rates succeeds with positive
     probability, so a larger ``max_tries`` finds a scheme; infeasible
     rates, which ``rates.verify_feasible`` detects, fail at any budget.
-    Raises ``TooLarge`` when n*N exceeds ``WIDTH_CAP``.
+    Raises ``TooLarge`` when n*N exceeds ``WIDTH_CAP``, ``ValidationError``
+    when ``max_tries`` is below 1.
     """
     if src.p <= src.m:
         raise FieldTooSmall(
@@ -270,7 +276,7 @@ def construct_code(src: LinearSource, rates: RateVector, n: int,
     tx = _integer_tx_counts(rates, n, src.m)
     _check_width(n, src.N)
     if max_tries < 1:
-        raise ConstructionFailed("max_tries must be at least 1")
+        raise ValidationError("max_tries must be at least 1")
 
     g = math.gcd(n, *tx) if any(tx) else n
     reduced_n = n // g

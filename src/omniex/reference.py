@@ -541,12 +541,13 @@ def scheme_assignment(net: MulticastNetwork, src: LinearSource,
                 out[Slot("code", i, r, k)] = row[k]
     dim = net.n * net.N
     for j in range(net.m):
-        rows = ff.kron_block(net.n, src.matrices[j]).to_rows()
-        for i in range(net.m):
-            if i != j:
-                rows.extend(scheme.broadcast_matrix(src, i).to_rows())
+        parts = [ff.kron_block(net.n, src.matrices[j])]
+        parts += [scheme.coefficients[i].mul(ff.kron_block(net.n, src.matrices[i]))
+                  for i in range(net.m) if i != j]
+        rows = ff.stack(parts).to_rows()
         tracker = ff.RowSpace(dim, net.p)
-        chosen = [local for local, row in enumerate(rows) if tracker.try_add(row)]
+        chosen = [local for local, row in enumerate(rows)
+                  if tracker.add_packed(tracker.pack(row))]
         for c, local in enumerate(chosen[:dim]):
             out[Slot("dec", j, local, c)] = 1
         for local in range(len(rows)):

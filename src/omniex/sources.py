@@ -13,10 +13,10 @@ ints such as linear ranks, float64 for floats such as pmf entropies, and
 dtype object for Fractions, mixed kinds and ints of 2^62 or more.  The
 sweep and the feasibility check read that array with whole-array
 gathers.  ``array``, the one way to the table, refuses more than
-``TABLE_CAP`` users before any work.  For a linear source it fills the
-table in one depth-first pass over the users with the most rows first,
-each subset extending its parent's row space by one user's rows and
-writing its rank at its own mask, or copies a memo that already holds
+``TABLE_CAP`` users before any work.  A linear source packs each user's
+rows once, and every rank adds them to a ``field.RowSpace``, most rows
+first, up to rank N: a lazy query to one row space, ``array`` in one
+depth-first pass that extends parents' spaces, or by copying a memo of
 every subset.  For a pmf source, ``array`` computes every nonempty
 subset in one batch of numpy gathers, whose values equal the per-mask
 ``pmf.sum(axis=drop)`` marginals bit for bit, and a single ``entropy``
@@ -76,10 +76,26 @@ class LinearSource:
         return tuple(a.rows for a in self.matrices)
 
     @cached_property
+    def _packed(self) -> tuple[tuple[int, list[int]], ...]:
+        """(u, user u's rows packed once for a ``RowSpace`` of N columns),
+        users with more rows first, ties in index order, as ranks add them."""
+        space = ff.RowSpace(self.N, self.p)
+        order = sorted(range(self.m), key=lambda u: -self.matrices[u].rows)
+        return tuple((u, space.pack_rows(self.matrices[u])) for u in order)
+
+    def _rank(self, mask: int) -> int:
+        """Rank of the users in ``mask``, added to one row space up to N."""
+        space = ff.RowSpace(self.N, self.p)
+        for u, rows in self._packed:
+            if mask >> u & 1 and space.rank < self.N:
+                space.extend_packed(rows)
+        return space.rank
+
+    @cached_property
     def _full_rank(self) -> int:
-        """Rank of all users' rows stacked, eliminated once per source:
-        validation and the oracle's H(X_M) both read it."""
-        return self.stacked((1 << self.m) - 1).rank()
+        """Rank of all users' rows, eliminated once per source: validation
+        and the oracle's H(X_M) both read it."""
+        return self._rank((1 << self.m) - 1)
 
 
 @dataclass(frozen=True)
@@ -276,7 +292,7 @@ class EntropyOracle:
         if isinstance(src, LinearSource):
             if mask == self.full_mask:
                 return src._full_rank
-            return src.stacked(mask).rank()
+            return src._rank(mask)
         if isinstance(src, TableSource):
             return src.entries[mask]
         return self._marginals.entropies([mask])[0]
@@ -292,7 +308,7 @@ class EntropyOracle:
 
         One depth-first pass over the subsets, with the users taken in
         order of descending row count (ties in index order): a child subset
-        adds one user's rows, packed once per fill, to a copy of its
+        adds one user's rows, packed once per source, to a copy of its
         parent's row space, so at most m + 1 row spaces are alive at a
         time.  Users with many rows are thus reduced near the root, against
         small row spaces, and row spaces reach rank N sooner.  Once a row
@@ -313,18 +329,16 @@ class EntropyOracle:
         table = np.zeros(1 << m, dtype=np.int64)
         ranks = memoryview(table)
         cube = table.reshape((2,) * m)
-        root = ff.RowSpace(n_packets, src.p)
-        user_rows = [root.pack_rows(a) for a in src.matrices]
-        order = sorted(range(m), key=lambda u: -len(user_rows[u]))
+        packed = src._packed
         # index[m - 1 - u]: user u's coordinate in the cube, a slice while
         # user u is not yet placed on the current path.
         index: list = [slice(None)] * m
 
         def visit(space: ff.RowSpace, mask: int, start: int) -> None:
             for d in range(start, m):
-                u = order[d]
+                u, rows = packed[d]
                 child = space.copy()
-                child.extend_packed(user_rows[u])
+                child.extend_packed(rows)
                 grown = mask | bit(u)
                 index[m - 1 - u] = 1
                 if child.rank == n_packets:
@@ -335,10 +349,10 @@ class EntropyOracle:
                     if d + 1 < m:
                         visit(child, grown, d + 1)
                 index[m - 1 - u] = 0
-            for u in order[start:]:
+            for u, _ in packed[start:]:
                 index[m - 1 - u] = slice(None)
 
-        visit(root, 0, 0)
+        visit(ff.RowSpace(n_packets, src.p), 0, 0)
         return table
 
     def array(self) -> np.ndarray:

@@ -144,11 +144,15 @@ def test_code_rejects_small_field(capsys, tmp_path):
     assert "field" in err.lower()
 
 
-def test_code_without_tries_exits_5(capsys, tmp_path):
-    code, out, err = run(capsys, "code", EX1, "--max-tries", "0",
-                         "--out", str(tmp_path / "s.json"))
-    assert (code, out) == (5, "")
-    assert err.startswith("error: ") and "max_tries" in err
+def test_code_without_tries_exits_2(capsys, tmp_path):
+    # An invalid option, not a construction that ran out of draws.
+    scheme = tmp_path / "s.json"
+    for tries in ("0", "-3"):
+        code, out, err = run(capsys, "code", EX1, "--max-tries", tries,
+                             "--out", str(scheme))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "max_tries" in err
+        assert not scheme.exists()
 
 
 @pytest.mark.parametrize("problem", [EX1, FIG1], ids=["example1", "figure1"])

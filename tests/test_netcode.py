@@ -3,10 +3,12 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from omniex import (
     ConstructionFailed,
+    DimensionMismatch,
     EntropyOracle,
     FieldMatrix,
     FieldTooSmall,
@@ -28,6 +30,7 @@ from omniex import (
     verify_feasible,
     verify_omniscience,
 )
+from omniex.field import RowSpace
 from omniex.netcode import _repeat_scheme
 from omniex.reference import (
     build_network,
@@ -141,10 +144,12 @@ def test_broadcasts_are_functions_of_own_observations():
         res = ilp_rates(oracle, (1,) * src.m, 2)
         scheme = construct_code(src, res.rates, 2, seed=1)
         for i in range(src.m):
-            own = kron_block(2, src.matrices[i])
-            joined = stack([own, scheme.broadcast_matrix(src, i)],
-                           cols=2 * src.N, p=src.p)
-            assert joined.rank() == own.rank()
+            space = RowSpace(2 * src.N + 1, src.p)
+            zeros = [0] * (2 * src.matrices[i].rows)
+            space.extend_packed(space.pack_rows(src.matrices[i], 2, zeros))
+            own = space.rank
+            space.extend_packed(scheme.broadcast_rows(src, i))
+            assert space.rank == own
 
 
 def test_construct_code_example_instance():
@@ -345,8 +350,8 @@ def test_rank_criterion_matches_literal_decodability():
             images = set()
             for w in vectors:
                 obs = user_observation(src, j, w, 1)
-                casts = tuple(scheme.broadcast_matrix(src, i).mul_vector(w)
-                              for i in range(src.m) if i != j)
+                casts = tuple(c for i, c in enumerate(broadcast_symbols(src, scheme, w))
+                              if i != j)
                 images.add((obs, casts))
             decodable = len(images) == len(vectors)
             assert decodable == (ranks[j][0] == ranks[j][1])
@@ -407,7 +412,7 @@ def test_receiver_ranks_equal_the_stacked_system_ranks():
             FieldMatrix.random(rng.randint(0, n * a.rows), n * a.rows, src.p, rng)
             for a in src.matrices)
         scheme = TransmissionScheme(n=n, p=src.p, coefficients=coeffs)
-        sent = scheme.broadcast_matrices(src)
+        sent = [expanded_product(scheme, src, i) for i in range(src.m)]
         expected = []
         for j in range(src.m):
             parts = [kron_block(n, src.matrices[j])]
@@ -419,6 +424,19 @@ def test_receiver_ranks_equal_the_stacked_system_ranks():
 def expanded_product(scheme, src, i):
     # The definition of a broadcast matrix, through the expanded matrix.
     return scheme.coefficients[i].mul(kron_block(scheme.n, src.matrices[i]))
+
+
+def packed_product(scheme, src, i):
+    # The expanded product packed as rows of the receiver system [. | 0].
+    space = RowSpace(scheme.n * src.N + 1, src.p)
+    product = expanded_product(scheme, src, i)
+    return space.pack_rows(product, rhs=[0] * product.rows)
+
+
+def unpack(w, cols, p):
+    # The entries of a row packed for RowSpace(cols, p), column 0 first.
+    lane = RowSpace(cols, p).lane
+    return [w >> lane * k & (1 << lane) - 1 for k in range(cols - 1, -1, -1)]
 
 
 def stacked_ranks(src, scheme):
@@ -519,23 +537,24 @@ def test_broadcast_matrix_equals_the_expanded_product(p):
                 for a in mats)
             scheme = TransmissionScheme(n=n, p=p, coefficients=coeffs)
             for i in range(src.m):
-                got = scheme.broadcast_matrix(src, i)
-                assert got == expanded_product(scheme, src, i), (n, i)
-                assert got.shape == (coeffs[i].rows, n * n_packets)
+                got = scheme.broadcast_rows(src, i)
+                assert got == packed_product(scheme, src, i), (n, i)
+                assert len(got) == coeffs[i].rows
 
 
 def test_block_product_lanes_hold_their_largest_sums():
     # Five rows over two packets at p = 2^61 - 1, every entry p - 1: each
-    # lane of the block product sums five products of (p - 1)^2, its bound.
+    # narrow lane of the packed product sums five products of (p - 1)^2,
+    # its bound.
     p = 2 ** 61 - 1
     a = FieldMatrix.from_rows([[p - 1, p - 1]] * 5, p)
     src = make_linear_source([a], p=p)
     coeffs = (FieldMatrix.from_rows([[p - 1] * 15, [1] * 15], p),)
     scheme = TransmissionScheme(n=3, p=p, coefficients=coeffs)
-    got = scheme.broadcast_matrix(src, 0)
-    assert got == expanded_product(scheme, src, 0)
-    assert got.row(0) == (5 % p,) * 6
-    assert got.row(1) == (-5 % p,) * 6
+    got = scheme.broadcast_rows(src, 0)
+    assert got == packed_product(scheme, src, 0)
+    assert unpack(got[0], 7, p) == [5 % p] * 6 + [0]
+    assert unpack(got[1], 7, p) == [-5 % p] * 6 + [0]
 
 
 def test_each_source_gets_its_own_broadcast_matrices():
@@ -548,7 +567,7 @@ def test_each_source_gets_its_own_broadcast_matrices():
     scheme = TransmissionScheme(n=2, p=7, coefficients=coeffs)
     for src in (first, second, first):
         for i in range(3):
-            assert scheme.broadcast_matrix(src, i) == expanded_product(scheme, src, i)
+            assert scheme.broadcast_rows(src, i) == packed_product(scheme, src, i)
     assert receiver_ranks(second, scheme) == stacked_ranks(second, scheme)
     assert receiver_ranks(first, scheme) == stacked_ranks(first, scheme)
 
@@ -578,6 +597,33 @@ def test_a_repeated_scheme_starts_with_an_empty_memo():
         assert repeated._broadcast == {}
         assert repeated.n == 2 * times
         assert receiver_ranks(src, repeated) == stacked_ranks(src, repeated)
+
+
+def test_broadcast_symbols_refuse_a_scheme_for_other_users():
+    src = example1_source()
+    w = [1, 2, 3, 4, 0, 1]
+    two_users = make_linear_source(src.matrices[:2], p=src.p, N=src.N)
+    with pytest.raises(DimensionMismatch):
+        broadcast_symbols(two_users, handbuilt_example1_scheme(), w)
+    two_senders = TransmissionScheme(
+        n=2, p=5, coefficients=handbuilt_example1_scheme().coefficients[:2])
+    with pytest.raises(DimensionMismatch):
+        broadcast_symbols(src, two_senders, w)
+
+
+def test_decode_takes_numpy_integers_as_it_takes_ints():
+    src = example1_source()
+    scheme = handbuilt_example1_scheme()
+    w = [1, 2, 3, 4, 0, 1]
+    casts = broadcast_symbols(src, scheme, w)
+    wide = [np.array(c, dtype=np.int64) + 5 * 10 ** 17 for c in casts]
+    for j in range(src.m):
+        side = user_observation(src, j, w, 2)
+        want = decode(src, scheme, j, side, casts)
+        assert want == tuple(w)
+        got = decode(src, scheme, j, np.array(side, dtype=np.int64) - 5, wide)
+        assert got == want
+        assert all(type(x) is int for x in got)
 
 
 def test_user_observation_equals_the_expanded_product():

@@ -3,7 +3,7 @@
 The fill takes users by descending row count but writes every rank at its
 mask in user bits.  Here it is compared, mask by mask, with a reduced row
 echelon form of the stacked rows, on sources whose row counts ascend, tie,
-are zero or exceed N.  Its work is pinned as a count of row-space copies
+are zero or exceed N, and so are a cold oracle's lazy queries.  Its work is pinned as a count of row-space copies
 (one per subset the pass visits) on the Baseline source, and its memory as
 a traced peak close to the table itself.
 """
@@ -49,10 +49,12 @@ def linear_sources(draw):
                 rows.append(draw(st.lists(entry, min_size=n, max_size=n)))
         mats.append(rows)
     space = ff.RowSpace(n, p)
-    space.extend(row for rows in mats for row in rows)
+    for rows in mats:
+        for row in rows:
+            space.add_packed(space.pack(row))
     for c in range(n):
         unit = [int(k == c) for k in range(n)]
-        if space.try_add(unit):
+        if space.add_packed(space.pack(unit)):
             mats[draw(st.integers(0, m - 1))].append(unit)
     return make_linear_source(mats, p=p, N=n)
 
@@ -67,6 +69,9 @@ def test_fill_equals_the_echelon_rank_of_every_subset(src):
     expected = [len(src.stacked(mask)._echelon()[1])
                 for mask in range(oracle.full_mask + 1)]
     assert table.tolist() == expected
+    # A cold oracle's lazy queries, one row space per mask, agree too.
+    cold = EntropyOracle(src)
+    assert [cold.entropy(mask) for mask in range(oracle.full_mask + 1)] == expected
 
 
 def test_fill_copies_at_most_1023_row_spaces_on_the_baseline_source(monkeypatch):

@@ -125,6 +125,48 @@ def test_module_uses_every_name_it_imports(module):
     assert unused_imports(path.read_text()) == []
 
 
+# The FieldMatrix route to an elimination: each call stacks matrices or
+# eliminates one afresh, where production eliminates rows it packed once.
+FIELDMATRIX_CALLS = ("rank", "solve", "stacked", "stack")
+
+
+def fieldmatrix_calls(source: str) -> list[int]:
+    """Lines of ``source`` that call a name or method in
+    ``FIELDMATRIX_CALLS``, outside the body of a function called
+    ``stacked`` (``LinearSource.stacked``, the stacked view that the tests
+    compare ranks against)."""
+    lines = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef) and child.name == "stacked":
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = getattr(func, "attr", getattr(func, "id", None))
+                if name in FIELDMATRIX_CALLS:
+                    lines.append(child.lineno)
+            visit(child)
+
+    visit(ast.parse(source))
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m not in ("field", "reference")])
+def test_production_module_eliminates_only_packed_rows(module):
+    path = Path(omniex.__file__).with_name(f"{module}.py")
+    assert fieldmatrix_calls(path.read_text()) == []
+
+
+def test_packed_rows_check_sees_every_call_form():
+    source = ("def stacked(self, mask):\n    return ff.stack(parts)\n"
+              "x = self.stacked(3).rank()\n"
+              "y = ff.stack(parts)\n"
+              "z = stack(parts).solve(b)\n"
+              "r = space.rank + len(rank_table)\n")
+    assert fieldmatrix_calls(source) == [3, 3, 4, 5, 5]
+
+
 def test_dead_import_check_sees_unused_names():
     source = ("from __future__ import annotations\nimport numpy as np\n"
               "import os.path\nfrom typing import Optional, Sequence\n"
