@@ -121,17 +121,6 @@ class RowSpace:
         other._pivots = self._pivots.copy()
         return other
 
-    def pack(self, row: Sequence[int]) -> int:
-        """``row``, a sequence of Python ints, as one int with its entries
-        reduced mod p, for ``add_packed``."""
-        if len(row) != self.cols:
-            raise DimensionMismatch(f"row length {len(row)} != cols {self.cols}")
-        p, lane = self.p, self.lane
-        w = 0
-        for x in row:
-            w = w << lane | x % p
-        return w
-
     def pack_rows(self, a: "FieldMatrix", n: int = 1,
                   rhs: Optional[Sequence[int]] = None) -> list[int]:
         """The rows of I_n (x) a packed for ``add_packed``; with ``rhs``,
@@ -181,8 +170,8 @@ class RowSpace:
         return out
 
     def add_packed(self, w: int) -> bool:
-        """Add the packed row ``w`` (every lane below p, as ``pack`` makes
-        it); True iff it was not already in the space."""
+        """Add the packed row ``w`` (every lane below p, as ``pack_rows``
+        makes it); True iff it was not already in the space."""
         if self.rank == self.cols:
             return False
         p, lane, pivots = self.p, self.lane, self._pivots
@@ -348,7 +337,7 @@ class FieldMatrix:
             raise DimensionMismatch(f"vector length {len(vec)} != cols {self.cols}")
         p = self.p
         return tuple(
-            sum(a * (v % p) for a, v in zip(self.row(i), vec)) % p
+            sum(a * (int(v) % p) for a, v in zip(self.row(i), vec)) % p
             for i in range(self.rows)
         )
 
@@ -451,8 +440,8 @@ def kron_block(n: int, a: FieldMatrix) -> FieldMatrix:
 
 def _pack_rows(a: FieldMatrix, lane: int, n: int = 1) -> list[int]:
     """The rows of I_n (x) a, each one int with one ``lane`` bits wide
-    field per column, column 0 in the top lane, as ``RowSpace.pack`` lays
-    them out."""
+    field per column, column 0 in the top lane, as ``RowSpace`` lays them
+    out; ``RowSpace.pack_rows`` packs through it."""
     packed = []
     for k in range(a.rows):
         w = 0

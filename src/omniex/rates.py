@@ -3,7 +3,8 @@
 The cut-set region {R : R(S) >= H(X_S | X_{S^c})} is optimized through its
 dual polyhedron: for a total budget beta the shifted cut function
 f(S) = beta - H(X_{S^c} | X_S) is intersecting submodular, and a modified
-greedy sweep (one constrained submodular minimization per user) produces a
+greedy sweep (one constrained submodular minimization per user, visiting
+users by ascending weight, in index order without weights) produces a
 vertex of P(f, <=) whose coordinate sum equals the Dilworth truncation
 value g(M, beta).
 
@@ -241,12 +242,12 @@ def _merge_block(blocks: list[int], new: int) -> None:
 
 
 def modified_edmond(oracle: EntropyOracle, beta: Value,
-                    alpha: Optional[Sequence[Value]] = None,
-                    ordering: str = "descending") -> ModifiedEdmondResult:
+                    alpha: Optional[Sequence[Value]] = None) -> ModifiedEdmondResult:
     """One greedy sweep over f(., beta) with symbolic segment tracking.
 
-    Visits users ordered by weight (descending for maximization over
-    P(f,<=), ascending for minimization over the base polyhedron) and sets
+    Visits users by ascending weight, which minimizes the weighted cost
+    over the base polyhedron; ties, and a sweep without weights, go in
+    index order, and without weights every order gives g(M, beta).  Sets
     Z_j to the constrained minimum of f(S, beta) - Z(S) over j in S within
     the visited prefix.  Each Z_j is recorded as an affine function of
     beta, taken from the maximal minimizer, so the result carries the
@@ -264,13 +265,7 @@ def modified_edmond(oracle: EntropyOracle, beta: Value,
     m = oracle.m
     if alpha is None:
         alpha = (1,) * m
-    alpha = check_costs(alpha, m)
-    if ordering == "descending":
-        order = order_by_weight(alpha, descending=True)
-    elif ordering == "ascending":
-        order = order_by_weight(alpha, descending=False)
-    else:
-        raise ValueError(f"ordering must be 'descending' or 'ascending', got {ordering!r}")
+    order = order_by_weight(check_costs(alpha, m), descending=False)
 
     # The sweep reads every nonempty subset, so it reads them from the table.
     oracle.array()
@@ -391,7 +386,9 @@ def rco_sum_rate(oracle: EntropyOracle) -> SumRateResult:
 
     if last_nontrivial is None:
         last_nontrivial = result.partition
-    final = modified_edmond(oracle, beta, ordering="ascending")
+    # The same call as the walk's last sweep; it stays while the pinned
+    # query counters and the golden sfm_evaluations count it.
+    final = modified_edmond(oracle, beta)
     evaluations += final.evaluations
     rates = RateVector(values=final.z, denominator=1, unit=oracle.unit)
     return SumRateResult(value=beta, rates=rates, partition=last_nontrivial,
@@ -448,7 +445,7 @@ def h_eval(oracle: EntropyOracle, alpha: Sequence[Value], beta: Value) -> HPoint
     Fraction for a Fraction budget.  Other weights sum alpha_i * R_i left
     to right.
     """
-    result = modified_edmond(oracle, beta, alpha, ordering="ascending")
+    result = modified_edmond(oracle, beta, alpha)
     exact = oracle.exact and not isinstance(beta, float)
     if not value_eq(result.g_value, beta, exact):
         raise InfeasibleBeta(

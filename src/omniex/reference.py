@@ -544,10 +544,9 @@ def scheme_assignment(net: MulticastNetwork, src: LinearSource,
         parts = [ff.kron_block(net.n, src.matrices[j])]
         parts += [scheme.coefficients[i].mul(ff.kron_block(net.n, src.matrices[i]))
                   for i in range(net.m) if i != j]
-        rows = ff.stack(parts).to_rows()
         tracker = ff.RowSpace(dim, net.p)
-        chosen = [local for local, row in enumerate(rows)
-                  if tracker.add_packed(tracker.pack(row))]
+        rows = tracker.pack_rows(ff.stack(parts))
+        chosen = [local for local, w in enumerate(rows) if tracker.add_packed(w)]
         for c, local in enumerate(chosen[:dim]):
             out[Slot("dec", j, local, c)] = 1
         for local in range(len(rows)):

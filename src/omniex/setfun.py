@@ -1,8 +1,8 @@
 """Set functions over a ground set {0, .., m-1} encoded as bitmasks.
 
 Provides the mask helpers, the ``SetFunction`` wrapper, the value
-comparisons under the tolerance DELTA, and the validation and ordering of
-cost vectors that the greedy sweep of ``rates`` uses.  The brute-force
+comparisons under the tolerance DELTA, and the check of cost vectors and
+the order by weight that the greedy sweep of ``rates`` uses.  The brute-force
 checks over set functions live in ``omniex.reference``.
 
 Values are either exact (int / fractions.Fraction) or floats.  Exact
@@ -54,6 +54,13 @@ def label(mask: int) -> str:
     return "{" + ",".join(str(u + 1) for u in members(mask)) + "}"
 
 
+def check_mask(mask: int, m: int) -> int:
+    """``mask``, refused unless it is a subset of the ground set {0, .., m-1}."""
+    if mask < 0 or mask >> m:
+        raise ValueError(f"mask {mask:#x} uses bits outside the ground set")
+    return mask
+
+
 def iter_submasks(mask: int) -> Iterator[int]:
     """All submasks of ``mask`` including 0 and mask itself."""
     sub = mask
@@ -85,9 +92,7 @@ class SetFunction:
             raise ValueError(f"set function must satisfy f(empty)=0, got {z}")
 
     def check(self, mask: int) -> int:
-        if mask < 0 or mask & ~self.full_mask:
-            raise ValueError(f"mask {mask:#x} uses bits outside the ground set")
-        return mask
+        return check_mask(mask, self.m)
 
     def __call__(self, mask: int) -> Value:
         return self._fn(self.check(mask))

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import field as ff
 from .errors import TooLarge, UnitMismatch, ValidationError
-from .setfun import DELTA, SetFunction, Value, bit, members, value_le
+from .setfun import DELTA, SetFunction, Value, bit, check_mask, members, value_le
 
 UNIT_BITS = "bits"
 
@@ -62,10 +62,13 @@ def linear_unit(p: int) -> str:
 class LinearSource:
     """Users observe A_i @ W for a uniform packet vector W in F_p^N."""
 
-    m: int
     N: int
     p: int
     matrices: tuple[ff.FieldMatrix, ...]
+
+    @property
+    def m(self) -> int:
+        return len(self.matrices)
 
     def stacked(self, mask: int) -> ff.FieldMatrix:
         return ff.stack([self.matrices[i] for i in members(mask)],
@@ -137,7 +140,7 @@ def make_linear_source(matrices, p: int, N: Optional[int] = None) -> LinearSourc
         if not mats:
             raise ValidationError("linear source needs at least one user")
         N = mats[0].cols
-    return LinearSource(m=len(mats), N=N, p=p, matrices=tuple(mats))
+    return LinearSource(N=N, p=p, matrices=tuple(mats))
 
 
 def make_dmms_source(alphabets, pmf) -> DmmsSource:
@@ -191,6 +194,11 @@ def validate(source: Source) -> list[str]:
         if source.m < 1:
             problems.append("no users")
         full = (1 << source.m) - 1
+        outside = sorted(s for s in source.entries if not 0 <= s <= full)
+        if outside:
+            problems.append(f"entropy table has a mask outside the ground set: "
+                            f"{outside[0]:#x}")
+            return problems
         missing = full - sum(1 for s in source.entries if 0 < s <= full)
         if missing:
             problems.append(f"entropy table is missing {missing} subsets")
@@ -262,6 +270,7 @@ class EntropyOracle:
             raise UnitMismatch(f"value in {unit!r} mixed with oracle in {self.unit!r}")
 
     def entropy(self, mask: int) -> Value:
+        check_mask(mask, self.m)
         self.calls += 1
         table = self._table
         if table is not None:
@@ -434,7 +443,7 @@ class EntropyOracle:
 
     def cond_entropy(self, mask: int) -> Value:
         """H(X_S | X_{S^c}) computed as H(X_M) - H(X_{S^c})."""
-        comp = self.full_mask & ~mask
+        comp = self.full_mask & ~check_mask(mask, self.m)
         return self.total() - self.entropy(comp)
 
     def oracle_queries(self) -> int:

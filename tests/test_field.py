@@ -286,7 +286,7 @@ def test_solve_with_rank_gives_the_rank_and_a_solution(p, rows, cols, data):
 
 
 def try_add(space, row):
-    return space.add_packed(space.pack(row))
+    return space.add_packed(space.pack_rows(FieldMatrix.from_rows([row], space.p))[0])
 
 
 def test_row_space_try_add_and_copy():
@@ -371,8 +371,8 @@ def test_row_space_lane_width_holds_the_largest_lane(p, cols):
     space = RowSpace(cols, p)
     largest = p - 1 + cols * (p - 1) ** 2
     assert space.lane == largest.bit_length()
-    assert space.pack([p - 1] * cols) == sum(
-        (p - 1) << (space.lane * k) for k in range(cols))
+    assert space.pack_rows(FieldMatrix.from_rows([[p - 1] * cols], p)) == [sum(
+        (p - 1) << (space.lane * k) for k in range(cols))]
 
 
 def test_row_space_with_no_columns():

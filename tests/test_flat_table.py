@@ -13,6 +13,7 @@ array.
 
 import math
 import random
+import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -32,13 +33,16 @@ from omniex import (
 from omniex import field as ff
 from omniex.reference import modified_edmond_setfn
 from omniex.setfun import DELTA, iter_submasks, members, order_by_weight, value_le
-from omniex.sources import TableSource
+from omniex.errors import ValidationError
+from omniex.sources import TableSource, validate
 
 from conftest import random_linear_source
 
 P61 = (1 << 61) - 1
 INT64_SAFE = 1 << 62
-ORDERINGS = ("descending", "ascending")
+# The production sweep visits users by ascending weight; the reference
+# sweep takes the order as an argument, and the ids keep the cases' names.
+ORDERINGS = ("ascending",)
 
 
 def fraction_table(seed: int, m: int) -> EntropyOracle:
@@ -59,7 +63,7 @@ def exact_oracles():
     yield fraction_table(89, 5)
 
 
-def sweep_bound(oracle, beta, alpha=None, ordering=None) -> int:
+def sweep_bound(oracle, beta, alpha=None) -> int:
     """The sweep's bound on its keys, fixed before the first step:
     m^2 * (num + 2 * den * max(max|H|, 1)) for beta = num/den."""
     beta = Fraction(beta)
@@ -67,13 +71,13 @@ def sweep_bound(oracle, beta, alpha=None, ordering=None) -> int:
     return math.ceil(oracle.m ** 2 * (beta.numerator + 2 * beta.denominator * peak))
 
 
-def key_span(oracle, beta, alpha, ordering) -> int:
+def key_span(oracle, beta, alpha) -> int:
     """den * max|H| + max|den * Z(S)| over the largest table of subset sums
     the sweep builds (every subset of all users but the last visited), with
     Z from the per-subset reference sweep."""
     den = Fraction(beta).denominator
-    z, _, _, _ = modified_edmond_setfn(oracle.f_beta(beta), alpha, ordering=ordering)
-    order = order_by_weight(alpha, descending=(ordering == "descending"))
+    z, _, _, _ = modified_edmond_setfn(oracle.f_beta(beta), alpha, ordering="ascending")
+    order = order_by_weight(alpha, descending=False)
     prefix = sum(1 << j for j in order[:-1])
     peak = max(abs(oracle.entropy(s)) for s in range(oracle.full_mask + 1))
     zmax = max(abs(sum((z[i] for i in members(s)), Fraction(0)))
@@ -124,12 +128,12 @@ def test_exact_sweep_across_the_int64_boundary(ordering):
             for limit, span in ((INT64_SAFE, key_span), (2 * INT64_SAFE, key_span),
                                 (INT64_SAFE, sweep_bound)):
                 dens = dens_around(
-                    limit, lambda d: span(oracle, budget(x, d), alpha, ordering))
-                spans = [span(oracle, budget(x, d), alpha, ordering) for d in dens]
+                    limit, lambda d: span(oracle, budget(x, d), alpha))
+                spans = [span(oracle, budget(x, d), alpha) for d in dens]
                 assert min(spans) < limit <= max(spans)
                 for den in dens[::4] + [dens[len(dens) // 2]]:
                     beta = budget(x, den)
-                    res = modified_edmond(oracle, beta, alpha, ordering=ordering)
+                    res = modified_edmond(oracle, beta, alpha)
                     z, tight, partition, evaluations = modified_edmond_setfn(
                         oracle.f_beta(beta), alpha, ordering=ordering)
                     assert res.z == z, (beta, ordering)
@@ -152,7 +156,7 @@ def test_exact_sweep_keeps_the_type_of_the_budget(ordering):
         total = oracle.total()
         for beta in (0, total, total + 3, Fraction(total), Fraction(2 * total + 1, 3),
                      2 ** 70, Fraction(2 ** 64 + 1, 3)):
-            res = modified_edmond(oracle, beta, alpha, ordering=ordering)
+            res = modified_edmond(oracle, beta, alpha)
             z, _, partition, _ = modified_edmond_setfn(
                 oracle.f_beta(beta), alpha, ordering=ordering)
             assert res.z == z
@@ -235,6 +239,36 @@ def perturbed_tables(rng: random.Random):
         if rng.random() < 0.8:
             entries[moved] += step
         yield EntropyOracle(TableSource(m=m, entries=entries))
+
+
+@pytest.mark.parametrize("filled", (False, True), ids=("lazy", "filled"))
+def test_masks_outside_the_ground_set_are_refused(filled):
+    rng = random.Random(41)
+    oracles = (EntropyOracle(random_linear_source(rng, m=3, n_packets=4, p=5)),
+               EntropyOracle(make_dmms_source((2, 2), np.full((2, 2), 0.25))),
+               EntropyOracle(TableSource(m=2, entries={1: 1, 2: 1, 3: 2})))
+    for oracle in oracles:
+        if filled:
+            oracle.array()
+        full = oracle.full_mask
+        for mask in (-1, -3, full + 1, full + 2, 1 << 40):
+            message = re.escape(f"mask {mask:#x} uses bits outside the ground set")
+            with pytest.raises(ValueError, match=message):
+                oracle.entropy(mask)
+            with pytest.raises(ValueError, match=message):
+                oracle.cond_entropy(mask)
+        assert oracle.calls == 0
+        assert oracle.entropy(full) == oracle.total()
+
+
+def test_validation_reports_table_masks_outside_the_ground_set():
+    entries = {1: 1, 2: 1, 3: 2}
+    for mask in (-1, 4, 9):
+        source = TableSource(m=2, entries={**entries, mask: 1})
+        assert validate(source) == [
+            f"entropy table has a mask outside the ground set: {mask:#x}"]
+        with pytest.raises(ValidationError):
+            EntropyOracle(source)
 
 
 def test_violations_match_a_scalar_scan():

@@ -626,6 +626,24 @@ def test_decode_takes_numpy_integers_as_it_takes_ints():
         assert all(type(x) is int for x in got)
 
 
+def test_symbols_of_a_numpy_block_equal_those_of_python_ints():
+    # At p = 2^61 - 1 an entry times a numpy int64 symbol overflows int64,
+    # so each symbol is reduced as a Python int.
+    p = 2 ** 61 - 1
+    assert FieldMatrix(1, 1, p, [2 ** 60]).mul_vector([np.int64(2 ** 60)]) == (2 ** 120 % p,)
+    rng = random.Random(63)
+    n = 2
+    src = random_linear_source(rng, m=3, n_packets=4, p=p)
+    scheme = TransmissionScheme(n=n, p=p, coefficients=tuple(
+        FieldMatrix.random(2, n * a.rows, p, rng) for a in src.matrices))
+    w = [rng.randrange(p) for _ in range(n * src.N)]
+    block = np.array(w, dtype=np.int64)
+    for i, a in enumerate(src.matrices):
+        assert a.mul_vector(block[:src.N]) == a.mul_vector(w[:src.N])
+        assert user_observation(src, i, block, n) == user_observation(src, i, w, n)
+    assert broadcast_symbols(src, scheme, block) == broadcast_symbols(src, scheme, w)
+
+
 def test_user_observation_equals_the_expanded_product():
     rng = random.Random(62)
     for n in range(1, 5):

@@ -51,10 +51,10 @@ def linear_sources(draw):
     space = ff.RowSpace(n, p)
     for rows in mats:
         for row in rows:
-            space.add_packed(space.pack(row))
+            space.add_packed(space.pack_rows(ff.FieldMatrix.from_rows([row], p))[0])
     for c in range(n):
         unit = [int(k == c) for k in range(n)]
-        if space.add_packed(space.pack(unit)):
+        if space.add_packed(space.pack_rows(ff.FieldMatrix.from_rows([unit], p))[0]):
             mats[draw(st.integers(0, m - 1))].append(unit)
     return make_linear_source(mats, p=p, N=n)
 

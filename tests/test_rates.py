@@ -28,6 +28,7 @@ from omniex.reference import (
     modified_edmond_setfn,
 )
 from omniex.setfun import members
+from omniex.sources import LinearSource
 
 from conftest import (
     example1_source,
@@ -49,7 +50,7 @@ def test_raw_sweep_on_intersecting_submodular_table():
 
 def test_sweep_example_instance_at_its_optimum():
     oracle = EntropyOracle(example1_source())
-    res = modified_edmond(oracle, Fraction(3, 2), ordering="ascending")
+    res = modified_edmond(oracle, Fraction(3, 2))
     assert res.z == (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
     assert res.g_value == Fraction(3, 2)
     assert res.segment.b == (1, 1, -1)
@@ -58,10 +59,21 @@ def test_sweep_example_instance_at_its_optimum():
 
 def test_sweep_figure_instance_at_its_optimum():
     oracle = EntropyOracle(figure1_source())
-    res = modified_edmond(oracle, Fraction(2), ordering="ascending")
+    res = modified_edmond(oracle, Fraction(2))
     assert sum(res.z) == 2
     assert res.z == (Fraction(1), Fraction(0), Fraction(1))
     assert verify_feasible(oracle, RateVector(res.z, unit=oracle.unit))
+
+
+def test_a_linear_source_counts_its_users_from_its_matrices():
+    mats = example1_source().matrices
+    src = LinearSource(N=3, p=5, matrices=mats)
+    assert src.m == 3
+    res = rco_sum_rate(EntropyOracle(src))
+    assert res.value == Fraction(3, 2)
+    assert res.rates.values == (Fraction(1, 2),) * 3
+    with pytest.raises(TypeError):
+        LinearSource(m=1, N=3, p=5, matrices=mats)
 
 
 def test_sweep_output_stays_in_polyhedron_and_matches_dilworth():
@@ -226,7 +238,7 @@ def test_partition_is_invariant_to_sweep_ordering():
             perm = list(range(oracle.m))
             rng.shuffle(perm)
             alpha = tuple(perm.index(i) + 1 for i in range(oracle.m))
-            other = modified_edmond(oracle, beta, alpha, "descending").partition
+            other = modified_edmond(oracle, beta, alpha).partition
             assert base.blocks == other.blocks
             assert base.g_value == other.g_value
 
@@ -235,8 +247,8 @@ def test_nontermination_guard_fires_on_a_stuck_walk(monkeypatch):
     oracle = EntropyOracle(example1_source())
     real = rates_mod.modified_edmond
 
-    def stuck(oracle_arg, beta, alpha=None, ordering="descending"):
-        res = real(oracle_arg, Fraction(0), alpha, ordering)
+    def stuck(oracle_arg, beta, alpha=None):
+        res = real(oracle_arg, Fraction(0), alpha)
         return res  # partition at beta=0 never collapses
 
     monkeypatch.setattr(rates_mod, "modified_edmond", stuck)

@@ -165,7 +165,7 @@ def test_breakpoint_rates_are_region_vertices():
         assert fraction_matrix_rank(rows) == m
         # Sweep-recorded tight sets map to tight cut constraints by
         # complementation.
-        sweep = modified_edmond(oracle, res.beta_star, alpha, "ascending")
+        sweep = modified_edmond(oracle, res.beta_star, alpha)
         for s in sweep.tight_sets:
             comp = full & ~s
             if comp:
