@@ -9,9 +9,10 @@ The public surface groups into:
 * ``rates``    the rate optimizers (sum rate, weighted, fixed denominator);
 * ``netcode``  transmission scheme construction, verification, decoding;
 * ``reference`` brute-force and independent oracles that check the above
-  (submodularity, greedy vertices, brute-force minimization, Dilworth
-  truncation, the multicast transfer-matrix view); no solver calls them,
-  so the module is loaded only on first use of one of its names;
+  (submodularity, submask enumeration, greedy vertices, brute-force
+  minimization, Dilworth truncation, the multicast transfer-matrix view);
+  no solver calls them, so the root re-exports only the few names its
+  callers take from it, and loads the module on first use of one;
 * ``cli``      the ``omniex`` command line tool and document formats.
 """
 
@@ -28,10 +29,8 @@ from .errors import (
     NonConvergence,
     NonIntegerRates,
     NonTermination,
-    OmniexError,
     TooLarge,
     UnitMismatch,
-    UnknownReceiver,
     ValidationError,
     ZeroInverse,
 )
@@ -46,13 +45,7 @@ from .netcode import (
     verify_omniscience,
 )
 from .rates import (
-    IlpResult,
-    LinearSegment,
-    ModifiedEdmondResult,
-    PartitionResult,
     RateVector,
-    SumRateResult,
-    WeightedResult,
     h_eval,
     ilp_rates,
     minimize_weighted,
@@ -76,11 +69,8 @@ __version__ = "0.1.0"
 
 # The names re-exported from ``reference``, imported on first request.
 _REFERENCE = frozenset({
-    "ExpandedTransferMatrix", "MulticastNetwork", "Slot", "build_network",
-    "dilworth_bruteforce", "dmms_from_linear", "dual", "edmond_greedy",
-    "expanded_transfer_matrix", "in_polyhedron", "is_intersecting_submodular",
-    "is_submodular", "modified_edmond_setfn", "scheme_assignment",
-    "sfm_constrained", "transfer_matrix",
+    "MulticastNetwork", "dmms_from_linear", "dual", "is_intersecting_submodular",
+    "is_submodular",
 })
 
 

@@ -265,10 +265,10 @@ def modified_edmond(oracle: EntropyOracle, beta: Value,
     m = oracle.m
     if alpha is None:
         alpha = (1,) * m
-    order = order_by_weight(check_costs(alpha, m), descending=False)
+    order = order_by_weight(check_costs(alpha, m))
 
     # The sweep reads every nonempty subset, so it reads them from the table.
-    oracle.array()
+    table = oracle.array()
     peak = oracle.int64_peak
     exact = oracle.exact and not isinstance(beta, float)
     total = oracle.total()
@@ -304,8 +304,10 @@ def modified_edmond(oracle: EntropyOracle, beta: Value,
     for j in order:
         bj = bit(j)
         cands = subs[:k]
-        # The sets read now are the next doubling of subs.
-        heights = oracle.gather(np.bitwise_or(cands, bj, out=subs[k:2 * k]))
+        # The sets read now are the next doubling of subs; each mask read
+        # counts as one ``entropy`` call.
+        heights = table[np.bitwise_or(cands, bj, out=subs[k:2 * k])]
+        oracle.calls += k
         evaluations += k
         # heights is a fresh array: the keys are built in it, in zsum's dtype.
         keys = heights.astype(zsum.dtype, copy=False)

@@ -8,7 +8,7 @@ needs.  No solver calls this module; the tests and ``selfcheck`` do.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .setfun import (
     Value,
     bit,
     check_costs,
-    iter_submasks,
     members,
     order_by_weight,
     value_le,
@@ -54,6 +53,26 @@ def mask_of(indices: Iterable[int]) -> int:
     for i in indices:
         m |= 1 << i
     return m
+
+
+def iter_submasks(mask: int) -> Iterator[int]:
+    """All submasks of ``mask`` including 0 and mask itself."""
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
+
+
+def descending_weight(alpha: Sequence[Value]) -> tuple[int, ...]:
+    """Users by descending weight; ties broken by ascending user index."""
+    return tuple(sorted(range(len(alpha)), key=lambda i: (-alpha[i], i)))
+
+
+def row_counts(src: LinearSource) -> tuple[int, ...]:
+    """Observation rows per user of a linear source."""
+    return tuple(a.rows for a in src.matrices)
 
 
 def from_table(m: int, table: dict[int, Value], exact: bool = True) -> SetFunction:
@@ -119,7 +138,7 @@ def edmond_greedy(f: SetFunction, alpha: Sequence[Value]) -> tuple[Value, ...]:
     sum(Z) = f(M).
     """
     alpha = check_costs(alpha, f.m)
-    order = order_by_weight(alpha, descending=True)
+    order = descending_weight(alpha)
     z: list[Value] = [0] * f.m
     acc = 0
     prev: Value = 0
@@ -219,7 +238,8 @@ def modified_edmond_setfn(f: SetFunction, alpha: Sequence[Value],
     """Sweep for a raw intersecting-submodular set function (no beta)."""
     m = f.m
     alpha = check_costs(alpha, m)
-    order = order_by_weight(alpha, descending=(ordering == "descending"))
+    order = (descending_weight(alpha) if ordering == "descending"
+             else order_by_weight(alpha))
     z: list[Value] = [_zero(f.exact)] * m
     tight: list[int] = []
     blocks: list[int] = []
@@ -244,8 +264,7 @@ def dmms_from_linear(src: LinearSource) -> DmmsSource:
     pmf of the user observations.  Feasible only for tiny p^N."""
     if src.p ** src.N > 1 << 20:
         raise ValidationError("p^N too large to tabulate the joint pmf")
-    lengths = src.lengths
-    alphabets = tuple(src.p ** l for l in lengths)
+    alphabets = tuple(src.p ** l for l in row_counts(src))
     table = np.zeros(alphabets, dtype=float)
     weight = 1.0 / src.p ** src.N
     w = [0] * src.N
@@ -354,7 +373,7 @@ def build_network(src: LinearSource, rates: RateVector, n: int) -> MulticastNetw
     if not verify_feasible(oracle, rates):
         raise InfeasibleRates("rate vector violates a cut constraint")
     return MulticastNetwork(m=src.m, n=n, N=src.N, p=src.p,
-                            lengths=src.lengths, tx=tx)
+                            lengths=row_counts(src), tx=tx)
 
 
 @dataclass(frozen=True)
@@ -450,7 +469,7 @@ def _receiver_incoming(net: MulticastNetwork, receiver: int) -> list[tuple]:
 def _network_blocks(net: MulticastNetwork, src: LinearSource):
     """Shared structure: unit-edge index, source block A and Gamma with
     coding slots in place."""
-    if src.m != net.m or src.p != net.p or src.lengths != net.lengths:
+    if src.m != net.m or src.p != net.p or row_counts(src) != net.lengths:
         raise DimensionMismatch("network was built from a different source")
     units = net.unit_edges()
     index = {e: k for k, e in enumerate(units)}

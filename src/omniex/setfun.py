@@ -3,7 +3,8 @@
 Provides the mask helpers, the ``SetFunction`` wrapper, the value
 comparisons under the tolerance DELTA, and the check of cost vectors and
 the order by weight that the greedy sweep of ``rates`` uses.  The brute-force
-checks over set functions live in ``omniex.reference``.
+checks over set functions, and the submask enumeration they use, live in
+``omniex.reference``.
 
 Values are either exact (int / fractions.Fraction) or floats.  Exact
 values are never silently converted; float comparisons use the module
@@ -13,7 +14,7 @@ tolerance DELTA.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .errors import NegativeWeight
 
@@ -39,6 +40,8 @@ def bit(i: int) -> int:
 
 
 def members(mask: int) -> tuple[int, ...]:
+    if mask < 0:
+        raise ValueError(f"mask {mask} is negative")
     out = []
     i = 0
     while mask:
@@ -59,16 +62,6 @@ def check_mask(mask: int, m: int) -> int:
     if mask < 0 or mask >> m:
         raise ValueError(f"mask {mask:#x} uses bits outside the ground set")
     return mask
-
-
-def iter_submasks(mask: int) -> Iterator[int]:
-    """All submasks of ``mask`` including 0 and mask itself."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
 
 
 class SetFunction:
@@ -111,9 +104,6 @@ def check_costs(alpha: Sequence[Value], m: int) -> tuple[Value, ...]:
     return tuple(out)
 
 
-def order_by_weight(alpha: Sequence[Value], descending: bool) -> tuple[int, ...]:
-    """Ordering of users by weight; ties broken by ascending user index."""
-    idx = range(len(alpha))
-    if descending:
-        return tuple(sorted(idx, key=lambda i: (-alpha[i], i)))
-    return tuple(sorted(idx, key=lambda i: (alpha[i], i)))
+def order_by_weight(alpha: Sequence[Value]) -> tuple[int, ...]:
+    """Users by ascending weight; ties broken by ascending user index."""
+    return tuple(sorted(range(len(alpha)), key=lambda i: (alpha[i], i)))

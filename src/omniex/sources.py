@@ -42,7 +42,7 @@ import numpy as np
 
 from . import field as ff
 from .errors import TooLarge, UnitMismatch, ValidationError
-from .setfun import DELTA, SetFunction, Value, bit, check_mask, members, value_le
+from .setfun import DELTA, SetFunction, Value, bit, check_mask, label, members, value_le
 
 UNIT_BITS = "bits"
 
@@ -73,10 +73,6 @@ class LinearSource:
     def stacked(self, mask: int) -> ff.FieldMatrix:
         return ff.stack([self.matrices[i] for i in members(mask)],
                         cols=self.N, p=self.p)
-
-    @property
-    def lengths(self) -> tuple[int, ...]:
-        return tuple(a.rows for a in self.matrices)
 
     @cached_property
     def _packed(self) -> tuple[tuple[int, list[int]], ...]:
@@ -214,9 +210,8 @@ def validate(source: Source) -> list[str]:
                 try:
                     float(source.entries[mask])
                 except OverflowError:
-                    users = ",".join(str(u + 1) for u in members(mask))
                     problems.append(
-                        f"entropy of subset {{{users}}} is beyond the float "
+                        f"entropy of subset {label(mask)} is beyond the float "
                         f"range, in a table compared in floats")
                     break
     else:
@@ -265,10 +260,6 @@ class EntropyOracle:
     def full_mask(self) -> int:
         return (1 << self.m) - 1
 
-    def check_unit(self, unit: Optional[str]) -> None:
-        if unit is not None and unit != self.unit:
-            raise UnitMismatch(f"value in {unit!r} mixed with oracle in {self.unit!r}")
-
     def entropy(self, mask: int) -> Value:
         check_mask(mask, self.m)
         self.calls += 1
@@ -288,13 +279,6 @@ class EntropyOracle:
         """H(X_S) for every mask in ``masks``, read as that many ``entropy``
         calls."""
         return list(map(self.entropy, masks))
-
-    def gather(self, masks: np.ndarray) -> np.ndarray:
-        """H(X_S) for an int64 array of masks, as a new array gathered
-        from ``array``, counted as that many ``entropy`` calls."""
-        table = self.array()
-        self.calls += len(masks)
-        return table[masks]
 
     def _compute(self, mask: int) -> Value:
         src = self.source
@@ -457,7 +441,8 @@ class EntropyOracle:
         Intersecting submodular for every beta >= 0; fully submodular once
         beta >= H(X_M).
         """
-        self.check_unit(unit)
+        if unit is not None and unit != self.unit:
+            raise UnitMismatch(f"value in {unit!r} mixed with oracle in {self.unit!r}")
         total = self.total()
         exact = self.exact and not isinstance(beta, float)
 

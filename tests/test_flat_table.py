@@ -31,8 +31,8 @@ from omniex import (
     verify_feasible,
 )
 from omniex import field as ff
-from omniex.reference import modified_edmond_setfn
-from omniex.setfun import DELTA, iter_submasks, members, order_by_weight, value_le
+from omniex.reference import iter_submasks, modified_edmond_setfn
+from omniex.setfun import DELTA, members, order_by_weight, value_le
 from omniex.errors import ValidationError
 from omniex.sources import TableSource, validate
 
@@ -77,7 +77,7 @@ def key_span(oracle, beta, alpha) -> int:
     Z from the per-subset reference sweep."""
     den = Fraction(beta).denominator
     z, _, _, _ = modified_edmond_setfn(oracle.f_beta(beta), alpha, ordering="ascending")
-    order = order_by_weight(alpha, descending=False)
+    order = order_by_weight(alpha)
     prefix = sum(1 << j for j in order[:-1])
     peak = max(abs(oracle.entropy(s)) for s in range(oracle.full_mask + 1))
     zmax = max(abs(sum((z[i] for i in members(s)), Fraction(0)))

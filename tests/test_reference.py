@@ -9,8 +9,10 @@ commands never load it.
 
 import ast
 import json
+import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -187,3 +189,38 @@ def test_root_resolves_every_reference_name():
     from omniex import reference
     for name in sorted(omniex._REFERENCE):
         assert getattr(omniex, name) is getattr(reference, name), name
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def root_imports(source: str) -> set[str]:
+    """Names that ``from omniex import ...`` statements in ``source`` take
+    from the package root."""
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module == "omniex"
+            and node.level == 0 for alias in node.names}
+
+
+def library_example() -> str:
+    """The Python example under README's Library heading."""
+    readme = (ROOT / "README.md").read_text()
+    return re.search(r"^## Library\n+```python\n(.*?)^```", readme,
+                     re.M | re.S).group(1)
+
+
+def test_root_exports_only_names_its_callers_import():
+    sources = [path.read_text() for folder in ("tests", "perfbench")
+               for path in sorted((ROOT / folder).glob("*.py"))]
+    imported = set().union(*map(root_imports, sources + [CHILD, library_example()]))
+    public = {name for name, value in vars(omniex).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(public - imported) == []
+    assert sorted(omniex._REFERENCE - imported) == []
+
+
+def test_root_import_check_sees_every_name_form():
+    source = ("import omniex\nfrom omniex import (a, b as c)\n"
+              "from omniex.rates import d\nfrom . import e\n"
+              "def f():\n    from omniex import g\n")
+    assert root_imports(source) == {"a", "b", "g"}

@@ -1,4 +1,7 @@
+import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -24,7 +27,7 @@ from omniex.reference import (
 )
 from omniex.setfun import DELTA, members, order_by_weight
 
-from conftest import example1_source, partitions_of, random_linear_source
+from conftest import child_env, example1_source, partitions_of, random_linear_source
 
 COMB_EXP1 = from_table(2, {0b01: 4, 0b10: 3, 0b11: 6})
 EXP_DILW = from_table(2, {0b01: 4, 0b10: 3, 0b11: 8})
@@ -196,9 +199,33 @@ def test_edmond_greedy_optimality_against_feasible_samples():
 
 
 def test_ordering_tie_break_is_ascending_index():
-    assert order_by_weight((1, 1, 1), descending=True) == (0, 1, 2)
-    assert order_by_weight((2, 5, 5, 1), descending=True) == (1, 2, 0, 3)
-    assert order_by_weight((2, 5, 5, 1), descending=False) == (3, 0, 1, 2)
+    assert order_by_weight((2, 5, 5, 1)) == (3, 0, 1, 2)
+
+
+# Calls each mask helper on a negative mask and reports what it raised.
+NEGATIVE_MASK = r"""
+import json
+from omniex.setfun import label, members
+
+out = {}
+for fn in (members, label):
+    try:
+        out[fn.__name__] = ["returned", repr(fn(-1))]
+    except Exception as exc:
+        out[fn.__name__] = [type(exc).__name__, str(exc)]
+print(json.dumps(out))
+"""
+
+
+def test_mask_helpers_refuse_a_negative_mask():
+    # In a child process, so that a helper that never returns fails this
+    # test with ``TimeoutExpired`` instead of hanging the suite.
+    done = subprocess.run([sys.executable, "-c", NEGATIVE_MASK], env=child_env(),
+                          capture_output=True, text=True, timeout=10)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {
+        "members": ["ValueError", "mask -1 is negative"],
+        "label": ["ValueError", "mask -1 is negative"]}
 
 
 def test_sfm_constrained_fixed_example():

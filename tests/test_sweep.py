@@ -26,8 +26,8 @@ from omniex import (
     verify_feasible,
 )
 from omniex import rates as rates_mod
-from omniex.reference import modified_edmond_setfn
-from omniex.setfun import DELTA, bit, iter_submasks, members, order_by_weight
+from omniex.reference import iter_submasks, modified_edmond_setfn
+from omniex.setfun import DELTA, bit, members, order_by_weight
 from omniex.sources import TableSource
 
 from conftest import random_linear_source
@@ -156,7 +156,7 @@ def reference_float_sweep(oracle, beta, alpha):
     """The float sweep evaluated set by set: each candidate's coefficients
     are summed afresh over its members, and the union joins every
     candidate within DELTA of the least value."""
-    order = order_by_weight(alpha, descending=False)
+    order = order_by_weight(alpha)
     total = oracle.total()
     b_coef, c_coef, z = [0] * oracle.m, [0.0] * oracle.m, [0.0] * oracle.m
     tight = []
