@@ -218,6 +218,48 @@ def test_verify_unit_mismatch(capsys, tmp_path):
     assert "unit" in err.lower()
 
 
+PAIR_PMF = {"source": {"kind": "pmf", "alphabets": [2, 2],
+                       "entries": {"0,0": 0.5, "1,1": 0.5}}}
+
+
+def test_code_and_verify_refuse_a_pmf_document(capsys, tmp_path):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(PAIR_PMF))
+    code, out, err = run(capsys, "code", str(path), "--out", str(tmp_path / "s.json"))
+    assert (code, out) == (2, "")
+    assert err == "error: code construction needs a linear source document\n"
+    assert not (tmp_path / "s.json").exists()
+    code, out, err = run(capsys, "verify", str(path), EX1_SCHEME)
+    assert (code, out) == (2, "")
+    assert err == "error: verification needs a linear source document\n"
+
+
+def test_verify_refuses_a_scheme_over_another_field(capsys, tmp_path):
+    # Without a unit the scheme passes the unit check, so only the field
+    # comparison catches it.
+    scheme = json.load(open(EX1_SCHEME))
+    del scheme["unit"]
+    problem = json.load(open(EX1))
+    problem["source"]["p"] = 7
+    s_path, p_path = tmp_path / "s.json", tmp_path / "p.json"
+    s_path.write_text(json.dumps(scheme))
+    p_path.write_text(json.dumps(problem))
+    code, out, err = run(capsys, "verify", str(p_path), str(s_path))
+    assert (code, out) == (3, "")
+    assert err == "error: scheme symbols are F_5, problem symbols are F_7\n"
+
+
+@pytest.mark.parametrize("alpha, message", [
+    ("1,2", "--alpha: expected 3 comma-separated weights"),
+    ("1, -0.5 ,2", "--alpha[1]: negative weight -0.5"),
+], ids=["too-few", "negative"])
+def test_bad_alpha_exits_2(capsys, alpha, message):
+    for command in ("rates", "ilp"):
+        code, out, err = run(capsys, command, EX1, "--alpha", alpha)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+
 def test_malformed_documents_exit_2(capsys, tmp_path):
     bad_pmf = {
         "source": {"kind": "pmf", "alphabets": [2, 2],
