@@ -304,46 +304,34 @@ class EntropyOracle:
         adds one user's rows, packed once per source, to a copy of its
         parent's row space, so at most m + 1 row spaces are alive at a
         time.  Users with many rows are thus reduced near the root, against
-        small row spaces, and row spaces reach rank N sooner.  Once a row
-        space reaches rank N, every superset in its subtree is set to N
-        without elimination: with the table viewed as an m-cube whose axis
-        m - 1 - u is user u, those masks are one basic-indexing view, the
-        users already placed fixed at 0 or 1 and the later ones whole.  The
-        table stays indexed by user mask throughout, so nothing is
-        permuted or copied.  A memo that already holds every subset is
-        copied instead.  The values are those a lazy ``entropy`` call
-        computes, and ``calls`` does not move.
+        small row spaces, and row spaces reach rank N sooner.  The table
+        starts at N and the pass writes only the ranks below it: the pass
+        reaches each subset along exactly one path, so it does not descend
+        below a row space of rank N, and every superset there keeps N, its
+        rank.  A memo that already holds every subset is copied instead.
+        The values are those a lazy ``entropy`` call computes, and
+        ``calls`` does not move.
         """
         src = self.source
         m = self.m
         if len(self._cache) == self.full_mask:
             return self._full_array(self._cache)
         n_packets = src.N
-        table = np.zeros(1 << m, dtype=np.int64)
+        table = np.full(1 << m, n_packets, dtype=np.int64)
+        table[0] = 0
         ranks = memoryview(table)
-        cube = table.reshape((2,) * m)
         packed = src._packed
-        # index[m - 1 - u]: user u's coordinate in the cube, a slice while
-        # user u is not yet placed on the current path.
-        index: list = [slice(None)] * m
 
         def visit(space: ff.RowSpace, mask: int, start: int) -> None:
             for d in range(start, m):
                 u, rows = packed[d]
                 child = space.copy()
                 child.extend_packed(rows)
-                grown = mask | bit(u)
-                index[m - 1 - u] = 1
-                if child.rank == n_packets:
-                    # grown with any set of the users after u in the order.
-                    cube[tuple(index)] = n_packets
-                else:
+                if child.rank < n_packets:
+                    grown = mask | bit(u)
                     ranks[grown] = child.rank
                     if d + 1 < m:
                         visit(child, grown, d + 1)
-                index[m - 1 - u] = 0
-            for u, _ in packed[start:]:
-                index[m - 1 - u] = slice(None)
 
         visit(ff.RowSpace(n_packets, src.p), 0, 0)
         return table
