@@ -58,8 +58,8 @@ D * max|H| + sum |D * R_i| < 2^62.  Above ``sources.TABLE_CAP`` users the
 oracle refuses to build the table, so the sweep and the check raise
 ``TooLarge`` before any work.
 
-Every sweep records how many candidate sets its inner minimizations
-evaluated, which callers use as a complexity regression ceiling.
+The steps of a sweep read 1, 2, ..., 2^(m-1) candidate sets, so every
+sweep counts 2^m - 1 evaluations, a complexity ceiling for its callers.
 
 All functions here are pure computations over an immutable oracle (only
 its memo cache mutates, safely for concurrent readers), so independent
@@ -69,10 +69,12 @@ solver calls may run concurrently on the same oracle.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from functools import reduce
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -105,6 +107,13 @@ FLOAT_BRACKET_WIDTH = 1e-9
 PARTITION_FORMULA_CAP = 12
 
 
+def _fold(values: Iterable[Value], start: Value = 0) -> Value:
+    """start + v_1 + v_2 + ..., added left to right.  Not ``sum()``: from
+    Python 3.12 it adds floats with compensation, so printed float rates
+    would depend on the interpreter."""
+    return reduce(operator.add, values, start)
+
+
 @dataclass(frozen=True)
 class LinearSegment:
     """Affine map R_i = b_i * beta + c_i valid on one segment.
@@ -121,16 +130,10 @@ class LinearSegment:
         return tuple(bi * beta + ci for bi, ci in zip(self.b, self.c))
 
     def slope(self, alpha: Sequence[Value]) -> Value:
-        total = 0
-        for a, bi in zip(alpha, self.b):
-            total = total + a * bi
-        return total
+        return _fold(map(operator.mul, alpha, self.b))
 
     def intercept(self, alpha: Sequence[Value]) -> Value:
-        total = 0
-        for a, ci in zip(alpha, self.c):
-            total = total + a * ci
-        return total
+        return _fold(map(operator.mul, alpha, self.c))
 
 
 @dataclass(frozen=True)
@@ -146,10 +149,7 @@ class RateVector:
         return len(self.values)
 
     def total(self) -> Value:
-        total = 0
-        for v in self.values:
-            total = total + v
-        return total
+        return _fold(self.values)
 
 
 @dataclass(frozen=True)
@@ -193,7 +193,6 @@ class HPoint:
     value: Value
     rates: RateVector
     segment: LinearSegment
-    evaluations: int
 
 
 @dataclass(frozen=True)
@@ -278,7 +277,6 @@ def modified_edmond(oracle: EntropyOracle, beta: Value,
     z: list[Value] = [zero] * m
     tight: list[int] = []
     blocks: list[int] = []
-    evaluations = 0
     # Keys are den * (f(S, beta) - Z(S)) - shift: integers for a linear
     # source, and the float value of f(S, beta) - Z(S) - shift otherwise.
     num, den = (beta.numerator, beta.denominator) if exact else (beta, 1)
@@ -308,7 +306,6 @@ def modified_edmond(oracle: EntropyOracle, beta: Value,
         # counts as one ``entropy`` call.
         heights = table[np.bitwise_or(cands, bj, out=subs[k:2 * k])]
         oracle.calls += k
-        evaluations += k
         # heights is a fresh array: the keys are built in it, in zsum's dtype.
         keys = heights.astype(zsum.dtype, copy=False)
         np.multiply(keys, den, out=keys)
@@ -342,14 +339,12 @@ def modified_edmond(oracle: EntropyOracle, beta: Value,
     if exact:
         g_value = Fraction(ztotal, den) if isinstance(beta, Fraction) else ztotal
     else:
-        g_value = zero
-        for v in z:
-            g_value = g_value + v
+        g_value = _fold(z, zero)
     partition = PartitionResult(blocks=_sorted_blocks(blocks), g_value=g_value)
     segment = LinearSegment(b=tuple(b_coef), c=tuple(c_coef))
     return ModifiedEdmondResult(
         z=tuple(z), segment=segment, tight_sets=tuple(tight),
-        partition=partition, g_value=g_value, evaluations=evaluations)
+        partition=partition, g_value=g_value, evaluations=oracle.full_mask)
 
 
 def rco_sum_rate(oracle: EntropyOracle) -> SumRateResult:
@@ -364,11 +359,9 @@ def rco_sum_rate(oracle: EntropyOracle) -> SumRateResult:
     """
     exact = oracle.exact
     beta: Value = _zero(exact)
-    evaluations = 0
     iterations = 0
-    last_nontrivial: Optional[PartitionResult] = None
     result = modified_edmond(oracle, beta)
-    evaluations += result.evaluations
+    last_nontrivial = result.partition
     while result.partition.size > 1:
         iterations += 1
         if iterations > oracle.m:
@@ -378,23 +371,19 @@ def rco_sum_rate(oracle: EntropyOracle) -> SumRateResult:
         last_nontrivial = result.partition
         # Line intersection with the 45-degree segment: the current segment
         # of g has value |P|*beta - sum over blocks of H(X_{S^c} | X_S).
-        num = _zero(exact)
-        for blk in result.partition.blocks:
-            num = num + (oracle.total() - oracle.entropy(blk))
+        num = _fold((oracle.total() - oracle.entropy(blk)
+                     for blk in result.partition.blocks), _zero(exact))
         k = result.partition.size
         beta = _ratio(num, k - 1, exact)
         result = modified_edmond(oracle, beta)
-        evaluations += result.evaluations
-
-    if last_nontrivial is None:
-        last_nontrivial = result.partition
     # The same call as the walk's last sweep; it stays while the pinned
     # query counters and the golden sfm_evaluations count it.
     final = modified_edmond(oracle, beta)
-    evaluations += final.evaluations
     rates = RateVector(values=final.z, denominator=1, unit=oracle.unit)
+    # iterations + 2 sweeps, each counting 2^m - 1 evaluations.
     return SumRateResult(value=beta, rates=rates, partition=last_nontrivial,
-                         iterations=iterations, evaluations=evaluations)
+                         iterations=iterations,
+                         evaluations=(iterations + 2) * oracle.full_mask)
 
 
 def rco_partition_formula(oracle: EntropyOracle) -> Value:
@@ -413,9 +402,7 @@ def rco_partition_formula(oracle: EntropyOracle) -> Value:
         if i == m:
             if len(blocks) < 2:
                 return
-            s = _zero(oracle.exact)
-            for blk in blocks:
-                s = s + oracle.entropy(blk)
+            s = _fold(map(oracle.entropy, blocks), _zero(oracle.exact))
             cand = _ratio(s - total, len(blocks) - 1, oracle.exact)
             if best is None or cand < best:
                 best = cand
@@ -453,13 +440,11 @@ def h_eval(oracle: EntropyOracle, alpha: Sequence[Value], beta: Value) -> HPoint
         raise InfeasibleBeta(
             f"total rate {beta} is below the minimum sum rate "
             f"(achievable maximum is {result.g_value})")
-    return _point(alpha, beta, result.z, result.segment, result.evaluations,
-                  oracle.unit, exact)
+    return _point(alpha, beta, result.z, result.segment, oracle.unit, exact)
 
 
 def _point(alpha: Sequence[Value], beta: Value, z: tuple[Value, ...],
-           segment: LinearSegment, evaluations: int, unit: str,
-           exact: bool) -> HPoint:
+           segment: LinearSegment, unit: str, exact: bool) -> HPoint:
     """The point of h at beta for the sweep output z, priced by alpha."""
     if exact and all(type(a) is int for a in alpha):
         # den * R_i = b_i * num + c_i * den, so den * cost is num times
@@ -469,11 +454,9 @@ def _point(alpha: Sequence[Value], beta: Value, z: tuple[Value, ...],
         if isinstance(beta, Fraction):
             cost = Fraction(cost, den)
     else:
-        cost = _zero(exact)
-        for a, r in zip(alpha, z):
-            cost = cost + a * r
+        cost = _fold(map(operator.mul, alpha, z), _zero(exact))
     return HPoint(beta=beta, value=cost, rates=RateVector(values=z, unit=unit),
-                  segment=segment, evaluations=evaluations)
+                  segment=segment)
 
 
 def _probe(oracle: EntropyOracle, alpha: Sequence[Value], beta: Value,
@@ -490,8 +473,7 @@ def _probe(oracle: EntropyOracle, alpha: Sequence[Value], beta: Value,
         pt = seen[beta] = h_eval(oracle, alpha, beta)
     elif repr(pt.beta) != repr(beta):
         pt = _point(alpha, beta, pt.segment.rates_at(beta), pt.segment,
-                    pt.evaluations, oracle.unit,
-                    oracle.exact and not isinstance(beta, float))
+                    oracle.unit, oracle.exact and not isinstance(beta, float))
     return pt
 
 
@@ -535,7 +517,7 @@ def minimize_weighted(oracle: EntropyOracle, alpha: Sequence[Value],
         """h at beta, with the slope and intercept of its segment."""
         nonlocal evaluations
         pt = _probe(oracle, alpha, beta, seen)
-        evaluations += pt.evaluations
+        evaluations += oracle.full_mask
         return pt, pt.segment.slope(lines), pt.segment.intercept(lines)
 
     def result(pt: HPoint, iterations: int) -> WeightedResult:

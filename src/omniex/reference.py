@@ -26,6 +26,7 @@ from .netcode import TransmissionScheme, _integer_tx_counts
 from .rates import (
     PartitionResult,
     RateVector,
+    _fold,
     _merge_block,
     _sorted_blocks,
     _zero,
@@ -224,10 +225,7 @@ def in_polyhedron(f: SetFunction, z: Sequence[Value]) -> bool:
         raise ConstraintViolation(f"vector has {len(z)} entries, expected {f.m}")
     exact = f.exact
     for s in range(1, f.full_mask + 1):
-        total = 0
-        for k in members(s):
-            total = total + z[k]
-        if not value_le(total, f(s), exact):
+        if not value_le(_fold(z[k] for k in members(s)), f(s), exact):
             return False
     return True
 
@@ -252,9 +250,7 @@ def modified_edmond_setfn(f: SetFunction, alpha: Sequence[Value],
         tight.append(minimizer)
         _merge_block(blocks, minimizer)
         seen |= bit(j)
-    g_value = _zero(f.exact)
-    for v in z:
-        g_value = g_value + v
+    g_value = _fold(z, _zero(f.exact))
     partition = PartitionResult(blocks=_sorted_blocks(blocks), g_value=g_value)
     return tuple(z), tuple(tight), partition, evaluations
 
