@@ -56,22 +56,10 @@ EXIT_CODES = (
 )
 
 
-def _parse_alpha(text: str, m: int) -> tuple:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != m:
-        raise ValidationError(f"--alpha: expected {m} comma-separated weights")
-    out = []
-    for i, part in enumerate(parts):
-        value = docs.parse_value(part, f"--alpha[{i}]")
-        if value < 0:
-            raise ValidationError(f"--alpha[{i}]: negative weight {part}")
-        out.append(value)
-    return tuple(out)
-
-
 def _effective_alpha(doc: docs.ProblemDocument, args, oracle) -> tuple:
     if getattr(args, "alpha", None):
-        alpha = _parse_alpha(args.alpha, doc.m)
+        alpha = docs.parse_weights([p.strip() for p in args.alpha.split(",")],
+                                   doc.m, "--alpha")
     elif doc.weights is not None:
         alpha = doc.weights
     else:

@@ -305,6 +305,20 @@ def _parse_table(data: dict, where: str) -> TableSource:
     return TableSource(m=m, entries=entries, unit=unit)
 
 
+def parse_weights(raw: Any, m: int, where: str) -> tuple[Value, ...]:
+    """m finite nonnegative weights from a list of numbers or rational
+    strings: a document's ``weights`` and the items of ``--alpha``."""
+    if not isinstance(raw, list) or len(raw) != m:
+        raise ValidationError(f"{where}: expected {m} entries")
+    weights = tuple(parse_value(w, f"{where}[{i}]") for i, w in enumerate(raw))
+    for i, w in enumerate(weights):
+        if isinstance(w, float) and not math.isfinite(w):
+            raise ValidationError(f"{where}[{i}]: not a finite number")
+        if w < 0:
+            raise ValidationError(f"{where}[{i}]: negative weight {w}")
+    return weights
+
+
 def parse_problem(data: Any, *, sha256: str = "", where: str = "$") -> ProblemDocument:
     src_raw = _expect(data, "source", where)
     kind = _expect(src_raw, "kind", f"{where}.source")
@@ -323,17 +337,7 @@ def parse_problem(data: Any, *, sha256: str = "", where: str = "$") -> ProblemDo
 
     weights: Optional[tuple[Value, ...]] = None
     if "weights" in data and data["weights"] is not None:
-        raw_w = data["weights"]
-        if not isinstance(raw_w, list) or len(raw_w) != source.m:
-            raise ValidationError(
-                f"{where}.weights: expected {source.m} entries")
-        weights = tuple(parse_value(w, f"{where}.weights[{i}]")
-                        for i, w in enumerate(raw_w))
-        for i, w in enumerate(weights):
-            if isinstance(w, float) and not math.isfinite(w):
-                raise ValidationError(f"{where}.weights[{i}]: not a finite number")
-            if w < 0:
-                raise ValidationError(f"{where}.weights[{i}]: negative weight {w}")
+        weights = parse_weights(data["weights"], source.m, f"{where}.weights")
 
     n = data.get("n", 1)
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:

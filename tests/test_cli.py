@@ -250,8 +250,8 @@ def test_verify_refuses_a_scheme_over_another_field(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("alpha, message", [
-    ("1,2", "--alpha: expected 3 comma-separated weights"),
-    ("1, -0.5 ,2", "--alpha[1]: negative weight -0.5"),
+    ("1,2", "--alpha: expected 3 entries"),
+    ("1, -0.5 ,2", "--alpha[1]: negative weight -1/2"),
 ], ids=["too-few", "negative"])
 def test_bad_alpha_exits_2(capsys, alpha, message):
     for command in ("rates", "ilp"):
