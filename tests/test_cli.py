@@ -1,17 +1,24 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from omniex import fixtures
+from omniex import EntropyOracle, fixtures
 from omniex.cli import build_parser, main
+from omniex.setfun import DELTA, label
 
-from conftest import nonsubmodular_table_document, omniex_cli
+from conftest import nonsubmodular_table_document, omniex_cli, random_linear_source
+from test_selfcheck import FLOAT_TABLE
 
 FIG1 = str(fixtures.path("figure1"))
 FIG1_SCHEME = str(fixtures.path("figure1_scheme"))
@@ -258,6 +265,52 @@ def test_bad_alpha_exits_2(capsys, alpha, message):
         code, out, err = run(capsys, command, EX1, "--alpha", alpha)
         assert (code, out) == (2, "")
         assert err == f"error: {message}\n"
+
+
+UNCERTIFIED = ("error: the table is an entropy function only within 1e-09, "
+               "so its rates cannot be certified\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["--alpha", "1,2,3,4"]], ids=["plain", "weighted"])
+def test_float_table_rates_that_cannot_be_certified_exit_2(capsys, tmp_path, flags):
+    # The walk's rates miss a cut, and the weighted bracket's sweep refuses
+    # the walk's own budget: both within the table's DELTA, not a fault.
+    path = tmp_path / "float4.json"
+    path.write_text(json.dumps({"source": {"kind": "table", "m": 4,
+                                           "entropies": FLOAT_TABLE}}))
+    assert run(capsys, "rates", str(path), *flags) == (2, "", UNCERTIFIED)
+
+
+def perturbed_rank_table(seed: int) -> tuple[dict, list[str]]:
+    """The subset ranks of a random linear source with 2-5 users, each
+    moved by at most k * DELTA for one k <= m, weighted half the time."""
+    rng = random.Random(seed)
+    m = rng.randint(2, 5)
+    ranks = EntropyOracle(random_linear_source(rng, m=m)).array().tolist()
+    k = rng.randint(1, m)
+    entropies = {label(s).strip("{}"): ranks[s] + rng.uniform(-k, k) * DELTA
+                 for s in range(1, 1 << m)}
+    flags = (["--alpha", ",".join(str(rng.randint(1, 5)) for _ in range(m))]
+             if rng.random() < 0.5 else [])
+    return {"source": {"kind": "table", "m": m, "entropies": entropies}}, flags
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32))
+# Seeds whose rates missed a cut (587, and 3200 weighted) or whose bracket
+# refused the walk's budget (10729) with exit 1 before the refusal.
+@example(587)
+@example(3200)
+@example(10729)
+def test_perturbed_rank_tables_never_exit_1(tmp_path_factory, seed):
+    doc, flags = perturbed_rank_table(seed)
+    path = tmp_path_factory.mktemp("table") / "table.json"
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["rates", str(path), *flags])
+    assert code in (0, 2)
+    assert (code == 0) == (out.getvalue() != "")
 
 
 def test_malformed_documents_exit_2(capsys, tmp_path):
