@@ -73,7 +73,6 @@ import operator
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -108,10 +107,11 @@ PARTITION_FORMULA_CAP = 12
 
 
 def _fold(values: Iterable[Value], start: Value = 0) -> Value:
-    """start + v_1 + v_2 + ..., added left to right.  Not ``sum()``: from
-    Python 3.12 it adds floats with compensation, so printed float rates
-    would depend on the interpreter."""
-    return reduce(operator.add, values, start)
+    """start + v_1 + ..., added left to right; not ``sum()``, which from
+    Python 3.12 compensates floats, so printed rates would vary by version."""
+    for v in values:
+        start = start + v
+    return start
 
 
 @dataclass(frozen=True)

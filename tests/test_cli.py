@@ -297,8 +297,8 @@ def perturbed_rank_table(seed: int) -> tuple[dict, list[str]]:
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2 ** 32))
-# Seeds whose rates missed a cut (587, and 3200 weighted) or whose bracket
-# refused the walk's budget (10729) with exit 1 before the refusal.
+# Seeds whose rates miss a cut (587, and 3200 weighted) or whose weighted
+# bracket refuses the walk's own budget (10729).
 @example(587)
 @example(3200)
 @example(10729)
