@@ -59,7 +59,7 @@ EXIT_CODES = (
 
 
 def _effective_alpha(doc: docs.ProblemDocument, args, oracle) -> tuple:
-    if getattr(args, "alpha", None):
+    if getattr(args, "alpha", None) is not None:
         alpha = docs.parse_weights([p.strip() for p in args.alpha.split(",")],
                                    doc.m, "--alpha")
     elif doc.weights is not None:
@@ -258,7 +258,7 @@ def cmd_verify(args) -> int:
     if not isinstance(doc.source, sources.LinearSource):
         raise ValidationError("verification needs a linear source document")
     src = doc.source
-    unit = sources.linear_unit(src.p)
+    unit = src.unit
     scheme = docs.load_scheme(args.scheme, expected_unit=unit)
     if scheme.p != src.p:
         raise UnitMismatch(

@@ -7,27 +7,30 @@ by an explicit joint pmf table; entropies are floats in bits.  A raw
 entropy table is also accepted, mainly for diagnostics: it lets the
 selfcheck command exercise a hand-edited (possibly non-submodular) "H".
 
-Oracles memoize per subset mask: lazily in a dict, and then as one
-array indexed by mask once every subset is known (``array``): int64 for
-ints such as linear ranks, float64 for floats such as pmf entropies, and
-dtype object for Fractions, mixed kinds and ints of 2^62 or more.  The
-sweep and the feasibility check read that array with whole-array
-gathers.  ``array``, the one way to the table, refuses more than
-``TABLE_CAP`` users before any work.  A linear source packs each user's
-rows once, and every rank adds them to a ``field.RowSpace``, most rows
-first, up to rank N: a lazy query to one row space, ``array`` in one
-depth-first pass that extends parents' spaces, or by copying a memo of
-every subset.  For a pmf source, ``array`` computes every nonempty
-subset in one batch of numpy gathers, whose values equal the per-mask
-``pmf.sum(axis=drop)`` marginals bit for bit, and a single ``entropy``
-miss goes through the same kernel.  Evaluation is pure, every fill
-writes only the values a lazy query computes, and the array replaces the
-dict only once it is complete, so readers never see a partial table and
-the cache is safe to share between them.  ``entropy``, ``calls`` and
-``oracle_queries`` mean the same on either memo, and values leave the
-array as Python numbers.  ``violations`` tests the array for an entropy
-function (monotone and submodular) in one comparison per user and one per
-pair of users, each over the whole array.
+Each source class computes its own ``unit``, ``exact``, one subset's
+entropy and the table of every subset.  A ``LinearSource`` packs each
+user's rows once, and every rank adds them to a ``field.RowSpace``, most
+rows first, up to rank N: one row space per lazy query, and for the table
+one depth-first pass that extends parents' spaces.  A ``DmmsSource``
+computes every nonempty subset in one batch of numpy gathers, whose values
+equal the per-mask ``pmf.sum(axis=drop)`` marginals bit for bit, and one
+subset through the same kernel.  A ``TableSource`` reads its entries.
+
+``EntropyOracle`` memoizes any of them per subset mask: lazily in a dict,
+then as one array indexed by mask once every subset is known (``array``):
+int64 for ints such as linear ranks, float64 for floats such as pmf
+entropies, and dtype object for Fractions, mixed kinds and ints of 2^62
+or more.  The sweep and the feasibility check read that array with
+whole-array gathers.  ``array``, the one way to the table, refuses more
+than ``TABLE_CAP`` users before any work, then copies a memo that holds
+every subset, for every kind, or asks the source for its table.
+Evaluation is pure, every table holds the values a lazy query computes,
+and the array replaces the dict only once it is complete, so readers
+never see a partial table and the cache is safe to share between them.
+``entropy``, ``calls`` and ``oracle_queries`` mean the same on either
+memo, and values leave the array as Python numbers.  ``violations`` tests
+the array for an entropy function (monotone and submodular) in one
+comparison per user and one per pair of users, each over the whole array.
 """
 
 from __future__ import annotations
@@ -54,10 +57,6 @@ INT64_SAFE = 1 << 62
 TABLE_CAP = 22
 
 
-def linear_unit(p: int) -> str:
-    return f"F_{p}-symbols"
-
-
 @dataclass(frozen=True)
 class LinearSource:
     """Users observe A_i @ W for a uniform packet vector W in F_p^N."""
@@ -65,10 +64,15 @@ class LinearSource:
     N: int
     p: int
     matrices: tuple[ff.FieldMatrix, ...]
+    exact = True
 
     @property
     def m(self) -> int:
         return len(self.matrices)
+
+    @property
+    def unit(self) -> str:
+        return f"F_{self.p}-symbols"
 
     def stacked(self, mask: int) -> ff.FieldMatrix:
         return ff.stack([self.matrices[i] for i in members(mask)],
@@ -96,6 +100,42 @@ class LinearSource:
         and the oracle's H(X_M) both read it."""
         return self._rank((1 << self.m) - 1)
 
+    def _entropy(self, mask: int) -> int:
+        return self._full_rank if mask == (1 << self.m) - 1 else self._rank(mask)
+
+    def _array(self) -> np.ndarray:
+        """The rank of every subset, as a new table.
+
+        One depth-first pass over the subsets, with the users taken in
+        order of descending row count (ties in index order): a child subset
+        adds one user's rows, packed once per source, to a copy of its
+        parent's row space, so at most m + 1 row spaces are alive at a
+        time.  Users with many rows are thus reduced near the root, against
+        small row spaces, and row spaces reach rank N sooner.  The table
+        starts at N and the pass writes only the ranks below it: the pass
+        reaches each subset along exactly one path, so it does not descend
+        below a row space of rank N, and every superset there keeps N, its
+        rank.  The values are those ``_entropy`` computes.
+        """
+        m, n_packets, packed = self.m, self.N, self._packed
+        table = np.full(1 << m, n_packets, dtype=np.int64)
+        table[0] = 0
+        ranks = memoryview(table)
+
+        def visit(space: ff.RowSpace, mask: int, start: int) -> None:
+            for d in range(start, m):
+                u, rows = packed[d]
+                child = space.copy()
+                child.extend_packed(rows)
+                if child.rank < n_packets:
+                    grown = mask | bit(u)
+                    ranks[grown] = child.rank
+                    if d + 1 < m:
+                        visit(child, grown, d + 1)
+
+        visit(ff.RowSpace(n_packets, self.p), 0, 0)
+        return table
+
 
 @dataclass(frozen=True)
 class DmmsSource:
@@ -103,10 +143,25 @@ class DmmsSource:
 
     alphabets: tuple[int, ...]
     pmf: np.ndarray
+    unit = UNIT_BITS
+    exact = False
 
     @property
     def m(self) -> int:
         return len(self.alphabets)
+
+    @cached_property
+    def _marginals(self) -> _PmfMarginals:
+        return _PmfMarginals(self.pmf)
+
+    def _entropy(self, mask: int) -> float:
+        return self._marginals.entropies([mask])[0]
+
+    def _array(self) -> np.ndarray:
+        """Every nonempty subset in one batch, into a float64 array."""
+        table = np.zeros(1 << self.m)
+        table[1:] = self._marginals.entropies(range(1, 1 << self.m))
+        return table
 
 
 @dataclass(frozen=True)
@@ -120,6 +175,26 @@ class TableSource:
     @property
     def exact(self) -> bool:
         return all(not isinstance(v, float) for v in self.entries.values())
+
+    def _entropy(self, mask: int) -> Value:
+        return self.entries[mask]
+
+    def _array(self) -> np.ndarray:
+        return _full_array(self.entries, self.m, self.exact)
+
+
+def _full_array(values: dict[int, Value], m: int, exact: bool) -> np.ndarray:
+    """The table of a map holding every nonempty subset of m users: int64
+    when every value is an int below ``INT64_SAFE`` in size, float64 when
+    every value is a float, and dtype object otherwise (Fractions, mixed
+    kinds, larger ints), so that every value reads back as it was."""
+    table = [0 if exact else 0.0, *map(values.__getitem__, range(1, 1 << m))]
+    kinds = set(map(type, table))
+    if kinds == {int} and max(map(abs, table)) < INT64_SAFE:
+        return np.array(table, dtype=np.int64)
+    if kinds == {float}:
+        return np.array(table, dtype=np.float64)
+    return np.array(table, dtype=object)
 
 
 Source = Union[LinearSource, DmmsSource, TableSource]
@@ -231,8 +306,7 @@ class EntropyOracle:
     builds it, and None before that or for a table of any other dtype.
     """
 
-    __slots__ = ("source", "m", "unit", "exact", "_cache", "_table", "calls",
-                 "_marginals", "int64_peak")
+    __slots__ = ("source", "m", "unit", "exact", "_cache", "_table", "calls", "int64_peak")
 
     def __init__(self, source: Source):
         problems = validate(source)
@@ -240,21 +314,12 @@ class EntropyOracle:
             raise ValidationError("; ".join(problems))
         self.source = source
         self.m = source.m
-        if isinstance(source, LinearSource):
-            self.unit = linear_unit(source.p)
-            self.exact = True
-        elif isinstance(source, DmmsSource):
-            self.unit = UNIT_BITS
-            self.exact = False
-        else:
-            self.unit = source.unit
-            self.exact = source.exact
+        self.unit = source.unit
+        self.exact = source.exact
         self._cache: dict[int, Value] = {}
         self._table: Optional[np.ndarray] = None
         self.int64_peak: Optional[int] = None
         self.calls = 0
-        self._marginals = (_PmfMarginals(source.pmf)
-                           if isinstance(source, DmmsSource) else None)
 
     @property
     def full_mask(self) -> int:
@@ -281,14 +346,7 @@ class EntropyOracle:
         return list(map(self.entropy, masks))
 
     def _compute(self, mask: int) -> Value:
-        src = self.source
-        if isinstance(src, LinearSource):
-            if mask == self.full_mask:
-                return src._full_rank
-            return src._rank(mask)
-        if isinstance(src, TableSource):
-            return src.entries[mask]
-        return self._marginals.entropies([mask])[0]
+        return self.source._entropy(mask)
 
     def table(self) -> None:
         """Fill the table of a linear source through ``array``; does
@@ -296,67 +354,23 @@ class EntropyOracle:
         if isinstance(self.source, LinearSource):
             self.array()
 
-    def _ranks(self) -> np.ndarray:
-        """The rank of every subset of a linear source, as a new table.
-
-        One depth-first pass over the subsets, with the users taken in
-        order of descending row count (ties in index order): a child subset
-        adds one user's rows, packed once per source, to a copy of its
-        parent's row space, so at most m + 1 row spaces are alive at a
-        time.  Users with many rows are thus reduced near the root, against
-        small row spaces, and row spaces reach rank N sooner.  The table
-        starts at N and the pass writes only the ranks below it: the pass
-        reaches each subset along exactly one path, so it does not descend
-        below a row space of rank N, and every superset there keeps N, its
-        rank.  A memo that already holds every subset is copied instead.
-        The values are those a lazy ``entropy`` call computes, and
-        ``calls`` does not move.
-        """
-        src = self.source
-        m = self.m
-        if len(self._cache) == self.full_mask:
-            return self._full_array(self._cache)
-        n_packets = src.N
-        table = np.full(1 << m, n_packets, dtype=np.int64)
-        table[0] = 0
-        ranks = memoryview(table)
-        packed = src._packed
-
-        def visit(space: ff.RowSpace, mask: int, start: int) -> None:
-            for d in range(start, m):
-                u, rows = packed[d]
-                child = space.copy()
-                child.extend_packed(rows)
-                if child.rank < n_packets:
-                    grown = mask | bit(u)
-                    ranks[grown] = child.rank
-                    if d + 1 < m:
-                        visit(child, grown, d + 1)
-
-        visit(ff.RowSpace(n_packets, src.p), 0, 0)
-        return table
-
     def array(self) -> np.ndarray:
         """H(X_S) for every subset, one array indexed by mask S; built on
-        the first call and then kept as the memo.  A linear source fills it
-        in one depth-first pass, a pmf source computes every nonempty
-        subset in one batch, written straight into a float64 array (a
-        mask's value does not depend on its batch, so the memo's values
-        stand), and a table source copies its entries.  Building it counts
-        no calls and sets ``int64_peak``.  Raises ``TooLarge`` above
-        ``TABLE_CAP`` users, before it allocates or computes anything."""
+        the first call and then kept as the memo.  For every kind of source
+        a memo that holds every subset is copied (a mask's value does not
+        depend on how it was computed); otherwise the source fills it: a
+        linear source in one depth-first pass, a pmf source in one batch, a
+        table source from its entries.  Building it counts no calls and
+        sets ``int64_peak``.  Raises ``TooLarge`` above ``TABLE_CAP`` users,
+        before it allocates or computes anything."""
         if self._table is None:
             if self.m > TABLE_CAP:
                 raise TooLarge(f"{self.m} users: the table of 2^m subset "
                                f"entropies is capped at m={TABLE_CAP}")
-            src = self.source
-            if isinstance(src, LinearSource):
-                table = self._ranks()
-            elif isinstance(src, DmmsSource):
-                table = np.zeros(1 << self.m)
-                table[1:] = self._marginals.entropies(range(1, 1 << self.m))
+            if len(self._cache) == self.full_mask:
+                table = _full_array(self._cache, self.m, self.exact)
             else:
-                table = self._full_array(src.entries)
+                table = self.source._array()
             if table.dtype == np.int64:
                 self.int64_peak = max(int(table.max()), -int(table.min()))
             # Readers see the table only once it is complete.
@@ -394,21 +408,6 @@ class EntropyOracle:
                 submodular = (high << (j + 1) | mid << (i + 1) | low, i, j)
                 break
         return monotone, submodular
-
-    def _full_array(self, values: dict[int, Value]) -> np.ndarray:
-        """The table of a map holding every nonempty subset: int64 when
-        every value is an int below ``INT64_SAFE`` in size, float64 when
-        every value is a float, and dtype object otherwise (Fractions,
-        mixed kinds, larger ints), so that every value reads back as it
-        was."""
-        table = [0 if self.exact else 0.0,
-                 *map(values.__getitem__, range(1, self.full_mask + 1))]
-        kinds = set(map(type, table))
-        if kinds == {int} and max(map(abs, table)) < INT64_SAFE:
-            return np.array(table, dtype=np.int64)
-        if kinds == {float}:
-            return np.array(table, dtype=np.float64)
-        return np.array(table, dtype=object)
 
     def total(self) -> Value:
         return self.entropy(self.full_mask)

@@ -259,7 +259,8 @@ def test_verify_refuses_a_scheme_over_another_field(capsys, tmp_path):
 @pytest.mark.parametrize("alpha, message", [
     ("1,2", "--alpha: expected 3 entries"),
     ("1, -0.5 ,2", "--alpha[1]: negative weight -1/2"),
-], ids=["too-few", "negative"])
+    ("", "--alpha: expected 3 entries"),
+], ids=["too-few", "negative", "empty"])
 def test_bad_alpha_exits_2(capsys, alpha, message):
     for command in ("rates", "ilp"):
         code, out, err = run(capsys, command, EX1, "--alpha", alpha)

@@ -31,6 +31,7 @@ from omniex import (
     verify_feasible,
 )
 from omniex import field as ff
+from omniex import sources
 from omniex.reference import iter_submasks, modified_edmond_setfn
 from omniex.setfun import DELTA, members, order_by_weight, value_le
 from omniex.errors import ValidationError
@@ -318,6 +319,26 @@ def test_table_on_a_warm_memo_runs_no_elimination(monkeypatch):
     assert (warm.calls, warm.oracle_queries()) == (calls, warm.full_mask)
     assert {mask: warm.entropy(mask) for mask in range(1 << src.m)} == expected
     assert all(type(v) is int for v in warm.entropies(range(1 << src.m)))
+
+
+def test_array_on_a_warm_pmf_or_table_memo_is_a_copy(monkeypatch):
+    # A memo that holds every subset becomes the table for every kind of
+    # source: neither the pmf kernel nor a table source's fill runs again.
+    pmf = np.random.RandomState(149).dirichlet(np.full(32, 0.3)).reshape((2,) * 5)
+    cases = [(make_dmms_source((2,) * 5, pmf), sources._PmfMarginals, "entropies", np.float64),
+             (fraction_table(151, 5).source, TableSource, "_array", object)]
+    for src, owner, name, dtype in cases:
+        cold = EntropyOracle(src).array()
+        warm = EntropyOracle(src)
+        expected = warm.entropies(range(1 << 5))
+
+        def refuse(*args):
+            raise AssertionError("array() recomputed a full memo")
+
+        monkeypatch.setattr(owner, name, refuse)
+        table = warm.array()
+        monkeypatch.undo()
+        assert table.dtype == dtype and table.tolist() == expected == cold.tolist()
 
 
 def test_threads_sharing_a_cold_oracle_match_a_serial_run():

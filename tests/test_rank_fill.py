@@ -3,9 +3,11 @@
 The fill takes users by descending row count but writes every rank at its
 mask in user bits.  Here it is compared, mask by mask, with a reduced row
 echelon form of the stacked rows, on sources whose row counts ascend, tie,
-are zero or exceed N, and so are a cold oracle's lazy queries.  Its work is pinned as a count of row-space copies
-(one per subset the pass visits) on the Baseline source, and its memory as
-a traced peak close to the table itself.
+are zero or exceed N, and so are a cold oracle's lazy queries.  On uncoded
+sources, whose rows are scaled unit rows, every rank is compared with the
+number of distinct packets the subset holds.  Its work is pinned as a
+count of row-space copies (one per subset the pass visits) on the Baseline
+source, and its memory as a traced peak close to the table itself.
 """
 
 import tracemalloc
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 from omniex import EntropyOracle, make_linear_source
 from omniex import field as ff
+from omniex.setfun import members
 
 from conftest import baseline_source
 
@@ -72,6 +75,47 @@ def test_fill_equals_the_echelon_rank_of_every_subset(src):
     # A cold oracle's lazy queries, one row space per mask, agree too.
     cold = EntropyOracle(src)
     assert [cold.entropy(mask) for mask in range(oracle.full_mask + 1)] == expected
+
+
+@st.composite
+def uncoded_sources(draw):
+    """An uncoded source of 1..7 users over N = 1..70 packets, and the set
+    of packets each user holds.  A user holds each of its packets as a unit
+    row, some scaled by a nonzero c and some repeated, rows in a drawn
+    order.  A packet nobody holds goes to a drawn user."""
+    p = draw(st.sampled_from((2, 101, P61)))
+    m = draw(st.integers(1, 7))
+    n = draw(st.integers(1, 70))
+    # A user holds nothing, a drawn set of packets, or all but a drawn set,
+    # so that ranks above 64 occur below N.
+    packets = st.sets(st.integers(0, n - 1), max_size=n)
+    held = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(("none", "some", "most")))
+        drawn = draw(packets) if kind != "none" else set()
+        held.append(set(range(n)) - drawn if kind == "most" else drawn)
+    for k in set(range(n)).difference(*held):
+        held[draw(st.integers(0, m - 1))].add(k)
+    mats = []
+    for packs in held:
+        order = sorted(packs)
+        some = st.sets(st.sampled_from(order)) if order else st.just(set())
+        c, scaled, repeated = draw(st.integers(1, p - 1)), draw(some), draw(some)
+        rows = []
+        for k in order + sorted(repeated):
+            rows.append([0] * n)
+            rows[-1][k] = c if k in scaled else 1
+        mats.append(draw(st.permutations(rows)))
+    return make_linear_source(mats, p=p, N=n), held
+
+
+@settings(max_examples=300, deadline=None)
+@given(uncoded_sources())
+def test_fill_counts_the_distinct_packets_of_uncoded_sources(case):
+    src, held = case
+    table = EntropyOracle(src).array()
+    assert table.tolist() == [len(set().union(*(held[u] for u in members(mask))))
+                              for mask in range(1 << src.m)]
 
 
 def test_fill_copies_at_most_1023_row_spaces_on_the_baseline_source(monkeypatch):
