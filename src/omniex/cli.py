@@ -28,6 +28,7 @@ from . import documents as docs
 from . import netcode, rates, setfun, sources
 from .errors import (
     ConstructionFailed,
+    DimensionMismatch,
     FieldTooSmall,
     InfeasibleBeta,
     InfeasibleRates,
@@ -263,6 +264,10 @@ def cmd_verify(args) -> int:
     if scheme.p != src.p:
         raise UnitMismatch(
             f"scheme symbols are F_{scheme.p}, problem symbols are F_{src.p}")
+    try:
+        scheme.check_source(src)
+    except DimensionMismatch as exc:
+        raise ValidationError(f"{args.scheme}: {exc}") from exc
     ranks = netcode.receiver_ranks(src, scheme)
     ok = all(got == need for got, need in ranks)
     out = _base_result(doc, "verify", unit)

@@ -18,9 +18,8 @@ row form: a linear source packs each user's rows once, a scheme each
 sender's broadcast rows once, and every subset rank, receiver rank and
 decode eliminates them.  The reduced row echelon form of
 ``FieldMatrix._echelon`` is kept only for the tests, which check ranks
-and solutions against it.  The determinant and inverse serve only the
-multicast transfer-matrix view, so they live with it in
-``omniex.reference``.
+and solutions against it.  The product, determinant and inverse serve
+only the checks, so they live in ``omniex.reference``.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if n == q:
             return True
         if n % q == 0:
@@ -297,9 +296,6 @@ class FieldMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
-    def entry(self, r: int, c: int) -> int:
-        return self._data[r * self.cols + c]
-
     def row(self, r: int) -> tuple[int, ...]:
         return self._data[r * self.cols:(r + 1) * self.cols]
 
@@ -319,18 +315,6 @@ class FieldMatrix:
         return f"FieldMatrix({self.rows}x{self.cols} mod {self.p})"
 
     # -- arithmetic ----------------------------------------------------
-
-    def mul(self, other: "FieldMatrix") -> "FieldMatrix":
-        if self.p != other.p:
-            raise DimensionMismatch("modulus mismatch")
-        if self.cols != other.rows:
-            raise DimensionMismatch(
-                f"cannot multiply {self.shape} by {other.shape}")
-        p = self.p
-        columns = [other._data[j::other.cols] for j in range(other.cols)]
-        return FieldMatrix._reduced(self.rows, other.cols, p, [
-            sum(a * b for a, b in zip(self.row(i), col)) % p
-            for i in range(self.rows) for col in columns])
 
     def mul_vector(self, vec: Sequence[int]) -> tuple[int, ...]:
         if len(vec) != self.cols:

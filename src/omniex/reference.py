@@ -1,8 +1,8 @@
 """Brute-force and independent reference oracles that check the solvers:
 set-function enumerations, the sweep over a raw set function, the joint
-pmf of a small linear source and the multicast transfer-matrix view, with
-the determinant and inverse over F_p (``det``, ``inverse``) that the view
-needs.  No solver calls this module; the tests and ``selfcheck`` do.
+pmf of a small linear source and the multicast transfer-matrix view with
+its product, determinant and inverse over F_p (``matmul``, ``det``,
+``inverse``).  No solver calls this module; the tests and ``selfcheck`` do.
 """
 
 from __future__ import annotations
@@ -319,6 +319,18 @@ def inverse(a: ff.FieldMatrix) -> ff.FieldMatrix:
     return ff.FieldMatrix.from_rows(rows, a.p, cols=a.cols)
 
 
+def matmul(a: ff.FieldMatrix, b: ff.FieldMatrix) -> ff.FieldMatrix:
+    if a.p != b.p:
+        raise DimensionMismatch("modulus mismatch")
+    if a.cols != b.rows:
+        raise DimensionMismatch(f"cannot multiply {a.shape} by {b.shape}")
+    rows = [b.row(k) for k in range(b.rows)]
+    columns = [[row[j] for row in rows] for j in range(b.cols)]
+    return ff.FieldMatrix._reduced(a.rows, b.cols, a.p, [
+        sum(x * y for x, y in zip(a.row(i), col)) % a.p
+        for i in range(a.rows) for col in columns])
+
+
 @dataclass(frozen=True)
 class MulticastNetwork:
     """Multicast model of the exchange: a super node S feeding sender
@@ -557,7 +569,7 @@ def scheme_assignment(net: MulticastNetwork, src: LinearSource,
     dim = net.n * net.N
     for j in range(net.m):
         parts = [ff.kron_block(net.n, src.matrices[j])]
-        parts += [scheme.coefficients[i].mul(ff.kron_block(net.n, src.matrices[i]))
+        parts += [matmul(scheme.coefficients[i], ff.kron_block(net.n, src.matrices[i]))
                   for i in range(net.m) if i != j]
         tracker = ff.RowSpace(dim, net.p)
         rows = tracker.pack_rows(ff.stack(parts))
@@ -600,4 +612,4 @@ def transfer_matrix(net: MulticastNetwork, src: LinearSource, receiver: int,
         for c in range(dim):
             b[row][c] = resolve(Slot("dec", receiver, local, c))
     b_mat = ff.FieldMatrix(ell, dim, p, [x for row in b for x in row])
-    return a_mat.mul(inverse(i_minus_gamma)).mul(b_mat)
+    return matmul(matmul(a_mat, inverse(i_minus_gamma)), b_mat)

@@ -336,7 +336,7 @@ class EntropyOracle:
         cached = self._cache.get(mask)
         if cached is not None:
             return cached
-        value = self._compute(mask)
+        value = self.source._entropy(mask)
         self._cache[mask] = value
         return value
 
@@ -344,9 +344,6 @@ class EntropyOracle:
         """H(X_S) for every mask in ``masks``, read as that many ``entropy``
         calls."""
         return list(map(self.entropy, masks))
-
-    def _compute(self, mask: int) -> Value:
-        return self.source._entropy(mask)
 
     def table(self) -> None:
         """Fill the table of a linear source through ``array``; does

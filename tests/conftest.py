@@ -14,6 +14,7 @@ import random
 import resource
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,6 +30,21 @@ from omniex import (
 )
 
 SRC_DIR = str(Path(omniex.__file__).resolve().parent.parent)
+
+# When a property test fails, hypothesis's pytest plugin imports
+# hypothesis.extra._patching, and through it libcst, whose use of the
+# deprecated mypy_extensions.TypedDict warns on import.  pyproject.toml
+# turns that warning into an error, which stops the whole run with
+# INTERNALERROR after the first failing property test.  Importing the
+# module once here, with the warning ignored, keeps the filter in force
+# for everything the tests themselves run.  Without libcst the plugin
+# skips the import as well.
+try:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        import hypothesis.extra._patching  # noqa: F401
+except ImportError:
+    pass
 
 # The address space of a CLI child: a command that tries to allocate more
 # fails in the child with MemoryError instead of exhausting the host.

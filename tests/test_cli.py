@@ -256,6 +256,23 @@ def test_verify_refuses_a_scheme_over_another_field(capsys, tmp_path):
     assert err == "error: scheme symbols are F_5, problem symbols are F_7\n"
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda c: c.pop(), "scheme does not match the source shape"),
+    (lambda c: c[0].update(cols=5, entries=[1, 0, 0, 1, 0]),
+     "user 1: coefficient matrix is 1x5 mod 5, expected 1x4 mod 5"),
+], ids=["missing-user", "wide-matrix"])
+def test_verify_refuses_a_scheme_that_does_not_fit_the_problem(
+        capsys, tmp_path, edit, message):
+    # Invalid input (exit 2), not a receiver falling short (exit 1).
+    scheme = json.load(open(EX1_SCHEME))
+    edit(scheme["coefficients"])
+    s_path = tmp_path / "s.json"
+    s_path.write_text(json.dumps(scheme))
+    code, out, err = run(capsys, "verify", EX1, str(s_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {s_path}: {message}\n"
+
+
 @pytest.mark.parametrize("alpha, message", [
     ("1,2", "--alpha: expected 3 entries"),
     ("1, -0.5 ,2", "--alpha[1]: negative weight -1/2"),

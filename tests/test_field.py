@@ -13,14 +13,14 @@ from omniex import (
     stack,
 )
 from omniex.field import MAX_MODULUS, RowSpace, validate_modulus
-from omniex.reference import det, inverse
+from omniex.reference import det, inverse, matmul
 
 from conftest import example1_source
 
 
 def scalar_inverse(a, p):
     # The inverse of a mod p, as the inverse of the 1x1 matrix (a).
-    return inverse(FieldMatrix(1, 1, p, [a])).entry(0, 0)
+    return inverse(FieldMatrix(1, 1, p, [a])).row(0)[0]
 
 
 def test_inverse_fixed_points():
@@ -189,8 +189,8 @@ def test_det_and_inverse_consistency():
         else:
             assert det(m) != 0
             identity = FieldMatrix.identity(n, p)
-            assert m.mul(inverse(m)) == identity
-            assert inverse(m).mul(m) == identity
+            assert matmul(m, inverse(m)) == identity
+            assert matmul(inverse(m), m) == identity
     empty = FieldMatrix.zeros(0, 0, 7)
     assert det(empty) == 1
     assert inverse(empty) == empty
@@ -228,7 +228,7 @@ def test_matmul_rank_bound(rows, inner, data):
                                 max_size=inner * cols))
     a = FieldMatrix(rows, inner, 5, ents_a)
     b = FieldMatrix(inner, cols, 5, ents_b)
-    prod = a.mul(b)
+    prod = matmul(a, b)
     assert prod.shape == (rows, cols)
     assert prod.rank() <= min(a.rank(), b.rank())
 
@@ -316,7 +316,7 @@ def test_public_constructors_reduce_entries_and_check_the_modulus():
 
 
 def test_derived_matrices_equal_their_validated_rebuilds():
-    # stack, kron_block and mul skip re-validating entries they take from
+    # stack, kron_block and matmul skip re-validating entries they take from
     # reduced matrices; the results must equal a full rebuild.
     rng = random.Random(53)
     for p in (2, 7, P61):
@@ -324,8 +324,8 @@ def test_derived_matrices_equal_their_validated_rebuilds():
         b = FieldMatrix.from_rows([[rng.randrange(-p, 2 * p) for _ in range(4)]
                                    for _ in range(2)], p)
         c = FieldMatrix.random(4, 5, p, rng)
-        derived_matrices = (stack([a, b]), kron_block(3, a), a.mul(c),
-                            kron_block(2, b).mul(kron_block(2, c)))
+        derived_matrices = (stack([a, b]), kron_block(3, a), matmul(a, c),
+                            matmul(kron_block(2, b), kron_block(2, c)))
         for derived in derived_matrices:
             rebuilt = FieldMatrix(derived.rows, derived.cols, p,
                                   [x for row in derived.to_rows() for x in row])
@@ -449,7 +449,7 @@ def test_solve_with_rank_matches_the_echelon_solution(p, rows, cols, data):
 
 
 def naive_product(a: FieldMatrix, b: FieldMatrix) -> list[list[int]]:
-    return [[sum(a.entry(i, k) * b.entry(k, j) for k in range(a.cols)) % a.p
+    return [[sum(a.row(i)[k] * b.row(k)[j] for k in range(a.cols)) % a.p
              for j in range(b.cols)] for i in range(a.rows)]
 
 
@@ -466,7 +466,15 @@ def test_mul_equals_the_triple_loop(p, rows, inner, cols, n, blocks, data):
     a_cols = b.rows
     a = FieldMatrix(rows, a_cols, p, data.draw(
         st.lists(entry, min_size=rows * a_cols, max_size=rows * a_cols)))
-    prod = a.mul(b)
+    prod = matmul(a, b)
     assert prod.shape == (rows, b.cols)
     assert prod.to_rows() == naive_product(a, b)
     assert prod == FieldMatrix.from_rows(naive_product(a, b), p, cols=b.cols)
+
+
+def test_matmul_refuses_another_modulus_and_mismatched_shapes():
+    a = FieldMatrix.identity(2, 5)
+    with pytest.raises(DimensionMismatch, match=r"^modulus mismatch$"):
+        matmul(a, FieldMatrix.identity(2, 7))
+    with pytest.raises(DimensionMismatch, match=r"^cannot multiply \(2, 2\) by \(3, 1\)$"):
+        matmul(a, FieldMatrix.zeros(3, 1, 5))

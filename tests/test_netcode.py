@@ -36,6 +36,7 @@ from omniex.reference import (
     build_network,
     det,
     expanded_transfer_matrix,
+    matmul,
     scheme_assignment,
     transfer_matrix,
 )
@@ -423,7 +424,7 @@ def test_receiver_ranks_equal_the_stacked_system_ranks():
 
 def expanded_product(scheme, src, i):
     # The definition of a broadcast matrix, through the expanded matrix.
-    return scheme.coefficients[i].mul(kron_block(scheme.n, src.matrices[i]))
+    return matmul(scheme.coefficients[i], kron_block(scheme.n, src.matrices[i]))
 
 
 def packed_product(scheme, src, i):

@@ -11,7 +11,8 @@ import random
 
 import pytest
 
-from omniex import EntropyOracle, TooLarge, make_dmms_source, make_linear_source
+from omniex import (EntropyOracle, LinearSource, TooLarge, make_dmms_source,
+                    make_linear_source)
 from omniex.cli import main
 from omniex.sources import TABLE_CAP
 
@@ -86,7 +87,7 @@ def test_selfcheck_reads_the_table_without_per_subset_eliminations(
     def refuse(self, mask):
         raise AssertionError(f"selfcheck eliminated subset {mask} on its own")
 
-    monkeypatch.setattr(EntropyOracle, "_compute", refuse)
+    monkeypatch.setattr(LinearSource, "_entropy", refuse)
     code = main(["selfcheck", str(path)])
     report = json.loads(capsys.readouterr().out)
     assert code == 0 and report["ok"] is True
