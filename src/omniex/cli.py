@@ -6,18 +6,20 @@ deterministic JSON result document, or an aligned table with
 ``--format table``.
 
 Exit codes: 0 success, 1 property or verification failure, 2 invalid
-input (or, except for ``verify``, more than ``sources.TABLE_CAP`` users; for
-``code`` and ``verify``, n*N above ``netcode.WIDTH_CAP``; a table that is
-not an entropy function; weights whose costs overflow floats; for ``rates``,
-a float table whose rates cannot be certified; for ``ilp``, a pmf source or
-float table, whose rates are real numbers, and exact entropies that are not
-multiples of 1/n), 3 unit mismatch, 4 field too small, 5 construction
-failure.
+input (a key written twice in one JSON object included; or, except for
+``verify``, more than ``sources.TABLE_CAP`` users; for ``code`` and
+``verify``, n*N above ``netcode.WIDTH_CAP``; a table that is not an
+entropy function; weights whose costs overflow floats; for ``rates`` and
+``ilp``, a float table whose rates cannot be certified; for ``ilp``, a
+pmf source or float table, whose rates are real numbers, and exact
+entropies that are not multiples of 1/n), 3 unit mismatch, 4 field too
+small, 5 construction failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import sys
@@ -34,7 +36,9 @@ from .errors import (
     InfeasibleRates,
     InvalidN,
     NegativeWeight,
+    NonConvergence,
     NonIntegerRates,
+    NonTermination,
     OmniexError,
     TooLarge,
     UnitMismatch,
@@ -126,12 +130,31 @@ def _emit(out: dict, args) -> None:
         print(docs.dump_json(out), end="")
 
 
+@contextlib.contextmanager
+def _float_table_refusal(oracle: sources.EntropyOracle):
+    """Turn a failed solve of a float table into ``ValidationError``.
+
+    A float table is an entropy function only within DELTA, and the sweep
+    admits ties, and the weighted bracket closes, within absolute bounds
+    that the float spacing of large entropies can exceed.  So its walk can
+    run past m sweeps, its bracket past its iteration budget, and its solve
+    can miss a cut or its own budget; elsewhere each is a solver fault."""
+    try:
+        yield
+    except (InfeasibleBeta, InfeasibleRates, NonConvergence, NonTermination):
+        if isinstance(oracle.source, sources.TableSource) and not oracle.exact:
+            raise ValidationError(
+                f"the table is an entropy function only within {setfun.DELTA!r}, "
+                f"so its rates cannot be certified") from None
+        raise
+
+
 def cmd_rates(args) -> int:
     doc = docs.load_problem(args.problem)
     oracle = _oracle(doc)
     alpha = _effective_alpha(doc, args, oracle)
-    rco = rates.rco_sum_rate(oracle)
-    try:
+    with _float_table_refusal(oracle):
+        rco = rates.rco_sum_rate(oracle)
         if _is_uniform(alpha):
             chosen = rco.rates
             beta_star = rco.value
@@ -147,15 +170,6 @@ def cmd_rates(args) -> int:
             evaluations = weighted.evaluations
         if not rates.verify_feasible(oracle, chosen):
             raise InfeasibleRates("internal error: emitted rates are infeasible")
-    except (InfeasibleBeta, InfeasibleRates):
-        # A float table is an entropy function only within DELTA, and each of
-        # the sweep's m steps admits ties within DELTA, so its solve can miss
-        # a cut or its own budget by more; elsewhere that is a solver fault.
-        if isinstance(doc.source, sources.TableSource) and not oracle.exact:
-            raise ValidationError(
-                f"the table is an entropy function only within {setfun.DELTA!r}, "
-                f"so its rates cannot be certified") from None
-        raise
     out = _base_result(doc, "rates", oracle.unit)
     out.update({
         "weights": [docs.format_value(a) for a in alpha],
@@ -183,10 +197,11 @@ def cmd_ilp(args) -> int:
     n = args.n if args.n is not None else doc.n
     if not isinstance(n, int) or n < 1:
         raise InvalidN(f"block length n must be a positive integer, got {n!r}")
-    rco = rates.rco_sum_rate(oracle)
-    result = rates.ilp_rates(oracle, alpha, n, rco=rco)
-    if not rates.verify_feasible(oracle, result.rates):
-        raise InfeasibleRates("internal error: emitted rates are infeasible")
+    with _float_table_refusal(oracle):
+        rco = rates.rco_sum_rate(oracle)
+        result = rates.ilp_rates(oracle, alpha, n, rco=rco)
+        if not rates.verify_feasible(oracle, result.rates):
+            raise InfeasibleRates("internal error: emitted rates are infeasible")
     out = _base_result(doc, "ilp", oracle.unit)
     out.update({
         "weights": [docs.format_value(a) for a in alpha],
@@ -330,10 +345,14 @@ def _selfcheck_entries(oracle) -> list[dict]:
                "pass" if reference.is_submodular(oracle.f_beta(oracle.total()))
                else "fail")
 
-    rco = rates.rco_sum_rate(oracle)
-    record("sum-rate-iterations",
-           "pass" if rco.iterations <= m else "fail",
-           f"{rco.iterations} iterations for m={m}")
+    try:
+        rco = rates.rco_sum_rate(oracle)
+    except NonTermination as exc:
+        # The walk stops past m iterations: a finding to report, which
+        # leaves the checks below with no sum rate to check.
+        record("sum-rate-iterations", "fail", str(exc))
+        return checks
+    record("sum-rate-iterations", "pass", f"{rco.iterations} iterations for m={m}")
     record("sum-rate-rates-feasible",
            "pass" if rates.verify_feasible(oracle, rco.rates) else "fail")
     if brute_force:

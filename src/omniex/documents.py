@@ -349,6 +349,19 @@ def parse_problem(data: Any, *, sha256: str = "", where: str = "$") -> ProblemDo
                            sha256=sha256)
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """One JSON object as a dict, refusing a key written twice, whose
+    earlier values a plain dict would silently drop."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"key {key!r} appears twice in one object")
+            seen.add(key)
+    return obj
+
+
 def _load_json(path: str) -> tuple[Any, str]:
     try:
         with open(path, "rb") as fh:
@@ -356,12 +369,14 @@ def _load_json(path: str) -> tuple[Any, str]:
     except OSError as exc:
         raise ValidationError(f"{path}: {exc}")
     try:
-        return json.loads(blob.decode("utf-8")), hashlib.sha256(blob).hexdigest()
+        return (json.loads(blob.decode("utf-8"), object_pairs_hook=_unique_keys),
+                hashlib.sha256(blob).hexdigest())
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not valid UTF-8 ({exc})")
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}:{exc.lineno}: {exc.msg}")
-    except ValueError as exc:   # an integer literal past int()'s digit limit
+    except ValueError as exc:
+        # An integer literal past int()'s digit limit, or a key written twice.
         raise ValidationError(f"{path}: {exc}")
 
 

@@ -22,8 +22,8 @@ int64 for ints such as linear ranks, float64 for floats such as pmf
 entropies, and dtype object for Fractions, mixed kinds and ints of 2^62
 or more.  The sweep and the feasibility check read that array with
 whole-array gathers.  ``array``, the one way to the table, refuses more
-than ``TABLE_CAP`` users before any work, then copies a memo that holds
-every subset, for every kind, or asks the source for its table.
+than ``TABLE_CAP`` users before any work, then asks the source for its
+table, whatever the lazy memo already holds.
 Evaluation is pure, every table holds the values a lazy query computes,
 and the array replaces the dict only once it is complete, so readers
 never see a partial table and the cache is safe to share between them.
@@ -180,21 +180,18 @@ class TableSource:
         return self.entries[mask]
 
     def _array(self) -> np.ndarray:
-        return _full_array(self.entries, self.m, self.exact)
-
-
-def _full_array(values: dict[int, Value], m: int, exact: bool) -> np.ndarray:
-    """The table of a map holding every nonempty subset of m users: int64
-    when every value is an int below ``INT64_SAFE`` in size, float64 when
-    every value is a float, and dtype object otherwise (Fractions, mixed
-    kinds, larger ints), so that every value reads back as it was."""
-    table = [0 if exact else 0.0, *map(values.__getitem__, range(1, 1 << m))]
-    kinds = set(map(type, table))
-    if kinds == {int} and max(map(abs, table)) < INT64_SAFE:
-        return np.array(table, dtype=np.int64)
-    if kinds == {float}:
-        return np.array(table, dtype=np.float64)
-    return np.array(table, dtype=object)
+        """The entries as a new table: int64 when every value is an int
+        below ``INT64_SAFE`` in size, float64 when every value is a float,
+        and dtype object otherwise (Fractions, mixed kinds, larger ints),
+        so that every value reads back as it was."""
+        table = [0 if self.exact else 0.0,
+                 *map(self.entries.__getitem__, range(1, 1 << self.m))]
+        kinds = set(map(type, table))
+        if kinds == {int} and max(map(abs, table)) < INT64_SAFE:
+            return np.array(table, dtype=np.int64)
+        if kinds == {float}:
+            return np.array(table, dtype=np.float64)
+        return np.array(table, dtype=object)
 
 
 Source = Union[LinearSource, DmmsSource, TableSource]
@@ -353,21 +350,17 @@ class EntropyOracle:
 
     def array(self) -> np.ndarray:
         """H(X_S) for every subset, one array indexed by mask S; built on
-        the first call and then kept as the memo.  For every kind of source
-        a memo that holds every subset is copied (a mask's value does not
-        depend on how it was computed); otherwise the source fills it: a
-        linear source in one depth-first pass, a pmf source in one batch, a
-        table source from its entries.  Building it counts no calls and
-        sets ``int64_peak``.  Raises ``TooLarge`` above ``TABLE_CAP`` users,
-        before it allocates or computes anything."""
+        the first call and then kept as the memo.  The source fills it,
+        whatever the lazy memo holds: a linear source in one depth-first
+        pass, a pmf source in one batch, a table source from its entries.
+        Building it counts no calls and sets ``int64_peak``.  Raises
+        ``TooLarge`` above ``TABLE_CAP`` users, before it allocates or
+        computes anything."""
         if self._table is None:
             if self.m > TABLE_CAP:
                 raise TooLarge(f"{self.m} users: the table of 2^m subset "
                                f"entropies is capped at m={TABLE_CAP}")
-            if len(self._cache) == self.full_mask:
-                table = _full_array(self._cache, self.m, self.exact)
-            else:
-                table = self.source._array()
+            table = self.source._array()
             if table.dtype == np.int64:
                 self.int64_peak = max(int(table.max()), -int(table.min()))
             # Readers see the table only once it is complete.

@@ -331,6 +331,50 @@ def test_perturbed_rank_tables_never_exit_1(tmp_path_factory, seed):
     assert (code == 0) == (out.getvalue() != "")
 
 
+def scaled_rank_table(seed: int) -> tuple[dict, list[str]]:
+    """The subset ranks of a random linear source with 2-5 users, times
+    10^k for one k in 6..15, as exact floats, weighted half the time."""
+    rng = random.Random(seed)
+    m = rng.randint(2, 5)
+    ranks = EntropyOracle(random_linear_source(rng, m=m)).array().tolist()
+    scale = 10 ** rng.randint(6, 15)
+    entropies = {label(s).strip("{}"): float(ranks[s] * scale) for s in range(1, 1 << m)}
+    flags = (["--alpha", ",".join(str(rng.randint(1, 5)) for _ in range(m))]
+             if rng.random() < 0.5 else [])
+    return {"source": {"kind": "table", "m": m, "entropies": entropies}}, flags
+
+
+# The ranks of a 4-user linear source times 1e7: floats near 3e7 are
+# 3.7e-9 apart, more than DELTA, so the sum-rate walk misses its ties and
+# runs past m sweeps.
+LARGE_FLOAT_TABLE = {
+    "source": {"kind": "table", "m": 4, "entropies": {
+        "1": 2e7, "2": 1e7, "1,2": 3e7, "3": 1e7, "1,3": 3e7, "2,3": 2e7,
+        "1,2,3": 3e7, "4": 1e7, "1,4": 3e7, "2,4": 2e7, "1,2,4": 3e7,
+        "3,4": 2e7, "1,3,4": 3e7, "2,3,4": 3e7, "1,2,3,4": 3e7}}}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32).map(scaled_rank_table))
+@example((LARGE_FLOAT_TABLE, []))
+# A weighted table whose float bracket never narrows to 1e-9.
+@example(scaled_rank_table(88))
+def test_scaled_rank_tables_never_exit_1(tmp_path_factory, case):
+    doc, flags = case
+    path = tmp_path_factory.mktemp("table") / "table.json"
+    path.write_text(json.dumps(doc))
+    for command in (["rates", str(path), *flags], ["ilp", str(path), *flags],
+                    ["selfcheck", str(path)]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(command)
+        if command[0] == "selfcheck":
+            assert code in (0, 1) and json.loads(out.getvalue())["ok"] == (code == 0)
+        else:
+            assert code in (0, 2), command
+            assert (code == 0) == (out.getvalue() != ""), command
+
+
 def test_malformed_documents_exit_2(capsys, tmp_path):
     bad_pmf = {
         "source": {"kind": "pmf", "alphabets": [2, 2],
@@ -354,6 +398,27 @@ def test_malformed_documents_exit_2(capsys, tmp_path):
     code, _out, err = run(capsys, "rates", str(path3))
     assert code == 2
     assert "matrices[0]" in err
+
+
+def test_a_key_written_twice_in_one_object_exits_2(capsys, tmp_path):
+    # A plain JSON decode keeps the last value of a repeated key, and each
+    # document below would then solve or verify with that value alone.
+    pmf = ('{"source": {"kind": "pmf", "alphabets": [2, 2], "entries": '
+           '{"0,0": 0.5, "1,1": 0.25, "0,0": 0.75}}}')
+    table = ('{"source": {"kind": "table", "m": 2, "entropies": '
+             '{"1": 5, "2": 1, "1,2": 2, "1": 1}}}')
+    scheme = Path(FIG1_SCHEME).read_text().replace('"p": 5,', '"p": 7, "p": 5,')
+    assert scheme.count('"p"') == 2
+    cases = [("pmf", pmf, ["rates"], "'0,0'"),
+             ("table", table, ["rates"], "'1'"),
+             ("scheme", scheme, ["verify", FIG1], "'p'")]
+    for name, text, argv, key in cases:
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 2, name
+        assert out == ""
+        assert err == f"error: {path}: key {key} appears twice in one object\n"
 
 
 def test_non_finite_and_oversized_probabilities_exit_2(capsys, tmp_path):

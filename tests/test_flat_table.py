@@ -8,9 +8,11 @@ scan's span land just below and just above 2^62 (and 2^63), and the
 results are compared with the per-subset references.  The whole-array
 test for an entropy function is compared with a scalar scan, and the
 oracle counters are pinned to their values before the table became an
-array.
+array, as are the CLI output bytes of an int and a Fraction table document.
 """
 
+import hashlib
+import json
 import math
 import random
 import re
@@ -30,10 +32,9 @@ from omniex import (
     rco_sum_rate,
     verify_feasible,
 )
-from omniex import field as ff
-from omniex import sources
+from omniex.cli import main
 from omniex.reference import iter_submasks, modified_edmond_setfn
-from omniex.setfun import DELTA, members, order_by_weight, value_le
+from omniex.setfun import DELTA, label, members, order_by_weight, value_le
 from omniex.errors import ValidationError
 from omniex.sources import TableSource, validate
 
@@ -300,45 +301,25 @@ def test_counters_after_sum_rate_on_pmf_and_fraction_tables():
         assert (oracle.calls, oracle.oracle_queries()) == want_table
 
 
-def test_table_on_a_warm_memo_runs_no_elimination(monkeypatch):
+def test_array_on_a_lazily_full_memo_holds_the_memo_values():
+    # Every subset is queried lazily first; the source then builds the
+    # table, whose values, types and counters are those of the memo.
     rng = random.Random(109)
-    src = random_linear_source(rng, m=6, n_packets=7, p=101)
-    warm = EntropyOracle(src)
-    for mask in range(1 << src.m):
-        warm.entropy(mask)
-    calls = warm.calls
-    expected = {mask: warm.entropy(mask) for mask in range(1 << src.m)}
-    calls += 1 << src.m
-
-    def refuse(self, w):
-        raise AssertionError("table() eliminated a row on a full memo")
-
-    monkeypatch.setattr(ff.RowSpace, "add_packed", refuse)
-    warm.table()
-    monkeypatch.undo()
-    assert (warm.calls, warm.oracle_queries()) == (calls, warm.full_mask)
-    assert {mask: warm.entropy(mask) for mask in range(1 << src.m)} == expected
-    assert all(type(v) is int for v in warm.entropies(range(1 << src.m)))
-
-
-def test_array_on_a_warm_pmf_or_table_memo_is_a_copy(monkeypatch):
-    # A memo that holds every subset becomes the table for every kind of
-    # source: neither the pmf kernel nor a table source's fill runs again.
     pmf = np.random.RandomState(149).dirichlet(np.full(32, 0.3)).reshape((2,) * 5)
-    cases = [(make_dmms_source((2,) * 5, pmf), sources._PmfMarginals, "entropies", np.float64),
-             (fraction_table(151, 5).source, TableSource, "_array", object)]
-    for src, owner, name, dtype in cases:
-        cold = EntropyOracle(src).array()
+    cases = [(random_linear_source(rng, m=6, n_packets=7, p=101), np.int64),
+             (make_dmms_source((2,) * 5, pmf), np.float64),
+             (fraction_table(151, 5).source, object)]
+    for src, dtype in cases:
         warm = EntropyOracle(src)
-        expected = warm.entropies(range(1 << 5))
-
-        def refuse(*args):
-            raise AssertionError("array() recomputed a full memo")
-
-        monkeypatch.setattr(owner, name, refuse)
+        expected = warm.entropies(range(1 << src.m))
+        calls = warm.calls
         table = warm.array()
-        monkeypatch.undo()
-        assert table.dtype == dtype and table.tolist() == expected == cold.tolist()
+        assert table.dtype == dtype
+        assert table.tolist() == expected == EntropyOracle(src).array().tolist()
+        assert (warm.calls, warm.oracle_queries()) == (calls, warm.full_mask)
+        again = warm.entropies(range(1 << src.m))
+        assert again == expected
+        assert list(map(type, again)) == list(map(type, expected))
 
 
 def test_threads_sharing_a_cold_oracle_match_a_serial_run():
@@ -369,3 +350,48 @@ def test_threads_sharing_a_cold_oracle_match_a_serial_run():
             runs = [f.result() for f in [pool.submit(worker) for _ in range(4)]]
         assert runs == [serial] * 4
         assert shared.oracle_queries() == shared.full_mask
+
+
+def table_document(seed: int, halves: bool) -> dict:
+    """The subset ranks of a random 5-user linear source as a table
+    document: JSON integers, or with ``halves`` rank_1 / 2 + rank_2 as
+    rational strings, which are read as Fractions."""
+    rng = random.Random(seed)
+    a = EntropyOracle(random_linear_source(rng, m=5, n_packets=6, p=7))
+    if halves:
+        b = EntropyOracle(random_linear_source(rng, m=5, n_packets=4, p=11))
+        value = lambda s: f"{a.entropy(s) + 2 * b.entropy(s)}/2"
+    else:
+        value = a.entropy
+    return {"source": {"kind": "table", "m": 5,
+                       "entropies": {label(s).strip("{}"): value(s)
+                                     for s in range(1, 32)}}}
+
+
+# sha256 of the standard output of each command on the int (False) and the
+# Fraction (True) table document.  No golden case parses a table document,
+# so these pin the int64 and the object table of a table source.
+TABLE_DOCUMENT_DIGESTS = {
+    (False, "rates"):
+        "4bac4d7dcb889d875512f0ca0f4a5985dd8ca3c20e93b530f4e072b9b855972a",
+    (False, "rates --alpha 3,1,2,5,4"):
+        "5c715035fe1a0b0871668dec7f8260c92d10342e16e2514fb144ce1d257bafe7",
+    (False, "ilp --n 2"):
+        "8b3f9f6be2e955538e3783bbf7b0377f9b78dcf0e8871e3a49d7eb0a3b097aec",
+    (True, "rates"):
+        "22881ce07f6f3f7f6516863530776f994c7ab85ae0f97733f63ac2ff4ecf679e",
+    (True, "rates --alpha 3,1,2,5,4"):
+        "e283b0b5c80e7ff3f99780134acd36859a7bfdd7180bd44c05d1730f77ab4ce2",
+    (True, "ilp --n 2"):
+        "98101487fb2e029bc05934d8cfc33ad0208cfe4a7bb71c1133c7b729a7665c75",
+}
+
+
+def test_table_documents_keep_their_output_bytes(capsys, tmp_path):
+    for (halves, command), digest in TABLE_DOCUMENT_DIGESTS.items():
+        path = tmp_path / f"table-{halves}.json"
+        path.write_text(json.dumps(table_document(223, halves)))
+        name, *flags = command.split()
+        assert main([name, str(path), *flags]) == 0, command
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (halves, command)
