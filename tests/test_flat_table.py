@@ -32,6 +32,8 @@ from omniex import (
     rco_sum_rate,
     verify_feasible,
 )
+from omniex import field as ff
+from omniex import sources
 from omniex.cli import main
 from omniex.reference import iter_submasks, modified_edmond_setfn
 from omniex.setfun import DELTA, label, members, order_by_weight, value_le
@@ -301,23 +303,56 @@ def test_counters_after_sum_rate_on_pmf_and_fraction_tables():
         assert (oracle.calls, oracle.oracle_queries()) == want_table
 
 
-def test_array_on_a_lazily_full_memo_holds_the_memo_values():
-    # Every subset is queried lazily first; the source then builds the
-    # table, whose values, types and counters are those of the memo.
+def test_table_on_a_warm_memo_runs_no_elimination(monkeypatch):
+    # Every subset is queried lazily first; table() then has the source
+    # build the table, whose values, types and counters are the memo's.
+    # Once built, the table is the memo: neither table() nor a read
+    # eliminates a row again.
     rng = random.Random(109)
+    src = random_linear_source(rng, m=6, n_packets=7, p=101)
+    warm = EntropyOracle(src)
+    expected = warm.entropies(range(1 << src.m))
+    calls = warm.calls
+    warm.table()
+    assert warm.array().dtype == np.int64
+    assert warm.array().tolist() == expected == EntropyOracle(src).array().tolist()
+    assert (warm.calls, warm.oracle_queries()) == (calls, warm.full_mask)
+
+    def refuse(self, rows):
+        raise AssertionError("a warm table eliminated a row")
+
+    monkeypatch.setattr(ff.RowSpace, "extend_packed", refuse)
+    warm.table()
+    again = warm.entropies(range(1 << src.m))
+    monkeypatch.undo()
+    assert again == expected
+    assert all(type(v) is int for v in again)
+    assert (warm.calls, warm.oracle_queries()) == (calls + (1 << src.m), warm.full_mask)
+
+
+def test_array_on_a_warm_pmf_or_table_memo_is_a_copy(monkeypatch):
+    # The table built on a memo that holds every subset is a copy of its
+    # values, with the dtype of the source kind; once built it is kept, so
+    # neither the pmf kernel nor a table source's fill runs again.
     pmf = np.random.RandomState(149).dirichlet(np.full(32, 0.3)).reshape((2,) * 5)
-    cases = [(random_linear_source(rng, m=6, n_packets=7, p=101), np.int64),
-             (make_dmms_source((2,) * 5, pmf), np.float64),
-             (fraction_table(151, 5).source, object)]
-    for src, dtype in cases:
+    cases = [(make_dmms_source((2,) * 5, pmf), sources._PmfMarginals, "entropies", np.float64),
+             (fraction_table(151, 5).source, TableSource, "_array", object)]
+    for src, owner, name, dtype in cases:
+        cold = EntropyOracle(src).array()
         warm = EntropyOracle(src)
         expected = warm.entropies(range(1 << src.m))
         calls = warm.calls
         table = warm.array()
-        assert table.dtype == dtype
-        assert table.tolist() == expected == EntropyOracle(src).array().tolist()
+        assert table.dtype == dtype and table.tolist() == expected == cold.tolist()
         assert (warm.calls, warm.oracle_queries()) == (calls, warm.full_mask)
+
+        def refuse(*args):
+            raise AssertionError("array() recomputed a warm table")
+
+        monkeypatch.setattr(owner, name, refuse)
+        assert warm.array() is table
         again = warm.entropies(range(1 << src.m))
+        monkeypatch.undo()
         assert again == expected
         assert list(map(type, again)) == list(map(type, expected))
 
