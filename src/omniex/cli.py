@@ -197,6 +197,7 @@ def cmd_ilp(args) -> int:
     n = args.n if args.n is not None else doc.n
     if not isinstance(n, int) or n < 1:
         raise InvalidN(f"block length n must be a positive integer, got {n!r}")
+    rates._refuse_inexact(oracle, n)
     with _float_table_refusal(oracle):
         rco = rates.rco_sum_rate(oracle)
         result = rates.ilp_rates(oracle, alpha, n, rco=rco)

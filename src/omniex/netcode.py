@@ -23,6 +23,14 @@ every sender outside it, so a sender's rows are eliminated about log2(m)
 times, not m - 1 times.  ``decode`` eliminates the same rows, each with
 its received symbol in the last column, and back-substitutes.
 
+A scheme whose every C_i is I_g (x) C'_i, g = gcd(n, n R_1, .., n R_m),
+repeats a base of block length n/g, as ``construct_code`` builds it, and
+its receiver system is I_g (x) the base's up to row and column order: so
+ranks (g times the base's), decodes and broadcasts run on the base.  The
+base keeps each source's ranks once all are found, so ``code`` reports
+those its draw was verified with; ``verify_omniscience`` stops at the
+first receiver short of n*N.
+
 Every receiver's system is n*N columns wide, and its elimination grows
 with the square of that width and more, so construction, verification
 and decoding refuse a width above ``WIDTH_CAP`` with ``TooLarge`` before
@@ -35,7 +43,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import field as ff
 from .errors import (
@@ -54,6 +62,9 @@ from .sources import LinearSource
 
 # The widest receiver system, in columns n*N, that is built.
 WIDTH_CAP = 512
+
+# A scheme's memos: fields outside its equality, hash and repr.
+_MEMO = dict(init=False, compare=False, hash=False, repr=False)
 
 
 def _check_width(n: int, n_packets: int) -> None:
@@ -77,6 +88,11 @@ def _integer_tx_counts(rates: RateVector, n: int, m: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def _check_user(i: int, m: int, role: str) -> None:
+    if not 0 <= i < m:
+        raise UnknownReceiver(f"{role} {i + 1} outside 1..{m}")
+
+
 @dataclass(frozen=True)
 class TransmissionScheme:
     """Per-user coefficient matrices over the block-expanded observations.
@@ -86,15 +102,17 @@ class TransmissionScheme:
     broadcast is a function of that user's own observations only.
 
     Each sender's broadcast rows are kept once packed, keyed by the user
-    and its observation matrix A_i, for the life of the scheme object.
-    The memo takes no part in equality, hashing or ``repr``.
+    and its observation matrix A_i, and the receiver ranks keyed by the
+    source's matrices, for the life of the scheme object, or of its base.
+    The memos take no part in equality, hashing or ``repr``.
     """
 
     n: int
     p: int
     coefficients: tuple[ff.FieldMatrix, ...]
-    _broadcast: dict = field(default_factory=dict, init=False, compare=False,
-                             hash=False, repr=False)
+    _broadcast: dict = field(default_factory=dict, **_MEMO)
+    _ranks: dict = field(default_factory=dict, **_MEMO)
+    _base: Optional[tuple] = field(default=None, **_MEMO)
 
     @property
     def m(self) -> int:
@@ -127,6 +145,56 @@ class TransmissionScheme:
                 self.coefficients[i], self.n, a)
         return rows
 
+    def _repeats(self) -> tuple[int, "TransmissionScheme"]:
+        """(g, base) with each C_i = I_g (x) base's C'_i for g = gcd(n,
+        tx_1, .., tx_m), else (1, self); looked for once per object."""
+        if self._base is None:
+            g = math.gcd(self.n, *self.tx)
+            found = ()
+            if g > 1:
+                blocks = tuple(
+                    ff.FieldMatrix._reduced(c.rows // g, c.cols // g, c.p, [
+                        x for r in range(c.rows // g) for x in c.row(r)[:c.cols // g]])
+                    for c in self.coefficients)
+                if all(ff.kron_block(g, b) == c for b, c in zip(blocks, self.coefficients)):
+                    found = (g, TransmissionScheme(n=self.n // g, p=self.p,
+                                                   coefficients=blocks))
+            object.__setattr__(self, "_base", found)
+        return self._base or (1, self)
+
+
+def _ranks(src: LinearSource, scheme: TransmissionScheme
+           ) -> Iterator[tuple[int, int]]:
+    """Each receiver's (rank, n*N) in turn, g times its rank on the base;
+    the base keeps them once a pass is complete."""
+    scheme.check_source(src)
+    g, base = scheme._repeats()
+    n, need = base.n, base.n * src.N
+    sent = [base.broadcast_rows(src, i) for i in range(src.m)]
+
+    def fill(space: ff.RowSpace, lo: int, hi: int) -> Iterator[int]:
+        # ``space`` holds every sender outside lo..hi-1, and is consumed.
+        # Rows whose last column is 0 add nothing to a space of rank n*N.
+        if hi - lo == 1:
+            own = src.matrices[lo]
+            rows = space.pack_rows(own, n, [0] * n * own.rows)
+            space.extend_packed(w for w in rows if space.rank < need)
+            yield space.rank
+            return
+        mid = (lo + hi) // 2
+        left = space.copy()
+        left.extend_packed(w for rows in sent[mid:hi] for w in rows if left.rank < need)
+        yield from fill(left, lo, mid)
+        space.extend_packed(w for rows in sent[lo:mid] for w in rows if space.rank < need)
+        yield from fill(space, mid, hi)
+
+    known = base._ranks.get(src.matrices)
+    ranks = []
+    for r in fill(ff.RowSpace(need + 1, src.p), 0, src.m) if known is None else known:
+        ranks.append(r)
+        yield g * r, g * need
+    base._ranks[src.matrices] = ranks
+
 
 def receiver_ranks(src: LinearSource, scheme: TransmissionScheme
                    ) -> list[tuple[int, int]]:
@@ -140,43 +208,25 @@ def receiver_ranks(src: LinearSource, scheme: TransmissionScheme
     receiver adds its own expanded rows last.  A sender's rows are so
     eliminated about log2(m) times, and since a rank does not depend on
     the order of the rows, every rank is that of the stacked system.
+
+    A scheme repeating a base g times is eliminated at the base's length.
+    The base keeps the ranks, so calls after the first eliminate nothing.
     """
-    scheme.check_source(src)
-    need = scheme.n * src.N
-    root = ff.RowSpace(need + 1, src.p)
-    sent = [scheme.broadcast_rows(src, i) for i in range(src.m)]
-    ranks = [(0, need)] * src.m
-
-    def fill(space: ff.RowSpace, lo: int, hi: int) -> None:
-        # ``space`` holds every sender outside lo..hi-1, and is consumed.
-        # Rows whose last column is 0 add nothing to a space of rank n*N.
-        if hi - lo == 1:
-            own = src.matrices[lo]
-            rows = space.pack_rows(own, scheme.n, [0] * scheme.n * own.rows)
-            space.extend_packed(w for w in rows if space.rank < need)
-            ranks[lo] = (space.rank, need)
-            return
-        mid = (lo + hi) // 2
-        left = space.copy()
-        left.extend_packed(w for rows in sent[mid:hi] for w in rows if left.rank < need)
-        fill(left, lo, mid)
-        space.extend_packed(w for rows in sent[lo:mid] for w in rows if space.rank < need)
-        fill(space, mid, hi)
-
-    fill(root, 0, src.m)
-    return ranks
+    return list(_ranks(src, scheme))
 
 
 def verify_omniscience(src: LinearSource, scheme: TransmissionScheme) -> bool:
     """True iff every receiver's side information plus received broadcasts
-    determines the whole packet block."""
-    return all(got == need for got, need in receiver_ranks(src, scheme))
+    determines the whole packet block; stops at the first receiver that
+    falls short."""
+    return all(got == need for got, need in _ranks(src, scheme))
 
 
 def user_observation(src: LinearSource, i: int, w: Sequence[int], n: int
                      ) -> tuple[int, ...]:
     """X_i over an n-block: (I_n (x) A_i) @ W, as A_i times each of the n
     blocks of W."""
+    _check_user(i, src.m, "user")
     a = src.matrices[i]
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -191,10 +241,15 @@ def user_observation(src: LinearSource, i: int, w: Sequence[int], n: int
 
 def broadcast_symbols(src: LinearSource, scheme: TransmissionScheme,
                       w: Sequence[int]) -> list[tuple[int, ...]]:
-    """C_i @ X_i for every user i, with X_i from ``user_observation``."""
+    """C_i @ X_i for every user i, with X_i from ``user_observation``, as
+    the base's C'_i times each repetition's part of X_i."""
     scheme.check_source(src)
-    return [c.mul_vector(user_observation(src, i, w, scheme.n))
-            for i, c in enumerate(scheme.coefficients)]
+    g, base = scheme._repeats()
+    out = []
+    for i, c in enumerate(base.coefficients):
+        x, k = user_observation(src, i, w, scheme.n), c.cols
+        out.append(tuple(y for t in range(g) for y in c.mul_vector(x[t * k:(t + 1) * k])))
+    return out
 
 
 def decode(src: LinearSource, scheme: TransmissionScheme, receiver: int,
@@ -204,13 +259,14 @@ def decode(src: LinearSource, scheme: TransmissionScheme, receiver: int,
 
     ``side_info`` is the receiver's own observation block and
     ``broadcasts`` the per-user broadcast symbol vectors; each symbol goes,
-    reduced mod p, into the last column of its packed row.  Raises
-    InconsistentObservations when the equations are contradictory or do
-    not pin W down uniquely (tampered or truncated inputs).
+    reduced mod p, into the last column of its packed row; a repeated
+    scheme is solved as one base system per repetition.  Raises
+    InconsistentObservations when the equations do not pin W down
+    uniquely or, failing that, are contradictory (tampered or truncated
+    inputs).
     """
     scheme.check_source(src)
-    if not 0 <= receiver < src.m:
-        raise UnknownReceiver(f"receiver {receiver} outside 1..{src.m}")
+    _check_user(receiver, src.m, "receiver")
     if len(broadcasts) != src.m:
         raise DimensionMismatch(f"need {src.m} broadcast vectors, got {len(broadcasts)}")
     own = src.matrices[receiver]
@@ -218,25 +274,33 @@ def decode(src: LinearSource, scheme: TransmissionScheme, receiver: int,
         raise DimensionMismatch(
             f"side information has {len(side_info)} symbols, "
             f"expected {scheme.n * own.rows}")
-    need, p = scheme.n * src.N, src.p
-    space = ff.RowSpace(need + 1, p)
-    space.extend_packed(space.pack_rows(own, scheme.n, side_info))
-    for i in range(src.m):
-        if i == receiver:
-            continue
-        sent = scheme.broadcast_rows(src, i)
-        if len(broadcasts[i]) != len(sent):
+    for i, c in enumerate(scheme.coefficients):
+        if i != receiver and len(broadcasts[i]) != c.rows:
             raise DimensionMismatch(
                 f"user {i + 1} broadcast has {len(broadcasts[i])} symbols, "
-                f"expected {len(sent)}")
-        space.extend_packed(w | int(y % p) for w, y in zip(sent, broadcasts[i]))
-    solution = space.back_substitute()
-    if space.rank - (solution is None) < need:
-        raise InconsistentObservations(
-            "received symbols do not determine the packet block uniquely")
-    if solution is None:
-        raise InconsistentObservations("received symbols are contradictory")
-    return solution
+                f"expected {c.rows}")
+    g, base = scheme._repeats()
+    n, p, side, need = base.n, src.p, base.n * own.rows, base.n * src.N
+    solution: list[int] = []
+    for t in range(g):
+        space = ff.RowSpace(need + 1, p)
+        space.extend_packed(space.pack_rows(own, n, side_info[t * side:(t + 1) * side]))
+        for i in range(src.m):
+            if i != receiver:
+                sent = base.broadcast_rows(src, i)
+                k = len(sent)
+                space.extend_packed(w | int(y % p) for w, y in
+                                    zip(sent, broadcasts[i][t * k:(t + 1) * k]))
+        # Every repetition has the base's rows, so all have one rank, and a
+        # short rank is found first, as in the whole system.
+        x = space.back_substitute()
+        if space.rank - (x is None) < need:
+            raise InconsistentObservations(
+                "received symbols do not determine the packet block uniquely")
+        if x is None:
+            raise InconsistentObservations("received symbols are contradictory")
+        solution.extend(x)
+    return tuple(solution)
 
 
 def _random_scheme(src: LinearSource, tx: Sequence[int], n: int,
@@ -248,11 +312,14 @@ def _random_scheme(src: LinearSource, tx: Sequence[int], n: int,
 
 def _repeat_scheme(base: TransmissionScheme, times: int) -> TransmissionScheme:
     """Repeat a scheme built for a shorter block: the coefficient matrix
-    becomes block diagonal over the repetitions."""
+    becomes block diagonal over the repetitions, linked to its base."""
     if times == 1:
         return base
     coeffs = tuple(ff.kron_block(times, c) for c in base.coefficients)
-    return TransmissionScheme(n=base.n * times, p=base.p, coefficients=coeffs)
+    scheme = TransmissionScheme(n=base.n * times, p=base.p, coefficients=coeffs)
+    g, root = base._repeats()
+    object.__setattr__(scheme, "_base", (times * g, root))
+    return scheme
 
 
 def construct_code(src: LinearSource, rates: RateVector, n: int,

@@ -23,7 +23,7 @@ Three layers build on that sweep:
 * block-length-n solutions, for exact oracles only, round beta to the
   nearest feasible multiples of 1/n and keep the cheaper one.  The rates
   of a float oracle (a pmf source or a float table) are real numbers and
-  lie on no 1/n lattice, so ``ilp_rates`` refuses it.
+  lie on no 1/n lattice, so ``ilp_rates`` refuses it before any sweep.
 
 One ``minimize_weighted`` or ``ilp_rates`` call sweeps each budget value
 at most once: the points it probed live for that call (``ilp_rates``
@@ -551,6 +551,17 @@ def minimize_weighted(oracle: EntropyOracle, alpha: Sequence[Value],
     raise NonConvergence("weighted minimization exceeded its iteration budget")
 
 
+def _refuse_inexact(oracle: EntropyOracle, n: int) -> None:
+    """Refuse a float oracle for ``ilp_rates`` before any table or sweep,
+    after the table's own cap."""
+    if not oracle.exact:
+        oracle._check_cap()
+        raise NonIntegerRates(
+            f"ilp needs exact entropies (a linear source or an exact table): "
+            f"the rates of a pmf source or of a float table are real numbers, "
+            f"which the 1/{n} lattice does not hold")
+
+
 def ilp_rates(oracle: EntropyOracle, alpha: Sequence[Value], n: int,
               rco: Optional[SumRateResult] = None) -> IlpResult:
     """Best rate vector whose entries are multiples of 1/n, on an exact
@@ -568,13 +579,9 @@ def ilp_rates(oracle: EntropyOracle, alpha: Sequence[Value], n: int,
     if not isinstance(n, int) or n < 1:
         raise InvalidN(f"block length n must be a positive integer, got {n!r}")
     alpha = check_costs(alpha, oracle.m)
+    _refuse_inexact(oracle, n)
     if rco is None:
         rco = rco_sum_rate(oracle)
-    if not oracle.exact:
-        raise NonIntegerRates(
-            f"ilp needs exact entropies (a linear source or an exact table): "
-            f"the rates of a pmf source or of a float table are real numbers, "
-            f"which the 1/{n} lattice does not hold")
     weighted = minimize_weighted(oracle, alpha, rco=rco)
 
     lower = Fraction(math.ceil(rco.value * n), n)

@@ -18,11 +18,10 @@ from .errors import (
     DimensionMismatch,
     InfeasibleRates,
     TooLarge,
-    UnknownReceiver,
     ValidationError,
     ZeroInverse,
 )
-from .netcode import TransmissionScheme, _integer_tx_counts
+from .netcode import TransmissionScheme, _check_user, _integer_tx_counts
 from .rates import (
     PartitionResult,
     RateVector,
@@ -515,8 +514,7 @@ def expanded_transfer_matrix(net: MulticastNetwork, src: LinearSource,
     symbols through decoder coefficients.  Unassigned coefficients appear
     as Slot placeholders.
     """
-    if not 0 <= receiver < net.m:
-        raise UnknownReceiver(f"receiver {receiver} outside 1..{net.m}")
+    _check_user(receiver, net.m, "receiver")
     index, ell, dim, a_grid, gamma = _network_blocks(net, src)
     p = net.p
 
@@ -587,8 +585,7 @@ def transfer_matrix(net: MulticastNetwork, src: LinearSource, receiver: int,
     """Concrete transfer matrix A @ (I - Gamma)^-1 @ B(r) for a fully
     assigned code; its determinant matches the expanded matrix's up to
     sign."""
-    if not 0 <= receiver < net.m:
-        raise UnknownReceiver(f"receiver {receiver} outside 1..{net.m}")
+    _check_user(receiver, net.m, "receiver")
     index, ell, dim, a_grid, gamma = _network_blocks(net, src)
     p = net.p
 

@@ -357,9 +357,7 @@ class EntropyOracle:
         ``TooLarge`` above ``TABLE_CAP`` users, before it allocates or
         computes anything."""
         if self._table is None:
-            if self.m > TABLE_CAP:
-                raise TooLarge(f"{self.m} users: the table of 2^m subset "
-                               f"entropies is capped at m={TABLE_CAP}")
+            self._check_cap()
             table = self.source._array()
             if table.dtype == np.int64:
                 self.int64_peak = max(int(table.max()), -int(table.min()))
@@ -367,6 +365,11 @@ class EntropyOracle:
             self._table = table
             self._cache = {}
         return self._table
+
+    def _check_cap(self) -> None:
+        if self.m > TABLE_CAP:
+            raise TooLarge(f"{self.m} users: the table of 2^m subset "
+                           f"entropies is capped at m={TABLE_CAP}")
 
     def violations(self) -> tuple[Optional[tuple[int, int]],
                                   Optional[tuple[int, int, int]]]:

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import time
@@ -30,6 +31,10 @@ from omniex import (
     verify_feasible,
     verify_omniscience,
 )
+from omniex import fixtures, netcode
+from omniex.cli import main
+from omniex.documents import parse_scheme, scheme_to_json
+from omniex.errors import UnknownReceiver
 from omniex.field import RowSpace
 from omniex.netcode import _repeat_scheme
 from omniex.reference import (
@@ -691,3 +696,195 @@ def test_leave_one_out_ranks_keep_each_receiver_to_its_own_rows(m):
         assert got == stacked_ranks(src, scheme)
         assert [j for j, (r, need) in enumerate(got) if r < need] == [short]
         assert got[short][0] <= 2 * n
+
+
+def test_unknown_users_are_refused_by_observation_and_decode():
+    src = example1_source()
+    scheme = handbuilt_example1_scheme()
+    w = [1, 2, 3, 4, 0, 1]
+    casts = broadcast_symbols(src, scheme, w)
+    side = user_observation(src, 0, w, 2)
+    for i, shown in ((-1, 0), (3, 4)):
+        with pytest.raises(UnknownReceiver, match=f"^user {shown} outside 1..3$"):
+            user_observation(src, i, w, 2)
+        with pytest.raises(UnknownReceiver, match=f"^receiver {shown} outside 1..3$"):
+            decode(src, scheme, i, side, casts)
+    net = build_network(src, halves(), 2)
+    with pytest.raises(UnknownReceiver, match="^receiver 4 outside 1..3$"):
+        expanded_transfer_matrix(net, src, 3)
+
+
+def random_base(rng, src, n):
+    # Coefficient matrices of random heights, zero included.
+    return TransmissionScheme(n=n, p=src.p, coefficients=tuple(
+        FieldMatrix.random(rng.randint(0, n * a.rows), n * a.rows, src.p, rng)
+        for a in src.matrices))
+
+
+def round_trip(scheme):
+    # A scheme as read from its document: no link to a base.
+    return parse_scheme(scheme_to_json(scheme, "u"))[0]
+
+
+def test_repeated_schemes_match_the_stacked_system():
+    rng = random.Random(500)
+    checked = 0
+    for trial in range(60):
+        src = random_linear_source(rng, m_max=5, n_max=5, primes=(5, 7, 101))
+        base = random_base(rng, src, rng.choice((1, 2)))
+        g = rng.choice((2, 3))
+        repeated = _repeat_scheme(base, g)
+        loaded = round_trip(repeated)
+        assert loaded == repeated and loaded._base is None
+        want = stacked_ranks(src, repeated)
+        assert receiver_ranks(src, repeated) == want, trial
+        assert receiver_ranks(src, loaded) == want, trial
+        if math.gcd(base.n, *base.tx) == 1:
+            # Only g = gcd(n, tx_1, .., tx_m) is looked for, as construct_code
+            # builds it.
+            assert loaded._repeats()[0] == g
+        w = [rng.randrange(src.p) for _ in range(repeated.n * src.N)]
+        casts = broadcast_symbols(src, loaded, w)
+        assert casts == [expanded_product(repeated, src, i).mul_vector(w)
+                         for i in range(src.m)]
+        for j, (got, need) in enumerate(want):
+            if got == need:
+                side = user_observation(src, j, w, repeated.n)
+                assert decode(src, repeated, j, side, casts) == tuple(w)
+                assert decode(src, loaded, j, side, casts) == tuple(w)
+                checked += 1
+    assert checked > 20
+
+
+def test_a_scheme_that_is_nearly_repeated_is_eliminated_whole():
+    rng = random.Random(501)
+    for trial in range(20):
+        src = random_linear_source(rng, m=rng.randint(2, 4), n_packets=rng.randint(2, 4),
+                                   primes=(5, 7, 101))
+        base = TransmissionScheme(n=1, p=src.p, coefficients=tuple(
+            FieldMatrix.random(rng.randint(1, a.rows), a.rows, src.p, rng)
+            for a in src.matrices))
+        rows = [c.to_rows() for c in _repeat_scheme(base, 2).coefficients]
+        u = rng.randrange(src.m)
+        rows[u][0][-1] = rng.randrange(1, src.p)      # off the block diagonal
+        near = TransmissionScheme(n=2, p=src.p, coefficients=tuple(
+            FieldMatrix.from_rows(r, src.p) for r in rows))
+        assert near._repeats() == (1, near)
+        assert receiver_ranks(src, near) == stacked_ranks(src, near), trial
+        w = [rng.randrange(src.p) for _ in range(2 * src.N)]
+        assert broadcast_symbols(src, near, w) == [
+            expanded_product(near, src, i).mul_vector(w) for i in range(src.m)]
+
+
+def test_decode_of_a_repeated_scheme_reports_as_the_whole_system():
+    # One repetition's symbol changed, at receivers of full rank and at
+    # receivers left short, against the echelon form of the whole system.
+    rng = random.Random(502)
+    seen = set()
+    for trial in range(40):
+        src = random_linear_source(rng, m=rng.randint(2, 4), n_packets=rng.randint(1, 4),
+                                   primes=(5, 7))
+        scheme = round_trip(_repeat_scheme(random_base(rng, src, 1), rng.choice((2, 3))))
+        w = [rng.randrange(src.p) for _ in range(scheme.n * src.N)]
+        casts = broadcast_symbols(src, scheme, w)
+        for j in range(src.m):
+            side = user_observation(src, j, w, scheme.n)
+            senders = [i for i in range(src.m) if i != j and casts[i]]
+            cases = [casts]
+            if senders:
+                tampered = [list(c) for c in casts]
+                i = rng.choice(senders)
+                tampered[i][rng.randrange(len(tampered[i]))] += rng.randrange(1, src.p)
+                cases.append(tampered)
+            for received in cases:
+                args = (src, scheme, j, side, received)
+                got = decode_outcome(decode, *args)
+                assert got == decode_outcome(echelon_decode, *args), (trial, j)
+                seen.add(got if isinstance(got, str) else "solved")
+    assert seen == {"solved", "received symbols are contradictory",
+                    "received symbols do not determine the packet block uniquely"}
+
+
+def count_calls(monkeypatch, owner, name):
+    # Every call of owner.name, with its arguments, in order.
+    calls = []
+    original = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def test_verify_stops_at_the_first_receiver_short_of_full_rank(monkeypatch):
+    src = example1_source()
+    scheme = handbuilt_example1_scheme()
+    crippled = TransmissionScheme(n=2, p=5, coefficients=(
+        FieldMatrix.zeros(0, 4, 5), *scheme.coefficients[1:]))
+    # Each receiver packs its own rows once, and nothing else does.
+    receivers = count_calls(monkeypatch, RowSpace, "pack_rows")
+    assert not verify_omniscience(src, crippled)
+    assert len(receivers) == 2
+    assert not crippled._ranks
+    receivers.clear()
+    assert receiver_ranks(src, crippled)[1] == (5, 6)
+    assert len(receivers) == src.m and crippled._ranks
+
+
+@pytest.mark.parametrize("n, g", [(2, 1), (4, 2), (6, 3)])
+def test_code_reports_the_ranks_its_draw_was_verified_with(n, g, monkeypatch, tmp_path,
+                                                           capsys):
+    # At n = 4 and 6 the draw at n = 2 is repeated twice and three times.
+    added = count_calls(monkeypatch, RowSpace, "add_packed")
+    built = []
+    construct = netcode.construct_code
+
+    def spied(*args, **kwargs):
+        scheme = construct(*args, **kwargs)
+        built.append((scheme, len(added)))
+        return scheme
+
+    monkeypatch.setattr(netcode, "construct_code", spied)
+    out = tmp_path / "scheme.json"
+    argv = ["code", str(fixtures.path("example1")), "--n", str(n), "--out", str(out)]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    (scheme, drawn), = built
+    assert scheme._repeats()[0] == g and scheme.n == n
+    assert drawn == len(added) > 0
+    assert [(r["achieved_rank"], r["required_rank"]) for r in report["receivers"]] == (
+        stacked_ranks(example1_source(), scheme))
+
+
+def test_repeated_schemes_are_eliminated_at_their_base_length(monkeypatch):
+    # construct_code links the base; a scheme read from a file finds it.
+    src = example1_source()
+    built = construct_code(src, RateVector((1, 1, 1), unit="F_5-symbols"), 4, seed=5)
+    loaded = round_trip(built)
+    spaces = count_calls(monkeypatch, RowSpace, "__init__")
+    w = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8]
+    for scheme in (built, loaded):
+        assert receiver_ranks(src, scheme) == [(12, 12)] * 3
+        assert verify_omniscience(src, scheme)
+        casts = broadcast_symbols(src, scheme, w)
+        for j in range(src.m):
+            side = user_observation(src, j, w, 4)
+            assert decode(src, scheme, j, side, casts) == tuple(x % 5 for x in w)
+    assert spaces and {cols for _space, cols, _p in spaces} == {src.N + 1}
+    assert built._repeats()[0] == loaded._repeats()[0] == 4
+
+
+def test_rank_and_base_memos_are_invisible():
+    src = example1_source()
+    repeated = construct_code(src, RateVector((1, 1, 1), unit="F_5-symbols"), 2, seed=5)
+    whole = handbuilt_example1_scheme()
+    for warm in (repeated, whole):
+        fresh = round_trip(warm)
+        assert receiver_ranks(src, warm) == receiver_ranks(src, round_trip(warm))
+        assert warm._repeats()[1]._ranks and fresh._base is None
+        assert warm == fresh
+        assert hash(warm) == hash(fresh)
+        assert repr(warm) == repr(fresh)
+        assert "_ranks" not in repr(warm) and "_base" not in repr(warm)

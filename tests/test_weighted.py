@@ -12,6 +12,7 @@ import pytest
 from omniex import (
     EntropyOracle,
     InfeasibleBeta,
+    NonIntegerRates,
     RateVector,
     h_eval,
     ilp_rates,
@@ -24,6 +25,7 @@ from omniex import (
 )
 from omniex import rates
 from omniex.cli import main
+from omniex.sources import TABLE_CAP, DmmsSource
 
 from conftest import (
     example1_source,
@@ -241,6 +243,31 @@ def test_ilp_refuses_pmf_and_float_table_documents(tmp_path):
             assert "Traceback" not in done.stderr
         # rates still solves the document.
         assert omniex_cli("rates", str(path), cwd=tmp_path).returncode == 0
+
+
+def test_ilp_refuses_a_pmf_before_its_table_and_its_walk(capsys, monkeypatch, tmp_path):
+    # The refusal needs no subset entropy beyond H(X_M); above the cap the
+    # table's own refusal still comes first.
+    def refuse(*args, **kwargs):
+        raise AssertionError("ilp built the table or walked on a pmf source")
+
+    monkeypatch.setattr(DmmsSource, "_array", refuse)
+    monkeypatch.setattr(rates, "rco_sum_rate", refuse)
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"source": {
+        "kind": "pmf", "alphabets": [2] * 4, "entries": pmf_entries(skewed_pmf(3, 4))}}))
+    for flags in ((), ("--n", "2")):
+        assert main(["ilp", str(path), *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ilp needs exact entropies")
+    with pytest.raises(NonIntegerRates, match="ilp needs exact entropies"):
+        ilp_rates(EntropyOracle(make_dmms_source((2, 2), skewed_pmf(3, 2))), (1, 1), 2)
+    alphabets = [2, 2] + [1] * (TABLE_CAP + 1)
+    path.write_text(json.dumps({"source": {"kind": "pmf", "alphabets": alphabets, "entries": {
+        ",".join(["0"] * len(alphabets)): 0.5,
+        ",".join(["1", "1"] + ["0"] * (len(alphabets) - 2)): 0.5}}}))
+    assert main(["ilp", str(path)]) == 2
+    assert f"capped at m={TABLE_CAP}" in capsys.readouterr().err
 
 
 def test_large_weights_on_a_pmf_source_give_the_rates_of_small_ones(capsys, tmp_path):
