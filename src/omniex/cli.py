@@ -9,17 +9,16 @@ Exit codes: 0 success, 1 property or verification failure, 2 invalid
 input (a key written twice in one JSON object included; or, except for
 ``verify``, more than ``sources.TABLE_CAP`` users; for ``code`` and
 ``verify``, n*N above ``netcode.WIDTH_CAP``; a table that is not an
-entropy function; weights whose costs overflow floats; for ``rates`` and
-``ilp``, a float table whose rates cannot be certified; for ``ilp``, a
-pmf source or float table, whose rates are real numbers, and exact
-entropies that are not multiples of 1/n), 3 unit mismatch, 4 field too
-small, 5 construction failure.
+entropy function; weights whose costs overflow floats; for ``rates``, a
+float table whose rates cannot be certified; for ``ilp``, every pmf
+source or float table, whose rates are real numbers (``ilp needs exact
+entropies``), and exact entropies that are not multiples of 1/n), 3 unit
+mismatch, 4 field too small, 5 construction failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import math
 import sys
@@ -130,30 +129,11 @@ def _emit(out: dict, args) -> None:
         print(docs.dump_json(out), end="")
 
 
-@contextlib.contextmanager
-def _float_table_refusal(oracle: sources.EntropyOracle):
-    """Turn a failed solve of a float table into ``ValidationError``.
-
-    A float table is an entropy function only within DELTA, and the sweep
-    admits ties, and the weighted bracket closes, within absolute bounds
-    that the float spacing of large entropies can exceed.  So its walk can
-    run past m sweeps, its bracket past its iteration budget, and its solve
-    can miss a cut or its own budget; elsewhere each is a solver fault."""
-    try:
-        yield
-    except (InfeasibleBeta, InfeasibleRates, NonConvergence, NonTermination):
-        if isinstance(oracle.source, sources.TableSource) and not oracle.exact:
-            raise ValidationError(
-                f"the table is an entropy function only within {setfun.DELTA!r}, "
-                f"so its rates cannot be certified") from None
-        raise
-
-
 def cmd_rates(args) -> int:
     doc = docs.load_problem(args.problem)
     oracle = _oracle(doc)
     alpha = _effective_alpha(doc, args, oracle)
-    with _float_table_refusal(oracle):
+    try:
         rco = rates.rco_sum_rate(oracle)
         if _is_uniform(alpha):
             chosen = rco.rates
@@ -170,6 +150,18 @@ def cmd_rates(args) -> int:
             evaluations = weighted.evaluations
         if not rates.verify_feasible(oracle, chosen):
             raise InfeasibleRates("internal error: emitted rates are infeasible")
+    except (InfeasibleBeta, InfeasibleRates, NonConvergence, NonTermination):
+        # A float table is an entropy function only within DELTA, and the
+        # sweep admits ties, and the weighted bracket closes, within
+        # absolute bounds that the float spacing of large entropies can
+        # exceed.  So its walk can run past m sweeps, its bracket past its
+        # iteration budget, and its solve can miss a cut or its own budget;
+        # elsewhere each is a solver fault.
+        if isinstance(oracle.source, sources.TableSource) and not oracle.exact:
+            raise ValidationError(
+                f"the table is an entropy function only within {setfun.DELTA!r}, "
+                f"so its rates cannot be certified") from None
+        raise
     out = _base_result(doc, "rates", oracle.unit)
     out.update({
         "weights": [docs.format_value(a) for a in alpha],
@@ -198,11 +190,10 @@ def cmd_ilp(args) -> int:
     if not isinstance(n, int) or n < 1:
         raise InvalidN(f"block length n must be a positive integer, got {n!r}")
     rates._refuse_inexact(oracle, n)
-    with _float_table_refusal(oracle):
-        rco = rates.rco_sum_rate(oracle)
-        result = rates.ilp_rates(oracle, alpha, n, rco=rco)
-        if not rates.verify_feasible(oracle, result.rates):
-            raise InfeasibleRates("internal error: emitted rates are infeasible")
+    rco = rates.rco_sum_rate(oracle)
+    result = rates.ilp_rates(oracle, alpha, n, rco=rco)
+    if not rates.verify_feasible(oracle, result.rates):
+        raise InfeasibleRates("internal error: emitted rates are infeasible")
     out = _base_result(doc, "ilp", oracle.unit)
     out.update({
         "weights": [docs.format_value(a) for a in alpha],
@@ -248,7 +239,6 @@ def cmd_code(args) -> int:
         raise InfeasibleRates("internal error: emitted rates are infeasible")
     scheme = netcode.construct_code(src, result.rates, n, seed=seed,
                                     max_tries=args.max_tries)
-    ranks = netcode.receiver_ranks(src, scheme)
     scheme_doc = docs.scheme_to_json(scheme, oracle.unit)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -263,7 +253,9 @@ def cmd_code(args) -> int:
         "sum_rate": docs.format_value(result.rates.total()),
         "broadcast_rows": [c.rows for c in scheme.coefficients],
         "scheme_file": args.out,
-        "receivers": _receivers(ranks),
+        # construct_code returns only a draw whose check found every
+        # receiver at full rank n*N, so nothing is eliminated again.
+        "receivers": _receivers([(n * src.N, n * src.N)] * src.m),
         "diagnostics": {"entropy_queries": oracle.oracle_queries()},
     })
     _emit(out, args)
@@ -281,10 +273,9 @@ def cmd_verify(args) -> int:
         raise UnitMismatch(
             f"scheme symbols are F_{scheme.p}, problem symbols are F_{src.p}")
     try:
-        scheme.check_source(src)
+        ranks = netcode.receiver_ranks(src, scheme)
     except DimensionMismatch as exc:
         raise ValidationError(f"{args.scheme}: {exc}") from exc
-    ranks = netcode.receiver_ranks(src, scheme)
     ok = all(got == need for got, need in ranks)
     out = _base_result(doc, "verify", unit)
     out.update({

@@ -26,10 +26,8 @@ its received symbol in the last column, and back-substitutes.
 A scheme whose every C_i is I_g (x) C'_i, g = gcd(n, n R_1, .., n R_m),
 repeats a base of block length n/g, as ``construct_code`` builds it, and
 its receiver system is I_g (x) the base's up to row and column order: so
-ranks (g times the base's), decodes and broadcasts run on the base.  The
-base keeps each source's ranks once all are found, so ``code`` reports
-those its draw was verified with; ``verify_omniscience`` stops at the
-first receiver short of n*N.
+ranks (g times the base's), decodes and broadcasts run on the base.
+``verify_omniscience`` stops at the first receiver short of n*N.
 
 Every receiver's system is n*N columns wide, and its elimination grows
 with the square of that width and more, so construction, verification
@@ -41,9 +39,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from functools import cached_property
+from typing import Iterator, Sequence
 
 from . import field as ff
 from .errors import (
@@ -62,9 +61,6 @@ from .sources import LinearSource
 
 # The widest receiver system, in columns n*N, that is built.
 WIDTH_CAP = 512
-
-# A scheme's memos: fields outside its equality, hash and repr.
-_MEMO = dict(init=False, compare=False, hash=False, repr=False)
 
 
 def _check_width(n: int, n_packets: int) -> None:
@@ -102,17 +98,15 @@ class TransmissionScheme:
     broadcast is a function of that user's own observations only.
 
     Each sender's broadcast rows are kept once packed, keyed by the user
-    and its observation matrix A_i, and the receiver ranks keyed by the
-    source's matrices, for the life of the scheme object, or of its base.
-    The memos take no part in equality, hashing or ``repr``.
+    and its observation matrix A_i, and the base the scheme repeats is
+    found once, both for the life of the scheme object.  The memos are
+    cached properties, not fields, so they take no part in equality,
+    hashing or ``repr``.
     """
 
     n: int
     p: int
     coefficients: tuple[ff.FieldMatrix, ...]
-    _broadcast: dict = field(default_factory=dict, **_MEMO)
-    _ranks: dict = field(default_factory=dict, **_MEMO)
-    _base: Optional[tuple] = field(default=None, **_MEMO)
 
     @property
     def m(self) -> int:
@@ -145,30 +139,30 @@ class TransmissionScheme:
                 self.coefficients[i], self.n, a)
         return rows
 
+    @cached_property
+    def _broadcast(self) -> dict:
+        return {}
+
+    @cached_property
     def _repeats(self) -> tuple[int, "TransmissionScheme"]:
         """(g, base) with each C_i = I_g (x) base's C'_i for g = gcd(n,
-        tx_1, .., tx_m), else (1, self); looked for once per object."""
-        if self._base is None:
-            g = math.gcd(self.n, *self.tx)
-            found = ()
-            if g > 1:
-                blocks = tuple(
-                    ff.FieldMatrix._reduced(c.rows // g, c.cols // g, c.p, [
-                        x for r in range(c.rows // g) for x in c.row(r)[:c.cols // g]])
-                    for c in self.coefficients)
-                if all(ff.kron_block(g, b) == c for b, c in zip(blocks, self.coefficients)):
-                    found = (g, TransmissionScheme(n=self.n // g, p=self.p,
-                                                   coefficients=blocks))
-            object.__setattr__(self, "_base", found)
-        return self._base or (1, self)
+        tx_1, .., tx_m), else (1, self)."""
+        g = math.gcd(self.n, *self.tx)
+        if g > 1:
+            blocks = tuple(
+                ff.FieldMatrix._reduced(c.rows // g, c.cols // g, c.p, [
+                    x for r in range(c.rows // g) for x in c.row(r)[:c.cols // g]])
+                for c in self.coefficients)
+            if all(ff.kron_block(g, b) == c for b, c in zip(blocks, self.coefficients)):
+                return g, TransmissionScheme(n=self.n // g, p=self.p, coefficients=blocks)
+        return 1, self
 
 
 def _ranks(src: LinearSource, scheme: TransmissionScheme
            ) -> Iterator[tuple[int, int]]:
-    """Each receiver's (rank, n*N) in turn, g times its rank on the base;
-    the base keeps them once a pass is complete."""
+    """Each receiver's (rank, n*N) in turn, g times its rank on the base."""
     scheme.check_source(src)
-    g, base = scheme._repeats()
+    g, base = scheme._repeats
     n, need = base.n, base.n * src.N
     sent = [base.broadcast_rows(src, i) for i in range(src.m)]
 
@@ -188,12 +182,8 @@ def _ranks(src: LinearSource, scheme: TransmissionScheme
         space.extend_packed(w for rows in sent[lo:mid] for w in rows if space.rank < need)
         yield from fill(space, mid, hi)
 
-    known = base._ranks.get(src.matrices)
-    ranks = []
-    for r in fill(ff.RowSpace(need + 1, src.p), 0, src.m) if known is None else known:
-        ranks.append(r)
+    for r in fill(ff.RowSpace(need + 1, src.p), 0, src.m):
         yield g * r, g * need
-    base._ranks[src.matrices] = ranks
 
 
 def receiver_ranks(src: LinearSource, scheme: TransmissionScheme
@@ -209,8 +199,9 @@ def receiver_ranks(src: LinearSource, scheme: TransmissionScheme
     eliminated about log2(m) times, and since a rank does not depend on
     the order of the rows, every rank is that of the stacked system.
 
-    A scheme repeating a base g times is eliminated at the base's length.
-    The base keeps the ranks, so calls after the first eliminate nothing.
+    A scheme repeating a base g times is eliminated at the base's length,
+    and each call eliminates afresh: ``code`` ranks nothing after its
+    draw, whose check proved every receiver at n*N.
     """
     return list(_ranks(src, scheme))
 
@@ -244,7 +235,7 @@ def broadcast_symbols(src: LinearSource, scheme: TransmissionScheme,
     """C_i @ X_i for every user i, with X_i from ``user_observation``, as
     the base's C'_i times each repetition's part of X_i."""
     scheme.check_source(src)
-    g, base = scheme._repeats()
+    g, base = scheme._repeats
     out = []
     for i, c in enumerate(base.coefficients):
         x, k = user_observation(src, i, w, scheme.n), c.cols
@@ -279,7 +270,7 @@ def decode(src: LinearSource, scheme: TransmissionScheme, receiver: int,
             raise DimensionMismatch(
                 f"user {i + 1} broadcast has {len(broadcasts[i])} symbols, "
                 f"expected {c.rows}")
-    g, base = scheme._repeats()
+    g, base = scheme._repeats
     n, p, side, need = base.n, src.p, base.n * own.rows, base.n * src.N
     solution: list[int] = []
     for t in range(g):
@@ -312,14 +303,11 @@ def _random_scheme(src: LinearSource, tx: Sequence[int], n: int,
 
 def _repeat_scheme(base: TransmissionScheme, times: int) -> TransmissionScheme:
     """Repeat a scheme built for a shorter block: the coefficient matrix
-    becomes block diagonal over the repetitions, linked to its base."""
+    becomes block diagonal over the repetitions."""
     if times == 1:
         return base
     coeffs = tuple(ff.kron_block(times, c) for c in base.coefficients)
-    scheme = TransmissionScheme(n=base.n * times, p=base.p, coefficients=coeffs)
-    g, root = base._repeats()
-    object.__setattr__(scheme, "_base", (times * g, root))
-    return scheme
+    return TransmissionScheme(n=base.n * times, p=base.p, coefficients=coeffs)
 
 
 def construct_code(src: LinearSource, rates: RateVector, n: int,
@@ -345,7 +333,7 @@ def construct_code(src: LinearSource, rates: RateVector, n: int,
     if max_tries < 1:
         raise ValidationError("max_tries must be at least 1")
 
-    g = math.gcd(n, *tx) if any(tx) else n
+    g = math.gcd(n, *tx)
     reduced_n = n // g
     reduced_tx = tuple(t // g for t in tx)
 

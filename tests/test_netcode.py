@@ -46,7 +46,12 @@ from omniex.reference import (
     transfer_matrix,
 )
 
-from conftest import example1_source, figure1_source, random_linear_source
+from conftest import (
+    example1_source,
+    figure1_source,
+    linear_document,
+    random_linear_source,
+)
 
 
 def handbuilt_example1_scheme():
@@ -579,18 +584,23 @@ def test_each_source_gets_its_own_broadcast_matrices():
 
 
 def test_a_warm_scheme_compares_hashes_and_prints_as_a_fresh_one():
+    # The second scheme repeats a base twice, and has both memos warm.
     src = example1_source()
-    warm = handbuilt_example1_scheme()
+    repeated = construct_code(src, RateVector((1, 1, 1), unit="F_5-symbols"), 2, seed=5)
     w = [1, 2, 3, 4, 0, 1]
-    casts = broadcast_symbols(src, warm, w)
-    decode(src, warm, 0, user_observation(src, 0, w, 2), casts)
-    assert warm._broadcast
-    fresh = handbuilt_example1_scheme()
-    assert not fresh._broadcast
-    assert warm == fresh
-    assert hash(warm) == hash(fresh)
-    assert repr(warm) == repr(fresh)
-    assert "_broadcast" not in repr(warm)
+    for warm in (handbuilt_example1_scheme(), repeated):
+        casts = broadcast_symbols(src, warm, w)
+        decode(src, warm, 0, user_observation(src, 0, w, 2), casts)
+        warm.broadcast_rows(src, 0)
+        assert warm._broadcast and "_repeats" in warm.__dict__
+        fresh = round_trip(warm)
+        assert "_broadcast" not in fresh.__dict__ and "_repeats" not in fresh.__dict__
+        assert receiver_ranks(src, warm) == receiver_ranks(src, fresh)
+        assert warm == fresh
+        assert hash(warm) == hash(fresh)
+        assert repr(warm) == repr(fresh)
+        assert "_broadcast" not in repr(warm) and "_repeats" not in repr(warm)
+    assert repeated._repeats[0] == 2
 
 
 def test_a_repeated_scheme_starts_with_an_empty_memo():
@@ -722,7 +732,7 @@ def random_base(rng, src, n):
 
 
 def round_trip(scheme):
-    # A scheme as read from its document: no link to a base.
+    # A scheme as read from its document, with no memo warm.
     return parse_scheme(scheme_to_json(scheme, "u"))[0]
 
 
@@ -735,14 +745,14 @@ def test_repeated_schemes_match_the_stacked_system():
         g = rng.choice((2, 3))
         repeated = _repeat_scheme(base, g)
         loaded = round_trip(repeated)
-        assert loaded == repeated and loaded._base is None
+        assert loaded == repeated and "_repeats" not in loaded.__dict__
         want = stacked_ranks(src, repeated)
         assert receiver_ranks(src, repeated) == want, trial
         assert receiver_ranks(src, loaded) == want, trial
         if math.gcd(base.n, *base.tx) == 1:
             # Only g = gcd(n, tx_1, .., tx_m) is looked for, as construct_code
             # builds it.
-            assert loaded._repeats()[0] == g
+            assert loaded._repeats[0] == g
         w = [rng.randrange(src.p) for _ in range(repeated.n * src.N)]
         casts = broadcast_symbols(src, loaded, w)
         assert casts == [expanded_product(repeated, src, i).mul_vector(w)
@@ -769,7 +779,7 @@ def test_a_scheme_that_is_nearly_repeated_is_eliminated_whole():
         rows[u][0][-1] = rng.randrange(1, src.p)      # off the block diagonal
         near = TransmissionScheme(n=2, p=src.p, coefficients=tuple(
             FieldMatrix.from_rows(r, src.p) for r in rows))
-        assert near._repeats() == (1, near)
+        assert near._repeats == (1, near)
         assert receiver_ranks(src, near) == stacked_ranks(src, near), trial
         w = [rng.randrange(src.p) for _ in range(2 * src.N)]
         assert broadcast_symbols(src, near, w) == [
@@ -827,10 +837,9 @@ def test_verify_stops_at_the_first_receiver_short_of_full_rank(monkeypatch):
     receivers = count_calls(monkeypatch, RowSpace, "pack_rows")
     assert not verify_omniscience(src, crippled)
     assert len(receivers) == 2
-    assert not crippled._ranks
     receivers.clear()
     assert receiver_ranks(src, crippled)[1] == (5, 6)
-    assert len(receivers) == src.m and crippled._ranks
+    assert len(receivers) == src.m
 
 
 @pytest.mark.parametrize("n, g", [(2, 1), (4, 2), (6, 3)])
@@ -852,14 +861,60 @@ def test_code_reports_the_ranks_its_draw_was_verified_with(n, g, monkeypatch, tm
     assert main(argv) == 0
     report = json.loads(capsys.readouterr().out)
     (scheme, drawn), = built
-    assert scheme._repeats()[0] == g and scheme.n == n
+    assert scheme._repeats[0] == g and scheme.n == n
     assert drawn == len(added) > 0
     assert [(r["achieved_rank"], r["required_rank"]) for r in report["receivers"]] == (
         stacked_ranks(example1_source(), scheme))
 
 
+def test_code_reports_what_verify_finds_on_the_scheme_it_writes(monkeypatch, tmp_path,
+                                                                capsys):
+    # Documents shaped like the benchmark's code-verify traffic: p is the
+    # smallest prime above m, so some draws fail before one verifies.
+    rng = random.Random(640)
+    checks = []
+    verify = netcode.verify_omniscience
+
+    def spied(src, scheme):
+        checks.append(verify(src, scheme))
+        return checks[-1]
+
+    monkeypatch.setattr(netcode, "verify_omniscience", spied)
+    for trial in range(40):
+        m = rng.randint(4, 6)
+        p = {4: 5, 5: 7, 6: 7}[m]
+        src = random_linear_source(rng, m=m, n_packets=rng.randint(4, 8), p=p)
+        doc = dict(linear_document(src), n=rng.randint(1, 4), seed=rng.randrange(1 << 16))
+        problem, out = tmp_path / f"code-{trial}.json", tmp_path / f"scheme-{trial}.json"
+        problem.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["code", str(problem), "--out", str(out)]) == 0, trial
+        code = json.loads(capsys.readouterr().out)
+        assert main(["verify", str(problem), str(out)]) == 0, trial
+        assert json.loads(capsys.readouterr().out)["receivers"] == code["receivers"], trial
+        scheme = parse_scheme(json.loads(out.read_text(encoding="utf-8")))[0]
+        assert [(r["achieved_rank"], r["required_rank"]) for r in code["receivers"]] == (
+            stacked_ranks(src, scheme)), trial
+    assert not all(checks)
+
+
+def test_code_at_zero_rates_writes_a_scheme_with_no_broadcast(tmp_path, capsys):
+    # Every user holds W, so every rate is 0 and gcd(n, 0, .., 0) = n.
+    p, N = 5, 2
+    src = make_linear_source([FieldMatrix.from_rows([[1, 0], [0, 1]], p)] * 3, p=p, N=N)
+    problem, out = tmp_path / "problem.json", tmp_path / "scheme.json"
+    problem.write_text(json.dumps(linear_document(src)), encoding="utf-8")
+    assert main(["code", str(problem), "--n", "3", "--out", str(out)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["n"] == 3 and report["broadcast_rows"] == [0, 0, 0]
+    scheme = parse_scheme(json.loads(out.read_text(encoding="utf-8")))[0]
+    assert scheme.n == 3 and scheme.tx == (0, 0, 0)
+    assert scheme._repeats[0] == 3
+    assert main(["verify", str(problem), str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["omniscience"] is True
+
+
 def test_repeated_schemes_are_eliminated_at_their_base_length(monkeypatch):
-    # construct_code links the base; a scheme read from a file finds it.
+    # construct_code's scheme and one read from a file both find the base.
     src = example1_source()
     built = construct_code(src, RateVector((1, 1, 1), unit="F_5-symbols"), 4, seed=5)
     loaded = round_trip(built)
@@ -873,18 +928,4 @@ def test_repeated_schemes_are_eliminated_at_their_base_length(monkeypatch):
             side = user_observation(src, j, w, 4)
             assert decode(src, scheme, j, side, casts) == tuple(x % 5 for x in w)
     assert spaces and {cols for _space, cols, _p in spaces} == {src.N + 1}
-    assert built._repeats()[0] == loaded._repeats()[0] == 4
-
-
-def test_rank_and_base_memos_are_invisible():
-    src = example1_source()
-    repeated = construct_code(src, RateVector((1, 1, 1), unit="F_5-symbols"), 2, seed=5)
-    whole = handbuilt_example1_scheme()
-    for warm in (repeated, whole):
-        fresh = round_trip(warm)
-        assert receiver_ranks(src, warm) == receiver_ranks(src, round_trip(warm))
-        assert warm._repeats()[1]._ranks and fresh._base is None
-        assert warm == fresh
-        assert hash(warm) == hash(fresh)
-        assert repr(warm) == repr(fresh)
-        assert "_ranks" not in repr(warm) and "_base" not in repr(warm)
+    assert built._repeats[0] == loaded._repeats[0] == 4
