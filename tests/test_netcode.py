@@ -584,23 +584,18 @@ def test_each_source_gets_its_own_broadcast_matrices():
 
 
 def test_a_warm_scheme_compares_hashes_and_prints_as_a_fresh_one():
-    # The second scheme repeats a base twice, and has both memos warm.
     src = example1_source()
-    repeated = construct_code(src, RateVector((1, 1, 1), unit="F_5-symbols"), 2, seed=5)
+    warm = handbuilt_example1_scheme()
     w = [1, 2, 3, 4, 0, 1]
-    for warm in (handbuilt_example1_scheme(), repeated):
-        casts = broadcast_symbols(src, warm, w)
-        decode(src, warm, 0, user_observation(src, 0, w, 2), casts)
-        warm.broadcast_rows(src, 0)
-        assert warm._broadcast and "_repeats" in warm.__dict__
-        fresh = round_trip(warm)
-        assert "_broadcast" not in fresh.__dict__ and "_repeats" not in fresh.__dict__
-        assert receiver_ranks(src, warm) == receiver_ranks(src, fresh)
-        assert warm == fresh
-        assert hash(warm) == hash(fresh)
-        assert repr(warm) == repr(fresh)
-        assert "_broadcast" not in repr(warm) and "_repeats" not in repr(warm)
-    assert repeated._repeats[0] == 2
+    casts = broadcast_symbols(src, warm, w)
+    decode(src, warm, 0, user_observation(src, 0, w, 2), casts)
+    assert warm._broadcast
+    fresh = handbuilt_example1_scheme()
+    assert "_broadcast" not in fresh.__dict__
+    assert warm == fresh
+    assert hash(warm) == hash(fresh)
+    assert repr(warm) == repr(fresh)
+    assert "_broadcast" not in repr(warm)
 
 
 def test_a_repeated_scheme_starts_with_an_empty_memo():
@@ -929,3 +924,24 @@ def test_repeated_schemes_are_eliminated_at_their_base_length(monkeypatch):
             assert decode(src, scheme, j, side, casts) == tuple(x % 5 for x in w)
     assert spaces and {cols for _space, cols, _p in spaces} == {src.N + 1}
     assert built._repeats[0] == loaded._repeats[0] == 4
+
+
+def test_rank_and_base_memos_are_invisible():
+    # Both cached properties warm: the broadcast rows and, for the scheme
+    # repeated twice by construct_code, the base that detection finds.
+    src = example1_source()
+    repeated = construct_code(src, RateVector((1, 1, 1), unit="F_5-symbols"), 2, seed=5)
+    whole = handbuilt_example1_scheme()
+    w = [1, 2, 3, 4, 0, 1]
+    for warm, g in ((repeated, 2), (whole, 1)):
+        fresh = round_trip(warm)
+        assert receiver_ranks(src, warm) == receiver_ranks(src, round_trip(warm))
+        casts = broadcast_symbols(src, warm, w)
+        decode(src, warm, 0, user_observation(src, 0, w, 2), casts)
+        warm.broadcast_rows(src, 0)
+        assert warm._broadcast and warm._repeats[0] == g
+        assert "_broadcast" not in fresh.__dict__ and "_repeats" not in fresh.__dict__
+        assert warm == fresh
+        assert hash(warm) == hash(fresh)
+        assert repr(warm) == repr(fresh)
+        assert "_broadcast" not in repr(warm) and "_repeats" not in repr(warm)
