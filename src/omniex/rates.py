@@ -34,6 +34,17 @@ recalled, or rebuilt from its segment when it comes back as another type
 an exact budget a probe's cost is priced in integers from the sweep's
 segment, with one Fraction at the end.
 
+The bracket's top end, beta = H(X_M), is not swept on a linear or pmf
+oracle.  There f(., beta) is the entropy function itself, so the sweep is
+Edmonds' greedy: each user's minimizers join into its whole prefix, and
+the point follows from the m prefix entropies H(P_j + j), fixed by the
+sweep's own bookkeeping (``_greedy_top``), with no table.  A table oracle
+keeps the sweep there: its entries can reach the library unchecked, and
+the sweep's ``NonConvergence`` guard is what catches a table that is no
+entropy function.  A weighted solve that probes the top thus reads
+2^m - 1 fewer entropies (``calls``), while its ``evaluations`` count the
+top as they count a recalled probe.
+
 Each inner minimization is one scan over subset sums, run as whole-array
 numpy operations on the oracle's table of every H(X_S), one array indexed
 by mask (``EntropyOracle.array``).  As each user is fixed, the sums of
@@ -98,7 +109,7 @@ from .setfun import (
     value_le,
     value_lt,
 )
-from .sources import INT64_SAFE, EntropyOracle
+from .sources import INT64_SAFE, DmmsSource, EntropyOracle, LinearSource
 
 MAX_WEIGHTED_ITERATIONS = 10_000
 # A float bracket no wider than this ends on its cheaper endpoint.
@@ -240,6 +251,51 @@ def _merge_block(blocks: list[int], new: int) -> None:
     blocks[:] = keep
 
 
+class _Coordinates:
+    """The coordinates of a greedy vertex at budget beta, fixed one user at
+    a time from the union of that user's minimizers; the sweep and
+    ``_greedy_top`` both fix them here, so their numbers agree to the type
+    and the bit.  ``exact`` is the sweep's, num / den is beta on an exact
+    budget (num = beta, den = 1 on a float one), and ``total`` is H(X_M),
+    read by the caller."""
+
+    __slots__ = ("oracle", "beta", "exact", "num", "den", "total", "b", "c", "z")
+
+    def __init__(self, oracle: EntropyOracle, beta: Value, total: Value):
+        self.oracle = oracle
+        self.beta = beta
+        self.exact = exact = oracle.exact and not isinstance(beta, float)
+        self.num, self.den = (beta.numerator, beta.denominator) if exact else (beta, 1)
+        self.total = total
+        zero = _zero(exact)
+        self.b = [0] * oracle.m
+        self.c: list[Value] = [zero] * oracle.m
+        self.z: list[Value] = [zero] * oracle.m
+
+    def fix(self, j: int, union: int) -> Value:
+        """Record user j's segment R_j = b_j * beta + c_j, taken from
+        ``union`` (which holds j): b_j = 1 - b(union - j) and c_j =
+        H(union) - H(M) - c(union - j), subtracted in ``members`` order,
+        and set Z_j.  Returns den * Z_j, an integer, on an exact budget,
+        and Z_j on a float one."""
+        b, c = self.b, self.c
+        bu = 1
+        cu = self.oracle.entropy(union) - self.total
+        for i in members(union & ~bit(j)):
+            bu -= b[i]
+            cu = cu - c[i]
+        if self.exact:
+            zj = bu * self.num + cu * self.den
+            self.z[j] = Fraction(zj, self.den) if isinstance(self.beta, Fraction) else zj
+        else:
+            zj = self.z[j] = bu * self.beta + cu
+        b[j], c[j] = bu, cu
+        return zj
+
+    def segment(self) -> LinearSegment:
+        return LinearSegment(b=tuple(self.b), c=tuple(self.c))
+
+
 def modified_edmond(oracle: EntropyOracle, beta: Value,
                     alpha: Optional[Sequence[Value]] = None) -> ModifiedEdmondResult:
     """One greedy sweep over f(., beta) with symbolic segment tracking.
@@ -269,18 +325,13 @@ def modified_edmond(oracle: EntropyOracle, beta: Value,
     # The sweep reads every nonempty subset, so it reads them from the table.
     table = oracle.array()
     peak = oracle.int64_peak
-    exact = oracle.exact and not isinstance(beta, float)
-    total = oracle.total()
-    zero = _zero(exact)
-    b_coef = [0] * m
-    c_coef: list[Value] = [zero] * m
-    z: list[Value] = [zero] * m
+    coords = _Coordinates(oracle, beta, oracle.total())
+    exact, num, den = coords.exact, coords.num, coords.den
     tight: list[int] = []
     blocks: list[int] = []
     # Keys are den * (f(S, beta) - Z(S)) - shift: integers for a linear
     # source, and the float value of f(S, beta) - Z(S) - shift otherwise.
-    num, den = (beta.numerator, beta.denominator) if exact else (beta, 1)
-    shift = num - total * den
+    shift = num - coords.total * den
     # Subset sums over the visited prefix, doubled as each user is fixed:
     # subs[i] is a submask of the prefix and zsum[i] = den * Z(subs[i]).
     # Exact keys are int64 when a bound, fixed before the first step, stays
@@ -313,23 +364,13 @@ def modified_edmond(oracle: EntropyOracle, beta: Value,
         best = np.minimum.reduce(keys)
         tied = keys == best if exact else keys <= best + DELTA
         union = int(np.bitwise_or.reduce(cands[tied])) | bj
-        rest = union & ~bj
-        bu = 1
-        cu = oracle.entropy(union) - total
-        for i in members(rest):
-            bu -= b_coef[i]
-            cu = cu - c_coef[i]
+        zj = coords.fix(j, union)
         if exact:
-            zj = bu * num + cu * den
             if zj != (int(best) if narrow else best) + shift:
                 raise NonConvergence(
                     "union of minimizers is not a minimizer; the oracle violates "
                     "intersecting submodularity")
-            z[j] = Fraction(zj, den) if isinstance(beta, Fraction) else zj
             ztotal = ztotal + zj
-        else:
-            zj = z[j] = bu * beta + cu
-        b_coef[j], c_coef[j] = bu, cu
         tight.append(union)
         _merge_block(blocks, union)
         if len(tight) < m:   # the last user's doubling would go unread
@@ -339,11 +380,10 @@ def modified_edmond(oracle: EntropyOracle, beta: Value,
     if exact:
         g_value = Fraction(ztotal, den) if isinstance(beta, Fraction) else ztotal
     else:
-        g_value = _fold(z, zero)
+        g_value = _fold(coords.z, 0.0)
     partition = PartitionResult(blocks=_sorted_blocks(blocks), g_value=g_value)
-    segment = LinearSegment(b=tuple(b_coef), c=tuple(c_coef))
     return ModifiedEdmondResult(
-        z=tuple(z), segment=segment, tight_sets=tuple(tight),
+        z=tuple(coords.z), segment=coords.segment(), tight_sets=tuple(tight),
         partition=partition, g_value=g_value, evaluations=oracle.full_mask)
 
 
@@ -459,6 +499,33 @@ def _point(alpha: Sequence[Value], beta: Value, z: tuple[Value, ...],
                   segment=segment)
 
 
+def _greedy_top(oracle: EntropyOracle, alpha: Sequence[Value]) -> HPoint:
+    """h at beta = H(X_M), from m prefix entropies: the point that
+    ``h_eval`` returns there, for an oracle that is an entropy function.
+
+    At that budget f(S, beta) = H(X_S), a polymatroid rank function, so the
+    ascending-weight sweep is Edmonds' greedy.  Let P be the users visited
+    before j, each i in P fixed at Z_i = H(P_i + i) - H(P_i) from its own
+    prefix P_i, so that Z(P) = H(P).  For S a subset of P, submodularity
+    gives H(P + j) - H(S + j) <= Z(P - S): add the users of P - S to S + j
+    in visiting order, and each adds at most its Z_i.  So f(S + j) - Z(S)
+    >= f(P + j) - Z(P): P is a minimizer, and as every candidate lies
+    within P, the union of the minimizers is P + j and Z_j = H(P + j) -
+    H(P).  On float entropies P's key is within rounding of the least, so
+    the DELTA tie rule gives the same union.  The coordinates are fixed
+    from these unions by the sweep's own ``_Coordinates``, so the numbers
+    equal the sweep's.
+    """
+    beta = oracle.total()
+    coords = _Coordinates(oracle, beta, beta)
+    prefix = 0
+    for j in order_by_weight(alpha):
+        prefix |= bit(j)
+        coords.fix(j, prefix)
+    return _point(alpha, beta, tuple(coords.z), coords.segment(), oracle.unit,
+                  coords.exact)
+
+
 def _probe(oracle: EntropyOracle, alpha: Sequence[Value], beta: Value,
            seen: dict[Value, HPoint]) -> HPoint:
     """``h_eval`` at beta, sweeping each budget value once per solve.
@@ -497,8 +564,12 @@ def minimize_weighted(oracle: EntropyOracle, alpha: Sequence[Value],
 
     Each budget value is swept once; a probe at a budget already probed
     (the cross landing on H(X_M) or on an end of the bracket) is recalled.
-    ``evaluations`` counts every probe, recalled ones included, and the
-    result's ``probes`` holds the points swept.
+    On a linear or pmf oracle the top end H(X_M) is not swept but built by
+    ``_greedy_top`` from m prefix entropies, the same point, so a solve
+    that probes it makes 2^m - 1 fewer ``calls``; a table oracle sweeps it,
+    which checks the table there.  ``evaluations`` counts every probe,
+    recalled and greedy ones included, and the result's ``probes`` holds
+    the points swept or built.
     """
     alpha = check_costs(alpha, oracle.m)
     if rco is None:
@@ -530,6 +601,9 @@ def minimize_weighted(oracle: EntropyOracle, alpha: Sequence[Value],
     lo_pt, lo_slope, lo_int = probe(lo)
     if not value_lt(lo_slope, 0, exact) or value_eq(lo, hi, exact):
         return result(lo_pt, 0)
+    if isinstance(oracle.source, (LinearSource, DmmsSource)):
+        # An entropy function by construction: its top is the greedy vertex.
+        seen[hi] = _greedy_top(oracle, alpha)
     hi_pt, hi_slope, hi_int = probe(hi)
     if value_le(hi_slope, 0, exact):
         # h is nonincreasing on the whole bracket.
