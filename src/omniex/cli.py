@@ -187,11 +187,8 @@ def cmd_ilp(args) -> int:
     oracle = _oracle(doc)
     alpha = _effective_alpha(doc, args, oracle)
     n = args.n if args.n is not None else doc.n
-    if not isinstance(n, int) or n < 1:
-        raise InvalidN(f"block length n must be a positive integer, got {n!r}")
-    rates._refuse_inexact(oracle, n)
-    rco = rates.rco_sum_rate(oracle)
-    result = rates.ilp_rates(oracle, alpha, n, rco=rco)
+    result = rates.ilp_rates(oracle, alpha, n)
+    rco = result.rco
     if not rates.verify_feasible(oracle, result.rates):
         raise InfeasibleRates("internal error: emitted rates are infeasible")
     out = _base_result(doc, "ilp", oracle.unit)
@@ -234,6 +231,7 @@ def cmd_code(args) -> int:
     if seed < 0:
         # random.Random seeds by |seed|, so -4 would silently draw as 4.
         raise ValidationError(f"--seed: expected a nonnegative integer, got {seed}")
+    netcode.check_construction(src, n, args.max_tries)
     result = rates.ilp_rates(oracle, alpha, n)
     if not rates.verify_feasible(oracle, result.rates):
         raise InfeasibleRates("internal error: emitted rates are infeasible")

@@ -70,9 +70,13 @@ def _check_width(n: int, n_packets: int) -> None:
                        f"n*N={WIDTH_CAP}")
 
 
-def _integer_tx_counts(rates: RateVector, n: int, m: int) -> tuple[int, ...]:
+def _check_n(n: int) -> None:
     if not isinstance(n, int) or n < 1:
         raise InvalidN(f"block length n must be a positive integer, got {n!r}")
+
+
+def _integer_tx_counts(rates: RateVector, n: int, m: int) -> tuple[int, ...]:
+    _check_n(n)
     if rates.m != m:
         raise DimensionMismatch(f"rate vector has {rates.m} entries, expected {m}")
     counts = []
@@ -310,28 +314,38 @@ def _repeat_scheme(base: TransmissionScheme, times: int) -> TransmissionScheme:
     return TransmissionScheme(n=base.n * times, p=base.p, coefficients=coeffs)
 
 
+def check_construction(src: LinearSource, n: int, max_tries: int) -> None:
+    """Refuse a construction that no rates can make possible, in this
+    order: ``FieldTooSmall`` when p <= m (some simultaneous completions
+    then provably do not exist), ``InvalidN`` when n is not a positive
+    integer, ``TooLarge`` when n*N exceeds ``WIDTH_CAP`` and
+    ``ValidationError`` when ``max_tries`` is below 1.  It reads no
+    entropy, so a caller can refuse before it solves for the rates."""
+    if src.p <= src.m:
+        raise FieldTooSmall(
+            f"field size {src.p} must exceed the number of users {src.m}")
+    _check_n(n)
+    _check_width(n, src.N)
+    if max_tries < 1:
+        raise ValidationError("max_tries must be at least 1")
+
+
 def construct_code(src: LinearSource, rates: RateVector, n: int,
                    seed: int = 0, max_tries: int = 64) -> TransmissionScheme:
     """Find a transmission scheme achieving omniscience at the given rates.
 
-    Requires p > m (with p <= m some simultaneous completions provably do
-    not exist).  Strategy: divide out gcd(n*R_1, .., n*R_m, n) and build at
-    the reduced block length, drawing every coefficient uniformly at
-    random and verifying all receivers, with at most ``max_tries`` draws.
-    When none verifies, raise ConstructionFailed: the draw budget ran out.
-    With p > m every draw at feasible rates succeeds with positive
-    probability, so a larger ``max_tries`` finds a scheme; infeasible
-    rates, which ``rates.verify_feasible`` detects, fail at any budget.
-    Raises ``TooLarge`` when n*N exceeds ``WIDTH_CAP``, ``ValidationError``
-    when ``max_tries`` is below 1.
+    First refuses what ``check_construction`` refuses, then rates that
+    are not nonnegative multiples of 1/n.  Strategy: divide out
+    gcd(n*R_1, .., n*R_m, n) and build at the reduced block length,
+    drawing every coefficient uniformly at random and verifying all
+    receivers, with at most ``max_tries`` draws.  When none verifies,
+    raise ConstructionFailed: the draw budget ran out.  With p > m every
+    draw at feasible rates succeeds with positive probability, so a
+    larger ``max_tries`` finds a scheme; infeasible rates, which
+    ``rates.verify_feasible`` detects, fail at any budget.
     """
-    if src.p <= src.m:
-        raise FieldTooSmall(
-            f"field size {src.p} must exceed the number of users {src.m}")
+    check_construction(src, n, max_tries)
     tx = _integer_tx_counts(rates, n, src.m)
-    _check_width(n, src.N)
-    if max_tries < 1:
-        raise ValidationError("max_tries must be at least 1")
 
     g = math.gcd(n, *tx)
     reduced_n = n // g

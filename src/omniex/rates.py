@@ -224,6 +224,8 @@ class IlpResult:
     cost: Value
     beta: Value
     gap_bound: Value
+    # The sum-rate walk the solve used, passed in or run.
+    rco: Optional[SumRateResult] = field(default=None, repr=False, compare=False)
 
 
 def _zero(exact: bool) -> Value:
@@ -625,17 +627,6 @@ def minimize_weighted(oracle: EntropyOracle, alpha: Sequence[Value],
     raise NonConvergence("weighted minimization exceeded its iteration budget")
 
 
-def _refuse_inexact(oracle: EntropyOracle, n: int) -> None:
-    """Refuse a float oracle for ``ilp_rates`` before any table or sweep,
-    after the table's own cap."""
-    if not oracle.exact:
-        oracle._check_cap()
-        raise NonIntegerRates(
-            f"ilp needs exact entropies (a linear source or an exact table): "
-            f"the rates of a pmf source or of a float table are real numbers, "
-            f"which the 1/{n} lattice does not hold")
-
-
 def ilp_rates(oracle: EntropyOracle, alpha: Sequence[Value], n: int,
               rco: Optional[SumRateResult] = None) -> IlpResult:
     """Best rate vector whose entries are multiples of 1/n, on an exact
@@ -647,13 +638,20 @@ def ilp_rates(oracle: EntropyOracle, alpha: Sequence[Value], n: int,
     rounded-up minimum sum rate.  The cost exceeds the unconstrained
     optimum by at most max(alpha)/n.  A candidate budget that the
     weighted bracket already probed is recalled from its ``probes``, not
-    swept again.  A float oracle is refused with ``NonIntegerRates``: its
+    swept again.  The result's ``rco`` is the sum-rate walk used, passed
+    in or run.  Refused in order, before the walk: n, the weights, and a
+    float oracle, after its table's cap, with ``NonIntegerRates``: its
     rates are real numbers, not multiples of 1/n.
     """
     if not isinstance(n, int) or n < 1:
         raise InvalidN(f"block length n must be a positive integer, got {n!r}")
     alpha = check_costs(alpha, oracle.m)
-    _refuse_inexact(oracle, n)
+    if not oracle.exact:
+        oracle._check_cap()
+        raise NonIntegerRates(
+            f"ilp needs exact entropies (a linear source or an exact table): "
+            f"the rates of a pmf source or of a float table are real numbers, "
+            f"which the 1/{n} lattice does not hold")
     if rco is None:
         rco = rco_sum_rate(oracle)
     weighted = minimize_weighted(oracle, alpha, rco=rco)
@@ -686,7 +684,7 @@ def ilp_rates(oracle: EntropyOracle, alpha: Sequence[Value], n: int,
     rates = RateVector(values=best.rates.values, denominator=n, unit=oracle.unit)
     amax = max(alpha)
     return IlpResult(rates=rates, cost=best.value, beta=best.beta,
-                     gap_bound=_ratio(amax, n, not isinstance(amax, float)))
+                     gap_bound=_ratio(amax, n, not isinstance(amax, float)), rco=rco)
 
 
 def verify_feasible(oracle: EntropyOracle, rates: RateVector) -> bool:

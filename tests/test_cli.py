@@ -137,15 +137,17 @@ def test_code_figure_document(capsys, tmp_path):
     assert code2 == 0 and report["omniscience"] is True
 
 
-def test_code_rejects_small_field(capsys, tmp_path):
+def small_field_document(tmp_path) -> str:
+    """example1 over F_2: three users, so p <= m."""
     doc = json.load(open(EX1))
     doc["source"]["p"] = 2
-    for user in doc["source"]["matrices"]:
-        for row in user:
-            row[:] = [x % 2 for x in row]
-    bad = tmp_path / "f2.json"
-    bad.write_text(json.dumps(doc))
-    code, _out, err = run(capsys, "code", str(bad), "--n", "2",
+    path = tmp_path / "f2.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_code_rejects_small_field(capsys, tmp_path):
+    code, _out, err = run(capsys, "code", small_field_document(tmp_path), "--n", "2",
                           "--out", str(tmp_path / "s.json"))
     assert code == 4
     assert "field" in err.lower()
@@ -160,6 +162,36 @@ def test_code_without_tries_exits_2(capsys, tmp_path):
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "max_tries" in err
         assert not scheme.exists()
+
+
+@pytest.mark.parametrize("case", ["small field", "wide system", "no tries"])
+def test_code_refuses_before_it_builds_the_table(capsys, monkeypatch, tmp_path, case):
+    # Refusals that need no rates come before the solve, so no table is built.
+    def refuse(self):
+        raise AssertionError("built the subset table before refusing")
+
+    argv, exit_code, message = {
+        "small field": ([small_field_document(tmp_path)], 4,
+                        "field size 2 must exceed the number of users 3"),
+        "wide system": ([EX1, "--n", "171"], 2,
+                        "block length n=171 with N=3: a receiver's system of "
+                        "n*N = 513 columns is capped at n*N=512"),
+        "no tries": ([EX1, "--max-tries", "0"], 2, "max_tries must be at least 1"),
+    }[case]
+    monkeypatch.setattr(EntropyOracle, "array", refuse)
+    scheme = tmp_path / "s.json"
+    code, out, err = run(capsys, "code", *argv, "--out", str(scheme))
+    assert (code, out, err) == (exit_code, "", f"error: {message}\n")
+    assert "Traceback" not in err
+    assert not scheme.exists()
+
+
+def test_code_refuses_a_small_field_before_a_bad_block_length(capsys, tmp_path):
+    # p <= m is refused first, so it wins over an n that ilp would refuse.
+    code, out, err = run(capsys, "code", small_field_document(tmp_path), "--n", "0",
+                         "--out", str(tmp_path / "s.json"))
+    assert (code, out) == (4, "")
+    assert err == "error: field size 2 must exceed the number of users 3\n"
 
 
 @pytest.mark.parametrize("problem", [EX1, FIG1], ids=["example1", "figure1"])

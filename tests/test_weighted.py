@@ -23,7 +23,7 @@ from omniex import (
     rco_sum_rate,
     verify_feasible,
 )
-from omniex import rates
+from omniex import fixtures, rates
 from omniex.cli import main
 from omniex.sources import TABLE_CAP, DmmsSource
 
@@ -416,6 +416,37 @@ WEIGHTED_CORPUS = "f3bab3de3c68cf56394c490cb7b91eec3ff42f24655395956ef339575aed1
 def test_weighted_corpus_keeps_its_results():
     text = "\n".join(weighted_corpus_lines())
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == WEIGHTED_CORPUS
+
+
+def test_ilp_returns_the_walk_it_used():
+    rng = random.Random(53)
+    sources = [example1_source()] + [random_linear_source(rng) for _ in range(20)]
+    for src in sources:
+        alpha = tuple(rng.randint(0, 9) for _ in range(src.m))
+        oracle = EntropyOracle(src)
+        walk = rco_sum_rate(oracle)
+        assert ilp_rates(oracle, alpha, 2, rco=walk).rco is walk
+        # Run inside the solve, it is the walk a fresh oracle finds.
+        got = ilp_rates(EntropyOracle(src), alpha, 2).rco
+        fresh = rco_sum_rate(EntropyOracle(src))
+        assert got is not None
+        assert ((got.value, got.rates, got.partition, got.iterations, got.evaluations)
+                == (fresh.value, fresh.rates, fresh.partition, fresh.iterations,
+                    fresh.evaluations))
+
+
+def test_the_ilp_command_walks_once(capsys, monkeypatch):
+    walks = []
+    walk = rates.rco_sum_rate
+
+    def counted(oracle):
+        walks.append(oracle)
+        return walk(oracle)
+
+    monkeypatch.setattr(rates, "rco_sum_rate", counted)
+    assert main(["ilp", str(fixtures.path("example1")), "--n", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["rates"] == ["1/2"] * 3
+    assert len(walks) == 1
 
 
 def cross_at_the_top():
