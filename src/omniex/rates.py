@@ -45,23 +45,22 @@ entropy function.  A weighted solve that probes the top thus reads
 2^m - 1 fewer entropies (``calls``), while its ``evaluations`` count the
 top as they count a recalled probe.
 
-Each inner minimization is one scan over subset sums, run as whole-array
-numpy operations on the oracle's table of every H(X_S), one array indexed
-by mask (``EntropyOracle.array``).  As each user is fixed, the sums of
-the coordinates found so far are extended to the visited prefix by
-doubling, one vectorised addition; the OR of the prefix masks with the
-new user, written into the same buffer, gives both the masks read at this
-step and the next doubling.  For an exact budget beta = num/den the
-candidates are compared by integer keys, den * (f(S, beta) - Z(S)) less a
-constant, and the minimizers are OR-ed into their union, so no Fraction
-is built per subset.  The keys are int64 or Python ints (dtype object),
-decided once per sweep before its first step: int64 when
-m^2 * (num + 2 * den * max|H|) stays below 2^62, a bound on every key and
-subset sum the sweep can form, so linear sources stay exact and never
-touch a float.  Float keys take the same step, with every candidate
-within DELTA of the least key counted as a minimizer, a rule that no scan
-order decides; the chosen set's coefficients are summed member by member,
-so printed floats do not move.
+Each inner minimization is one scan, in whole-array numpy operations, of
+a copy of the oracle's table of every H(X_S) (``EntropyOracle.array``)
+made once per sweep with bit s of an index standing for the s-th user
+visited.  Step s builds its keys in place in the copy's slice
+[2^s, 2^(s+1)), the prefix's subsets joined with that user, from the
+coordinate sums over the prefix, extended by doubling.  For an exact
+budget beta = num/den the keys are the integers den * (f(S, beta) - Z(S))
+less a constant, and the tied indices, mapped to users, are OR-ed into
+the union of the minimizers, so no Fraction is built per subset.  The
+keys and the copy are int64 or Python ints (dtype object), decided once
+per sweep: int64 when m^2 * (num + 2 * den * max|H|) stays below 2^62, a
+bound on every key and subset sum the sweep can form, so linear sources
+stay exact and never touch a float.  Float keys take the same step, with
+every candidate within DELTA of the least key a minimizer, a rule that no
+scan order decides; the chosen set's coefficients are summed member by
+member, so printed floats do not move.
 ``verify_feasible`` likewise checks every cut at once against one
 doubling table of rate sums, int64 (or Python ints) once exact rates are
 scaled to their common denominator D, by the bound
@@ -320,9 +319,7 @@ def modified_edmond(oracle: EntropyOracle, beta: Value,
     if value_lt(beta, 0, oracle.exact and not isinstance(beta, float)):
         raise InfeasibleBeta(f"beta = {beta} must be nonnegative")
     m = oracle.m
-    if alpha is None:
-        alpha = (1,) * m
-    order = order_by_weight(check_costs(alpha, m))
+    order = range(m) if alpha is None else order_by_weight(check_costs(alpha, m))
 
     # The sweep reads every nonempty subset, so it reads them from the table.
     table = oracle.array()
@@ -334,8 +331,8 @@ def modified_edmond(oracle: EntropyOracle, beta: Value,
     # Keys are den * (f(S, beta) - Z(S)) - shift: integers for a linear
     # source, and the float value of f(S, beta) - Z(S) - shift otherwise.
     shift = num - coords.total * den
-    # Subset sums over the visited prefix, doubled as each user is fixed:
-    # subs[i] is a submask of the prefix and zsum[i] = den * Z(subs[i]).
+    # Bit s of a position stands for order[s].  zsum[t] = den * Z(t) over
+    # the positions t of the visited prefix, doubled as each user is fixed.
     # Exact keys are int64 when a bound, fixed before the first step, stays
     # below INT64_SAFE.  den * Z_j is the least den * f(S | j, beta) - zsum
     # over the prefix's subsets S.  Let h = max(max|H|, 1) and U = num +
@@ -346,26 +343,30 @@ def modified_edmond(oracle: EntropyOracle, beta: Value,
     # den * H - zsum, den itself and each den * Z_j stay within m * m * U.
     narrow = (exact and peak is not None
               and m * m * (num + 2 * den * max(peak, 1)) < INT64_SAFE)
-    subs = np.zeros(1 << m, dtype=np.int64)
     zsum = np.zeros(1 << (m - 1),
                     dtype=np.int64 if narrow else object if exact else np.float64)
+    # work[t] = H(t), relabeled into a private copy (astype copies even the
+    # index order; numpy 1.24 allows 32 axes, TABLE_CAP is 22): step s builds
+    # its keys in place in work[k:2k], the prefix's subsets joined with order[s].
+    work = table.reshape((2,) * m).transpose(
+        [m - 1 - u for u in reversed(order)]).astype(zsum.dtype, order="C").reshape(-1)
+    users = [bit(j) for j in order]
     ztotal = 0
-    k = 1
 
-    for j in order:
-        bj = bit(j)
-        cands = subs[:k]
-        # The sets read now are the next doubling of subs; each mask read
-        # counts as one ``entropy`` call.
-        heights = table[np.bitwise_or(cands, bj, out=subs[k:2 * k])]
-        oracle.calls += k
-        # heights is a fresh array: the keys are built in it, in zsum's dtype.
-        keys = heights.astype(zsum.dtype, copy=False)
+    for s, j in enumerate(order):
+        k = 1 << s
+        keys = work[k:2 * k]
+        oracle.calls += k   # one ``entropy`` call per set read
         np.multiply(keys, den, out=keys)
         np.subtract(keys, zsum[:k], out=keys)
         best = np.minimum.reduce(keys)
         tied = keys == best if exact else keys <= best + DELTA
-        union = int(np.bitwise_or.reduce(cands[tied])) | bj
+        ties = int(np.bitwise_or.reduce(tied.nonzero()[0])) | k
+        union = 0
+        while ties:   # each tied position's user, lowest position first
+            low = ties & -ties
+            union |= users[low.bit_length() - 1]
+            ties ^= low
         zj = coords.fix(j, union)
         if exact:
             if zj != (int(best) if narrow else best) + shift:
@@ -375,9 +376,8 @@ def modified_edmond(oracle: EntropyOracle, beta: Value,
             ztotal = ztotal + zj
         tight.append(union)
         _merge_block(blocks, union)
-        if len(tight) < m:   # the last user's doubling would go unread
+        if s < m - 1:   # the last user's doubling would go unread
             np.add(zsum[:k], zj, out=zsum[k:2 * k])
-            k *= 2
 
     if exact:
         g_value = Fraction(ztotal, den) if isinstance(beta, Fraction) else ztotal

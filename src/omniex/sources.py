@@ -172,8 +172,9 @@ class TableSource:
     entries: dict[int, Value]
     unit: str = UNIT_BITS
 
-    @property
+    @cached_property
     def exact(self) -> bool:
+        """No entry is a float: one scan of the entries per source."""
         return all(not isinstance(v, float) for v in self.entries.values())
 
     def _entropy(self, mask: int) -> Value:

@@ -36,12 +36,18 @@ P61 = (1 << 61) - 1
 # The production sweep visits users by ascending weight; the reference
 # sweeps take the order as an argument, and the ids keep the cases' names.
 ORDERINGS = ("ascending",)
+# (m, N, p) of the seeded linear sources.
+SHAPES = ((3, 4, 7), (5, 6, 7), (6, 8, 101), (7, 6, 101), (8, 9, 101),
+          (4, 5, P61), (6, 7, P61), (8, 8, P61))
+# A one-entry zsum and a one- and a two-axis relabel.  Their walks probe
+# no fractional budget and one user has no cut, so only the sweep checks
+# at random budgets and by weight order take them, after SHAPES, whose
+# draws they keep.
+SMALL_SHAPES = ((1, 3, 7), (2, 3, 7))
 
 
-def linear_oracles(seed: int):
+def linear_oracles(seed: int, shapes=SHAPES):
     rng = random.Random(seed)
-    shapes = ((3, 4, 7), (5, 6, 7), (6, 8, 101), (7, 6, 101), (8, 9, 101),
-              (4, 5, P61), (6, 7, P61), (8, 8, P61))
     for m, n_packets, p in shapes:
         yield EntropyOracle(random_linear_source(rng, m=m, n_packets=n_packets, p=p))
 
@@ -109,7 +115,7 @@ def test_sweep_matches_brute_force_at_walk_and_bracket_budgets(ordering, monkeyp
 @pytest.mark.parametrize("ordering", ORDERINGS)
 def test_sweep_matches_brute_force_at_random_budgets(ordering):
     rng = random.Random(13)
-    for oracle in linear_oracles(17):
+    for oracle in linear_oracles(17, SHAPES + SMALL_SHAPES):
         alpha = tuple(rng.randint(1, 5) for _ in range(oracle.m))
         for beta in [0, oracle.total(), *random_betas(rng, oracle, 4)]:
             assert_sweep_matches_reference(oracle, beta, alpha, ordering)
@@ -130,7 +136,7 @@ def test_sweep_visits_users_by_ascending_weight():
     # The k-th tight set holds the k-th user of the order and no user
     # visited after it.
     rng = random.Random(29)
-    for oracle in linear_oracles(31):
+    for oracle in linear_oracles(31, SHAPES + SMALL_SHAPES):
         weights = rng.sample(range(1, 100), oracle.m)
         order = sorted(range(oracle.m), key=weights.__getitem__)
         for beta in (0, oracle.total(), rco_sum_rate(oracle).value):
