@@ -15,22 +15,36 @@ grep -q '"omniscience": true' verify.json
 omniex code "$problem" --n 4 --out s4.json > code4.json
 omniex verify "$problem" s4.json > verify4.json
 python -c 'import json, sys; code, verify = (json.load(open(f)) for f in sys.argv[1:]); assert code["receivers"] == verify["receivers"], (code, verify)' code4.json verify4.json
-# The weighted path: rates and ilp with weights, checked in Fractions.
-# The weights visit the users out of index order, so the sweep relabels
-# the table.
-omniex rates "$problem" --alpha 3,1,2 > rates.json
-omniex ilp "$problem" --alpha 3,1,2 --n 2 > ilp.json
-python - rates.json ilp.json <<'PY'
+# The weighted path: rates and ilp with weights, checked in Fractions:
+# cost = sum of weight * rate, sum_rate >= min_sum_rate, and the ilp rates
+# are multiples of 1/n.  The weights visit the users out of index order,
+# so the sweep relabels the table.
+check_weighted() {
+  python - "$@" <<'PY'
 import json, sys
 from fractions import Fraction
-docs = [json.load(open(path)) for path in sys.argv[1:]]
+n = int(sys.argv[1])
+docs = [json.load(open(path)) for path in sys.argv[2:]]
 for doc in docs:
     rates = [Fraction(r) for r in doc["rates"]]
     cost = sum(Fraction(w) * r for w, r in zip(doc["weights"], rates))
     assert Fraction(doc["cost"]) == cost, doc
     assert Fraction(doc["sum_rate"]) >= Fraction(doc["min_sum_rate"]), doc
-assert all((2 * Fraction(r)).denominator == 1 for r in docs[1]["rates"]), docs[1]
+assert all((n * Fraction(r)).denominator == 1 for r in docs[1]["rates"]), docs[1]
 PY
+}
+omniex rates "$problem" --alpha 3,1,2 > rates.json
+omniex ilp "$problem" --alpha 3,1,2 --n 2 > ilp.json
+check_weighted 2 rates.json ilp.json
+# example1's subset ranks times 2/3, a table of Fractions: its keys have
+# dtype object, so the sweep doubles its sums in place on Python numbers.
+cat > thirds.json <<'JSON'
+{"source": {"kind": "table", "m": 3, "entropies": {"1": "4/3", "2": "4/3", "3": "4/3",
+ "1,2": "2", "1,3": "2", "2,3": "2", "1,2,3": "2"}}}
+JSON
+omniex rates thirds.json --alpha 3,1,2 > thirds-rates.json
+omniex ilp thirds.json --alpha 3,1,2 --n 3 > thirds-ilp.json
+check_weighted 3 thirds-rates.json thirds-ilp.json
 # code refuses p <= m before it solves: example1 over F_2.
 python -c 'import json, sys; doc = json.load(open(sys.argv[1])); doc["source"]["p"] = 2; json.dump(doc, open("f2.json", "w"))' "$problem"
 status=0

@@ -50,13 +50,13 @@ from .errors import (
     DimensionMismatch,
     FieldTooSmall,
     InconsistentObservations,
-    InvalidN,
     NonIntegerRates,
     TooLarge,
     UnknownReceiver,
     ValidationError,
 )
 from .rates import RateVector
+from .setfun import check_n
 from .sources import LinearSource
 
 # The widest receiver system, in columns n*N, that is built.
@@ -70,13 +70,8 @@ def _check_width(n: int, n_packets: int) -> None:
                        f"n*N={WIDTH_CAP}")
 
 
-def _check_n(n: int) -> None:
-    if not isinstance(n, int) or n < 1:
-        raise InvalidN(f"block length n must be a positive integer, got {n!r}")
-
-
 def _integer_tx_counts(rates: RateVector, n: int, m: int) -> tuple[int, ...]:
-    _check_n(n)
+    check_n(n)
     if rates.m != m:
         raise DimensionMismatch(f"rate vector has {rates.m} entries, expected {m}")
     counts = []
@@ -222,9 +217,8 @@ def user_observation(src: LinearSource, i: int, w: Sequence[int], n: int
     """X_i over an n-block: (I_n (x) A_i) @ W, as A_i times each of the n
     blocks of W."""
     _check_user(i, src.m, "user")
+    check_n(n)
     a = src.matrices[i]
-    if n < 1:
-        raise ValueError("n must be >= 1")
     cols = a.cols
     if len(w) != n * cols:
         raise DimensionMismatch(f"vector length {len(w)} != cols {n * cols}")
@@ -324,7 +318,7 @@ def check_construction(src: LinearSource, n: int, max_tries: int) -> None:
     if src.p <= src.m:
         raise FieldTooSmall(
             f"field size {src.p} must exceed the number of users {src.m}")
-    _check_n(n)
+    check_n(n)
     _check_width(n, src.N)
     if max_tries < 1:
         raise ValidationError("max_tries must be at least 1")

@@ -50,10 +50,11 @@ a copy of the oracle's table of every H(X_S) (``EntropyOracle.array``)
 made once per sweep with bit s of an index standing for the s-th user
 visited.  Step s builds its keys in place in the copy's slice
 [2^s, 2^(s+1)), the prefix's subsets joined with that user, from the
-coordinate sums over the prefix, extended by doubling.  For an exact
-budget beta = num/den the keys are the integers den * (f(S, beta) - Z(S))
-less a constant, and the tied indices, mapped to users, are OR-ed into
-the union of the minimizers, so no Fraction is built per subset.  The
+coordinate sums over the prefix, held in the spent slices below it, and
+then doubles those sums over its own keys.  For an exact budget
+beta = num/den the keys are the integers den * (f(S, beta) - Z(S)) less
+a constant, and the tied indices, mapped to users, are OR-ed into the
+union of the minimizers, so no Fraction is built per subset.  The
 keys and the copy are int64 or Python ints (dtype object), decided once
 per sweep: int64 when m^2 * (num + 2 * den * max|H|) stays below 2^62, a
 bound on every key and subset sum the sweep can form, so linear sources
@@ -90,7 +91,6 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     InfeasibleBeta,
-    InvalidN,
     NonConvergence,
     NonIntegerRates,
     NonTermination,
@@ -101,6 +101,7 @@ from .setfun import (
     Value,
     bit,
     check_costs,
+    check_n,
     label,
     members,
     order_by_weight,
@@ -331,25 +332,25 @@ def modified_edmond(oracle: EntropyOracle, beta: Value,
     # Keys are den * (f(S, beta) - Z(S)) - shift: integers for a linear
     # source, and the float value of f(S, beta) - Z(S) - shift otherwise.
     shift = num - coords.total * den
-    # Bit s of a position stands for order[s].  zsum[t] = den * Z(t) over
-    # the positions t of the visited prefix, doubled as each user is fixed.
     # Exact keys are int64 when a bound, fixed before the first step, stays
-    # below INT64_SAFE.  den * Z_j is the least den * f(S | j, beta) - zsum
-    # over the prefix's subsets S.  Let h = max(max|H|, 1) and U = num +
-    # 2 * den * h, where num >= 0.  S empty gives den * Z_j <= num -
-    # den * H(M) + den * H({j}) <= U.  For the minimizer S, den * f >= -U
-    # and zsum sums at most m - 1 earlier coordinates, each at most U, so
-    # den * Z_j >= -m * U.  Hence |zsum| <= (m - 1) * m * U, and every key
-    # den * H - zsum, den itself and each den * Z_j stay within m * m * U.
+    # below INT64_SAFE.  den * Z_j is the least den * f(S | j, beta) -
+    # den * Z(S) over the prefix's subsets S.  Let h = max(max|H|, 1) and
+    # U = num + 2 * den * h, where num >= 0.  S empty gives den * Z_j <=
+    # num - den * H(M) + den * H({j}) <= U.  For the minimizer S, den * f >=
+    # -U and the prefix sum den * Z(S) adds at most m - 1 earlier
+    # coordinates, each at most U, so den * Z_j >= -m * U.  Hence every
+    # prefix sum is within (m - 1) * m * U, and every key den * H -
+    # den * Z(S), den itself and each den * Z_j stay within m * m * U.
     narrow = (exact and peak is not None
               and m * m * (num + 2 * den * max(peak, 1)) < INT64_SAFE)
-    zsum = np.zeros(1 << (m - 1),
-                    dtype=np.int64 if narrow else object if exact else np.float64)
-    # work[t] = H(t), relabeled into a private copy (astype copies even the
-    # index order; numpy 1.24 allows 32 axes, TABLE_CAP is 22): step s builds
-    # its keys in place in work[k:2k], the prefix's subsets joined with order[s].
+    dtype = np.int64 if narrow else object if exact else np.float64
+    # work[t] = H(t) with bit s of t standing for order[s], a private copy
+    # (astype copies even the index order; numpy 1.24 allows 32 axes,
+    # TABLE_CAP is 22).  Step s builds its keys in place in work[k:2k] and
+    # then writes over them the doubled prefix sums den * Z(t): work[:k]
+    # holds those of the visited prefix (work[0] = H(empty) = 0).
     work = table.reshape((2,) * m).transpose(
-        [m - 1 - u for u in reversed(order)]).astype(zsum.dtype, order="C").reshape(-1)
+        [m - 1 - u for u in reversed(order)]).astype(dtype, order="C").reshape(-1)
     users = [bit(j) for j in order]
     ztotal = 0
 
@@ -358,7 +359,7 @@ def modified_edmond(oracle: EntropyOracle, beta: Value,
         keys = work[k:2 * k]
         oracle.calls += k   # one ``entropy`` call per set read
         np.multiply(keys, den, out=keys)
-        np.subtract(keys, zsum[:k], out=keys)
+        np.subtract(keys, work[:k], out=keys)
         best = np.minimum.reduce(keys)
         tied = keys == best if exact else keys <= best + DELTA
         ties = int(np.bitwise_or.reduce(tied.nonzero()[0])) | k
@@ -377,7 +378,7 @@ def modified_edmond(oracle: EntropyOracle, beta: Value,
         tight.append(union)
         _merge_block(blocks, union)
         if s < m - 1:   # the last user's doubling would go unread
-            np.add(zsum[:k], zj, out=zsum[k:2 * k])
+            np.add(work[:k], zj, out=keys)
 
     if exact:
         g_value = Fraction(ztotal, den) if isinstance(beta, Fraction) else ztotal
@@ -643,8 +644,7 @@ def ilp_rates(oracle: EntropyOracle, alpha: Sequence[Value], n: int,
     float oracle, after its table's cap, with ``NonIntegerRates``: its
     rates are real numbers, not multiples of 1/n.
     """
-    if not isinstance(n, int) or n < 1:
-        raise InvalidN(f"block length n must be a positive integer, got {n!r}")
+    check_n(n)
     alpha = check_costs(alpha, oracle.m)
     if not oracle.exact:
         oracle._check_cap()

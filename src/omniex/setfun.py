@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
-from .errors import NegativeWeight
+from .errors import InvalidN, NegativeWeight
 
 Value = Union[int, Fraction, float]
 
@@ -102,6 +102,11 @@ def check_costs(alpha: Sequence[Value], m: int) -> tuple[Value, ...]:
             raise NegativeWeight(f"alpha[{i}] = {a} is negative")
         out.append(a)
     return tuple(out)
+
+
+def check_n(n: int) -> None:
+    if not isinstance(n, int) or n < 1:
+        raise InvalidN(f"block length n must be a positive integer, got {n!r}")
 
 
 def order_by_weight(alpha: Sequence[Value]) -> tuple[int, ...]:

@@ -15,6 +15,7 @@ from omniex import (
     FieldTooSmall,
     InconsistentObservations,
     InfeasibleRates,
+    InvalidN,
     NonIntegerRates,
     RateVector,
     TransmissionScheme,
@@ -257,6 +258,14 @@ def test_decode_with_full_side_information_and_no_broadcasts():
     casts = broadcast_symbols(src, scheme, w)
     side = user_observation(src, 0, w, 1)
     assert list(decode(src, scheme, 0, side, casts)) == w
+
+
+def test_user_observation_refuses_a_block_length_that_is_no_positive_integer():
+    src = example1_source()
+    for n in (0, 2.0):
+        with pytest.raises(InvalidN, match=f"^block length n must be a "
+                                           f"positive integer, got {n!r}$"):
+            user_observation(src, 0, [1, 2, 3] * 2, n)
 
 
 def test_decode_detects_tampering():

@@ -39,7 +39,7 @@ ORDERINGS = ("ascending",)
 # (m, N, p) of the seeded linear sources.
 SHAPES = ((3, 4, 7), (5, 6, 7), (6, 8, 101), (7, 6, 101), (8, 9, 101),
           (4, 5, P61), (6, 7, P61), (8, 8, P61))
-# A one-entry zsum and a one- and a two-axis relabel.  Their walks probe
+# A one-entry prefix sum and a one- and a two-axis relabel.  Their walks probe
 # no fractional budget and one user has no cut, so only the sweep checks
 # at random budgets and by weight order take them, after SHAPES, whose
 # draws they keep.
