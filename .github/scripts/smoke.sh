@@ -56,3 +56,23 @@ for fixture in example1 figure1; do
   omniex selfcheck "$repo/src/omniex/fixtures/$fixture.json" > selfcheck.json
   grep -q '"ok": true' selfcheck.json
 done
+# A table that is not submodular (H({1}) = H({2}) = 1, H({1,2}) = 3):
+# rates refuses it, and selfcheck reports it.
+cat > nonsub.json <<'JSON'
+{"source": {"kind": "table", "m": 2, "entropies": {"1": 1, "2": 1, "1,2": 3}}}
+JSON
+status=0
+omniex rates nonsub.json > nonsub.out 2> nonsub.err || status=$?
+test "$status" -eq 2
+grep -q 'entropy table is not submodular' nonsub.err
+if grep -q Traceback nonsub.err; then cat nonsub.err; exit 1; fi
+status=0
+omniex selfcheck nonsub.json > nonsub-check.json || status=$?
+test "$status" -eq 1
+grep -q '"ok": false' nonsub-check.json
+# A pmf of one outcome has entropy 0, printed as 0.0, not -0.0.
+cat > one-outcome.json <<'JSON'
+{"source": {"kind": "pmf", "alphabets": [2, 2], "entries": {"0,0": 1.0}}}
+JSON
+omniex rates one-outcome.json > one-outcome.out
+grep -q '"key_capacity": 0.0,' one-outcome.out

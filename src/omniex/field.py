@@ -28,6 +28,7 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch
+from .setfun import check_n
 
 MAX_MODULUS = 1 << 61
 
@@ -124,8 +125,7 @@ class RowSpace:
                   rhs: Optional[Sequence[int]] = None) -> list[int]:
         """The rows of I_n (x) a packed for ``add_packed``; with ``rhs``,
         each ends in its entry of ``rhs`` reduced mod p, as in [M | y]."""
-        if n < 1:
-            raise ValueError("n must be >= 1")
+        check_n(n)
         if a.p != self.p or n * a.cols + (rhs is not None) != self.cols:
             raise DimensionMismatch(
                 f"I_{n} (x) {a.shape} mod {a.p} does not fit {self.cols} "
@@ -404,8 +404,7 @@ def kron_block(n: int, a: FieldMatrix) -> FieldMatrix:
     process: the result maps the length n*cols stacked input to the
     length n*rows stacked output.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_n(n)
     if n == 1:
         return a
     rows, cols = a.rows, a.cols

@@ -8,10 +8,13 @@ entropy table is also accepted, mainly for diagnostics: it lets the
 selfcheck command exercise a hand-edited (possibly non-submodular) "H".
 
 Each source class computes its own ``unit``, ``exact``, one subset's
-entropy and the table of every subset.  A ``LinearSource`` packs each
-user's rows once, and every rank adds them to a ``field.RowSpace``, most
-rows first, up to rank N: one row space per lazy query, and for the table
-one depth-first pass that extends parents' spaces.  A ``DmmsSource``
+entropy and the table of every subset, and checks itself once per source
+object (``_problems``, which ``validate`` copies): a linear source that
+passes has rank N, so its H(X_M) is N with no elimination.  A
+``LinearSource`` packs each user's rows once, and every rank adds them to
+a ``field.RowSpace``, most rows first, up to rank N: one row space per
+lazy query, and for the table one depth-first pass that extends parents'
+spaces.  A ``DmmsSource``
 computes every nonempty subset in one batch of numpy gathers, whose values
 equal the per-mask ``pmf.sum(axis=drop)`` marginals bit for bit, and one
 subset through the same kernel.  A ``TableSource`` reads its entries.
@@ -95,13 +98,29 @@ class LinearSource:
         return space.rank
 
     @cached_property
-    def _full_rank(self) -> int:
-        """Rank of all users' rows, eliminated once per source: validation
-        and the oracle's H(X_M) both read it."""
-        return self._rank((1 << self.m) - 1)
+    def _problems(self) -> list[str]:
+        problems = ["no users"] if self.m < 1 else []
+        if not ff.is_prime(self.p) or not 2 <= self.p < ff.MAX_MODULUS:
+            problems.append(
+                f"modulus {self.p} is not a prime in [2, 2^61); extension "
+                f"fields are unsupported, pick a prime p > m instead")
+            return problems
+        for i, a in enumerate(self.matrices):
+            if a.cols != self.N:
+                problems.append(f"user {i + 1}: matrix has {a.cols} cols, expected N={self.N}")
+            if a.p != self.p:
+                problems.append(f"user {i + 1}: matrix modulus {a.p} != {self.p}")
+        if not problems:
+            r = self._rank((1 << self.m) - 1)
+            if r != self.N:
+                problems.append(
+                    f"collective observations do not determine W: "
+                    f"stacked rank {r} < N = {self.N}")
+        return problems
 
     def _entropy(self, mask: int) -> int:
-        return self._full_rank if mask == (1 << self.m) - 1 else self._rank(mask)
+        """The rank of the users in mask: N for all, as ``_problems`` checked."""
+        return self.N if mask == (1 << self.m) - 1 else self._rank(mask)
 
     def _array(self) -> np.ndarray:
         """The rank of every subset, as a new table.
@@ -151,6 +170,25 @@ class DmmsSource:
         return len(self.alphabets)
 
     @cached_property
+    def _problems(self) -> list[str]:
+        problems = ["no users"] if self.m < 1 else []
+        if any(a < 1 for a in self.alphabets):
+            problems.append("alphabet sizes must be >= 1")
+        if self.pmf.shape != self.alphabets:
+            problems.append(
+                f"pmf table shape {self.pmf.shape} != alphabets {self.alphabets}")
+            return problems
+        if not np.isfinite(self.pmf).all():
+            problems.append("pmf has non-finite entries")
+            return problems
+        if float(self.pmf.min(initial=0.0)) < -DELTA:
+            problems.append("pmf has negative entries")
+        total = float(self.pmf.sum())
+        if abs(total - 1.0) > 1e-6:
+            problems.append(f"pmf sums to {total!r}, expected 1")
+        return problems
+
+    @cached_property
     def _marginals(self) -> _PmfMarginals:
         return _PmfMarginals(self.pmf)
 
@@ -176,6 +214,36 @@ class TableSource:
     def exact(self) -> bool:
         """No entry is a float: one scan of the entries per source."""
         return all(not isinstance(v, float) for v in self.entries.values())
+
+    @cached_property
+    def _problems(self) -> list[str]:
+        problems = ["no users"] if self.m < 1 else []
+        full = (1 << self.m) - 1
+        outside = sorted(s for s in self.entries if not 0 <= s <= full)
+        if outside:
+            problems.append(f"entropy table has a mask outside the ground set: "
+                            f"{outside[0]:#x}")
+            return problems
+        missing = full - len(self.entries) + (0 in self.entries)
+        if missing:
+            problems.append(f"entropy table is missing {missing} subsets")
+        if any(isinstance(v, float) and not math.isfinite(v)
+               for v in self.entries.values()):
+            problems.append("entropy table has non-finite entries")
+        zero = self.entries.get(0, 0)
+        if zero != 0:
+            problems.append(f"entropy of the empty set must be 0, got {zero}")
+        if not self.exact:
+            # A table holding a float is compared in floats.
+            for mask in sorted(self.entries):
+                try:
+                    float(self.entries[mask])
+                except OverflowError:
+                    problems.append(
+                        f"entropy of subset {label(mask)} is beyond the float "
+                        f"range, in a table compared in floats")
+                    break
+        return problems
 
     def _entropy(self, mask: int) -> Value:
         return self.entries[mask]
@@ -221,75 +289,10 @@ def make_dmms_source(alphabets, pmf) -> DmmsSource:
 
 
 def validate(source: Source) -> list[str]:
-    """Return a list of violations; empty means the source is usable."""
-    problems: list[str] = []
-    if isinstance(source, LinearSource):
-        if source.m < 1:
-            problems.append("no users")
-        if not ff.is_prime(source.p) or not 2 <= source.p < ff.MAX_MODULUS:
-            problems.append(
-                f"modulus {source.p} is not a prime in [2, 2^61); extension "
-                f"fields are unsupported, pick a prime p > m instead")
-            return problems
-        for i, a in enumerate(source.matrices):
-            if a.cols != source.N:
-                problems.append(f"user {i + 1}: matrix has {a.cols} cols, expected N={source.N}")
-            if a.p != source.p:
-                problems.append(f"user {i + 1}: matrix modulus {a.p} != {source.p}")
-        if not problems:
-            r = source._full_rank
-            if r != source.N:
-                problems.append(
-                    f"collective observations do not determine W: "
-                    f"stacked rank {r} < N = {source.N}")
-    elif isinstance(source, DmmsSource):
-        if len(source.alphabets) < 1:
-            problems.append("no users")
-        if any(a < 1 for a in source.alphabets):
-            problems.append("alphabet sizes must be >= 1")
-        if source.pmf.shape != source.alphabets:
-            problems.append(
-                f"pmf table shape {source.pmf.shape} != alphabets {source.alphabets}")
-            return problems
-        if not np.isfinite(source.pmf).all():
-            problems.append("pmf has non-finite entries")
-            return problems
-        if float(source.pmf.min(initial=0.0)) < -DELTA:
-            problems.append("pmf has negative entries")
-        total = float(source.pmf.sum())
-        if abs(total - 1.0) > 1e-6:
-            problems.append(f"pmf sums to {total!r}, expected 1")
-    elif isinstance(source, TableSource):
-        if source.m < 1:
-            problems.append("no users")
-        full = (1 << source.m) - 1
-        outside = sorted(s for s in source.entries if not 0 <= s <= full)
-        if outside:
-            problems.append(f"entropy table has a mask outside the ground set: "
-                            f"{outside[0]:#x}")
-            return problems
-        missing = full - sum(1 for s in source.entries if 0 < s <= full)
-        if missing:
-            problems.append(f"entropy table is missing {missing} subsets")
-        if any(isinstance(v, float) and not math.isfinite(v)
-               for v in source.entries.values()):
-            problems.append("entropy table has non-finite entries")
-        zero = source.entries.get(0, 0)
-        if zero != 0:
-            problems.append(f"entropy of the empty set must be 0, got {zero}")
-        if not source.exact:
-            # A table holding a float is compared in floats.
-            for mask in sorted(source.entries):
-                try:
-                    float(source.entries[mask])
-                except OverflowError:
-                    problems.append(
-                        f"entropy of subset {label(mask)} is beyond the float "
-                        f"range, in a table compared in floats")
-                    break
-    else:
-        problems.append(f"unknown source type {type(source).__name__}")
-    return problems
+    """Return a new list of violations; empty means the source is usable."""
+    if not isinstance(source, Source):
+        return [f"unknown source type {type(source).__name__}"]
+    return list(source._problems)
 
 
 class EntropyOracle:
@@ -581,8 +584,8 @@ def _row_entropies(marg: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.log2(marg)
         terms *= marg
-    out = -terms.sum(axis=1)
+    out = 0.0 - terms.sum(axis=1)   # +0.0, not -0.0, for a sum of 0
     for i in np.flatnonzero(np.isnan(out)):
         q = marg[i][marg[i] > 0.0]
-        out[i] = -(q * np.log2(q)).sum()
+        out[i] = 0.0 - (q * np.log2(q)).sum()
     return out

@@ -3,8 +3,10 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import random
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -553,6 +555,60 @@ def test_exact_tables_beyond_the_float_range_stay_exact(capsys, tmp_path):
     code, out, err = run(capsys, "rates", str(path))
     assert (code, out) == (2, "")
     assert "entropy table is not submodular" in err
+
+
+@pytest.mark.parametrize("source, message", [
+    ({"kind": "table", "m": 2, "entropies": {"": 1, "1": 1, "2": 1, "1,2": 2}},
+     "entropy of the empty set must be 0, got 1"),
+    ({"kind": "pmf", "alphabets": [2, 2], "entries": {"0,0": -0.5, "1,1": 1.5}},
+     "pmf has negative entries"),
+], ids=["table-empty-set", "pmf-negative"])
+def test_sources_that_fail_their_checks_exit_2(capsys, tmp_path, source, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"source": source}))
+    for command in ("rates", "ilp", "selfcheck"):
+        assert run(capsys, command, str(path)) == (
+            2, "", f"error: {path}.source: {message}\n")
+
+
+def test_one_rates_run_checks_its_source_once(capsys, tmp_path, monkeypatch):
+    # The document's source is checked when it is loaded; the oracle built
+    # on it reads that verdict instead of checking the source again.
+    entropies = {"1": 1.5, "2": 1.5, "3": 1.5, "1,2": 2.5, "1,3": 2.5, "2,3": 2.5,
+                 "1,2,3": 3.0}
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"source": {"kind": "table", "m": 3, "entropies": entropies}}))
+    checked = []
+    isfinite = math.isfinite
+
+    def spy(x):
+        if sys._getframe(1).f_globals["__name__"] == "omniex.sources":
+            checked.append(x)
+        return isfinite(x)
+
+    monkeypatch.setattr(math, "isfinite", spy)
+    code, out, err = run(capsys, "rates", str(path))
+    assert (code, err) == (0, "")
+    assert sorted(checked) == sorted(entropies.values())
+
+
+@pytest.mark.parametrize("alphabets", [[2, 2], [1, 1]])
+def test_a_source_of_entropy_zero_prints_positive_zeros(capsys, tmp_path, alphabets):
+    # The entropy of a deterministic marginal is +0.0, not -0.0, whether
+    # the marginal holds zeros (redone over its positive entries) or not.
+    path = tmp_path / "one-outcome.json"
+    path.write_text(json.dumps(
+        {"source": {"kind": "pmf", "alphabets": alphabets, "entries": {"0,0": 1.0}}}))
+    code, out, err = run(capsys, "rates", str(path))
+    assert (code, err) == (0, "")
+    assert '"key_capacity": 0.0,' in out and "-0.0" not in out
+    code, out, err = run(capsys, "rates", str(path), "--format", "table")
+    assert (code, err) == (0, "")
+    assert "key_capacity  0.0\n" in out and "-0.0" not in out
+    code, report = run_json(capsys, "selfcheck", str(path))
+    assert code == 0 and report["ok"] is True
+    detail = {c["name"]: c.get("detail") for c in report["checks"]}
+    assert detail["sum-rate-partition-formula"] == "iterative 0.0 vs enumerated 0.0"
 
 
 def test_table_with_many_missing_subsets_exits_2(capsys, tmp_path):

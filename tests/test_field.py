@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from omniex import (
     DimensionMismatch,
     FieldMatrix,
+    InvalidN,
     ZeroInverse,
     is_prime,
     kron_block,
@@ -147,6 +148,17 @@ def test_kron_block_rank_scales():
         a = FieldMatrix.random(rng.randint(1, 4), rng.randint(1, 4), 7, rng)
         for n in (1, 2, 3):
             assert kron_block(n, a).rank() == n * a.rank()
+
+
+@pytest.mark.parametrize("n", [0, -1, 2.0])
+def test_block_length_must_be_a_positive_integer(n):
+    # The same check, and message, as every other block length.
+    a = FieldMatrix.from_rows([[1, 2]], 5)
+    message = f"^block length n must be a positive integer, got {n!r}$"
+    with pytest.raises(InvalidN, match=message):
+        kron_block(n, a)
+    with pytest.raises(InvalidN, match=message):
+        RowSpace(2, 5).pack_rows(a, n)
 
 
 def test_rank_inequalities_random_stacks():
