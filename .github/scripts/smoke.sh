@@ -45,6 +45,18 @@ JSON
 omniex rates thirds.json --alpha 3,1,2 > thirds-rates.json
 omniex ilp thirds.json --alpha 3,1,2 --n 3 > thirds-ilp.json
 check_weighted 3 thirds-rates.json thirds-ilp.json
+# Eight users with two random rows each over F_101: their sweeps run list
+# steps and then array steps (64 and 128 keys), on int32 keys, relabeled.
+python - <<'PY'
+import json, random
+rng = random.Random(8)
+rows = [[[rng.randrange(101) for _ in range(12)] for _ in range(2)] for _ in range(8)]
+json.dump({"source": {"kind": "linear", "p": 101, "N": 12, "matrices": rows}},
+          open("eight.json", "w"))
+PY
+omniex rates eight.json --alpha 5,3,8,1,7,2,6,4 > eight-rates.json
+omniex ilp eight.json --alpha 5,3,8,1,7,2,6,4 --n 2 > eight-ilp.json
+check_weighted 2 eight-rates.json eight-ilp.json
 # code refuses p <= m before it solves: example1 over F_2.
 python -c 'import json, sys; doc = json.load(open(sys.argv[1])); doc["source"]["p"] = 2; json.dump(doc, open("f2.json", "w"))' "$problem"
 status=0

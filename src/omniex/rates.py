@@ -45,23 +45,28 @@ entropy function.  A weighted solve that probes the top thus reads
 2^m - 1 fewer entropies (``calls``), while its ``evaluations`` count the
 top as they count a recalled probe.
 
-Each inner minimization is one scan, in whole-array numpy operations, of
-a copy of the oracle's table of every H(X_S) (``EntropyOracle.array``)
-made once per sweep with bit s of an index standing for the s-th user
-visited.  Step s builds its keys in place in the copy's slice
-[2^s, 2^(s+1)), the prefix's subsets joined with that user, from the
-coordinate sums over the prefix, held in the spent slices below it, and
-then doubles those sums over its own keys.  For an exact budget
-beta = num/den the keys are the integers den * (f(S, beta) - Z(S)) less
-a constant, and the tied indices, mapped to users, are OR-ed into the
-union of the minimizers, so no Fraction is built per subset.  The
-keys and the copy are int64 or Python ints (dtype object), decided once
-per sweep: int64 when m^2 * (num + 2 * den * max|H|) stays below 2^62, a
-bound on every key and subset sum the sweep can form, so linear sources
-stay exact and never touch a float.  Float keys take the same step, with
-every candidate within DELTA of the least key a minimizer, a rule that no
-scan order decides; the chosen set's coefficients are summed member by
-member, so printed floats do not move.
+Each inner minimization is one scan of a copy of the oracle's table of
+every H(X_S) (``EntropyOracle.array``), made and scaled by den once per
+sweep with bit s of an index standing for the s-th user visited.  Step s
+builds its keys in place in the copy's slice [2^s, 2^(s+1)), the prefix's
+subsets joined with that user, from the coordinate sums over the prefix,
+held in the spent slices below it, and then doubles those sums over its
+own keys.  A step over more than 32 subsets does this in whole-array
+numpy operations.  Such a step costs about the same at any length up to
+128 keys, more than a Python loop over 32 keys, so the first six steps
+run the same key and tie rule on a list of the copy's first 64 entries,
+written back before the first array step; the crossing depends on the
+interpreter, not on the input, so the size is a constant.  For an exact
+budget beta = num/den the keys are the integers den * (f(S, beta) - Z(S))
+less a constant, and the tied indices, mapped to users, are OR-ed into
+the union of the minimizers, so no Fraction is built per subset.  The
+keys and the copy are int32, int64 or Python ints (dtype object),
+decided once per sweep by a bound on every key and subset sum the sweep
+can form, m^2 * (num + 2 * den * max|H|): int32 below 2^30 and int64
+below 2^62, so linear sources stay exact and never touch a float.  Float
+keys take the same step, with every candidate within DELTA of the least
+key a minimizer, a rule that no scan order decides; the chosen set's
+coefficients are summed member by member, so printed floats do not move.
 ``verify_feasible`` likewise checks every cut at once against one
 doubling table of rate sums, int64 (or Python ints) once exact rates are
 scaled to their common denominator D, by the bound
@@ -115,6 +120,10 @@ MAX_WEIGHTED_ITERATIONS = 10_000
 # A float bracket no wider than this ends on its cheaper endpoint.
 FLOAT_BRACKET_WIDTH = 1e-9
 PARTITION_FORMULA_CAP = 12
+# A sweep step over at most this many subsets runs on a Python list.
+_LIST_STEP = 32
+# The sweep's copy is int32 while its key bound stays below this.
+_INT32_SAFE = 1 << 30
 
 
 def _fold(values: Iterable[Value], start: Value = 0) -> Value:
@@ -138,6 +147,11 @@ class LinearSegment:
     c: tuple[Value, ...]
 
     def rates_at(self, beta: Value) -> tuple[Value, ...]:
+        if isinstance(beta, Fraction) and all(type(ci) is int for ci in self.c):
+            # One Fraction per coordinate: R_i = (b_i * num + c_i * den) / den.
+            num, den = beta.numerator, beta.denominator
+            return tuple(Fraction(bi * num + ci * den, den)
+                         for bi, ci in zip(self.b, self.c))
         return tuple(bi * beta + ci for bi, ci in zip(self.b, self.c))
 
     def slope(self, alpha: Sequence[Value]) -> Value:
@@ -283,9 +297,13 @@ class _Coordinates:
         b, c = self.b, self.c
         bu = 1
         cu = self.oracle.entropy(union) - self.total
-        for i in members(union & ~bit(j)):
+        rest = union & ~bit(j)
+        while rest:   # the members of union - j, lowest first
+            low = rest & -rest
+            i = low.bit_length() - 1
             bu -= b[i]
             cu = cu - c[i]
+            rest ^= low
         if self.exact:
             zj = bu * self.num + cu * self.den
             self.z[j] = Fraction(zj, self.den) if isinstance(self.beta, Fraction) else zj
@@ -332,52 +350,80 @@ def modified_edmond(oracle: EntropyOracle, beta: Value,
     # Keys are den * (f(S, beta) - Z(S)) - shift: integers for a linear
     # source, and the float value of f(S, beta) - Z(S) - shift otherwise.
     shift = num - coords.total * den
-    # Exact keys are int64 when a bound, fixed before the first step, stays
-    # below INT64_SAFE.  den * Z_j is the least den * f(S | j, beta) -
-    # den * Z(S) over the prefix's subsets S.  Let h = max(max|H|, 1) and
-    # U = num + 2 * den * h, where num >= 0.  S empty gives den * Z_j <=
-    # num - den * H(M) + den * H({j}) <= U.  For the minimizer S, den * f >=
-    # -U and the prefix sum den * Z(S) adds at most m - 1 earlier
-    # coordinates, each at most U, so den * Z_j >= -m * U.  Hence every
-    # prefix sum is within (m - 1) * m * U, and every key den * H -
-    # den * Z(S), den itself and each den * Z_j stay within m * m * U.
-    narrow = (exact and peak is not None
-              and m * m * (num + 2 * den * max(peak, 1)) < INT64_SAFE)
-    dtype = np.int64 if narrow else object if exact else np.float64
-    # work[t] = H(t) with bit s of t standing for order[s], a private copy
-    # (astype copies even the index order; numpy 1.24 allows 32 axes,
+    # Exact keys are int32, or int64, when a bound, fixed before the first
+    # step, stays below _INT32_SAFE, or INT64_SAFE.  den * Z_j is the least
+    # den * f(S | j, beta) - den * Z(S) over the prefix's subsets S.  Let
+    # h = max(max|H|, 1) and U = num + 2 * den * h, where num >= 0.  S empty
+    # gives den * Z_j <= num - den * H(M) + den * H({j}) <= U.  For the
+    # minimizer S, den * f >= -U and the prefix sum den * Z(S) adds at most
+    # m - 1 earlier coordinates, each at most U, so den * Z_j >= -m * U.
+    # Hence every prefix sum is within (m - 1) * m * U, and every key
+    # den * H - den * Z(S), den itself and each den * Z_j stay within
+    # m * m * U, so the Python ints den and Z_j that meet the copy fit its
+    # dtype too, under numpy 1.24's value-based casting as under NEP 50.
+    bound = (m * m * (num + 2 * den * max(peak, 1))
+             if exact and peak is not None else INT64_SAFE)
+    narrow = bound < INT64_SAFE
+    dtype = (np.int32 if bound < _INT32_SAFE else np.int64 if narrow
+             else object if exact else np.float64)
+    # work[t] = den * H(t) with bit s of t standing for order[s], a private
+    # copy (astype copies even the index order; numpy 1.24 allows 32 axes,
     # TABLE_CAP is 22).  Step s builds its keys in place in work[k:2k] and
     # then writes over them the doubled prefix sums den * Z(t): work[:k]
     # holds those of the visited prefix (work[0] = H(empty) = 0).
     work = table.reshape((2,) * m).transpose(
         [m - 1 - u for u in reversed(order)]).astype(dtype, order="C").reshape(-1)
-    users = [bit(j) for j in order]
+    if den != 1:
+        np.multiply(work, den, out=work)
+    # Steps over at most _LIST_STEP subsets run on a list of the copy's
+    # head, where a Python loop costs less than the numpy step; the head is
+    # written back before the first array step.
+    head = work[:2 * _LIST_STEP].tolist()
+    users = None if list(order) == list(range(m)) else [bit(j) for j in order]
     ztotal = 0
 
     for s, j in enumerate(order):
         k = 1 << s
-        keys = work[k:2 * k]
         oracle.calls += k   # one ``entropy`` call per set read
-        np.multiply(keys, den, out=keys)
-        np.subtract(keys, work[:k], out=keys)
-        best = np.minimum.reduce(keys)
-        tied = keys == best if exact else keys <= best + DELTA
-        ties = int(np.bitwise_or.reduce(tied.nonzero()[0])) | k
-        union = 0
-        while ties:   # each tied position's user, lowest position first
-            low = ties & -ties
-            union |= users[low.bit_length() - 1]
-            ties ^= low
+        if k <= _LIST_STEP:
+            keys = list(map(operator.sub, head[k:2 * k], head[:k]))
+            best = min(keys)
+            limit = best if exact else best + DELTA
+            ties = k
+            for t, key in enumerate(keys):
+                if key <= limit:
+                    ties |= t
+        else:
+            if k == 2 * _LIST_STEP:
+                work[:k] = head
+            keys = work[k:2 * k]
+            np.subtract(keys, work[:k], out=keys)
+            best = np.minimum.reduce(keys)
+            tied = keys == best if exact else keys <= best + DELTA
+            ties = int(np.bitwise_or.reduce(tied.nonzero()[0])) | k
+            if narrow:
+                best = int(best)
+        union = ties
+        if users is not None:
+            union = 0
+            while ties:   # each tied position's user, lowest position first
+                low = ties & -ties
+                union |= users[low.bit_length() - 1]
+                ties ^= low
         zj = coords.fix(j, union)
         if exact:
-            if zj != (int(best) if narrow else best) + shift:
+            if zj != best + shift:
                 raise NonConvergence(
                     "union of minimizers is not a minimizer; the oracle violates "
                     "intersecting submodularity")
             ztotal = ztotal + zj
         tight.append(union)
         _merge_block(blocks, union)
-        if s < m - 1:   # the last user's doubling would go unread
+        if s == m - 1:   # the last user's doubling would go unread
+            break
+        if k <= _LIST_STEP:
+            head[k:2 * k] = [z + zj for z in head[:k]]
+        else:
             np.add(work[:k], zj, out=keys)
 
     if exact:
@@ -664,13 +710,15 @@ def ilp_rates(oracle: EntropyOracle, alpha: Sequence[Value], n: int,
     # Ties keep the smaller budget, the first in the sorted order.
     best = min((_probe(oracle, alpha, cand, seen) for cand in candidates),
                key=lambda pt: pt.value)
-    bad = [v for v in best.rates.values if (n * Fraction(v)).denominator != 1]
+    # An int or Fraction v in lowest terms is a multiple of 1/n iff its
+    # denominator divides n.
+    bad = [v for v in best.rates.values if n % v.denominator]
     if bad:
         # Each rate is an integer combination of the budget, a multiple of
         # 1/n, and of entropies, so only a fractional entropy explains it.
         for s in range(1, oracle.full_mask + 1):
             h = oracle.entropy(s)
-            if (n * Fraction(h)).denominator != 1:
+            if n % h.denominator:
                 need = (f"ilp at n={n} needs every entropy to be a multiple of "
                         f"1/{n}: H({label(s)})")
                 try:

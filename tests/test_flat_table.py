@@ -44,6 +44,7 @@ from conftest import random_linear_source
 
 P61 = (1 << 61) - 1
 INT64_SAFE = 1 << 62
+INT32_SAFE = 1 << 30
 # The production sweep visits users by ascending weight; the reference
 # sweep takes the order as an argument, and the ids keep the cases' names.
 ORDERINGS = ("ascending",)
@@ -127,10 +128,11 @@ def test_exact_sweep_across_the_int64_boundary(ordering):
         # Budgets far above H(X_M) make den * Z(S), not den * H, the span.
         for x in (Fraction(1, 3), oracle.total() * Fraction(5, 7), oracle.total() + 1,
                   (oracle.total() + 1) * 2 ** 20):
-            # The up-front bound crosses 2^62 at budgets where the keys
-            # themselves stay far below it.
+            # The up-front bound crosses 2^62, where the copy leaves int64,
+            # at budgets where the keys themselves stay far below it; below
+            # 2^30 the copy is int32.
             for limit, span in ((INT64_SAFE, key_span), (2 * INT64_SAFE, key_span),
-                                (INT64_SAFE, sweep_bound)):
+                                (INT64_SAFE, sweep_bound), (INT32_SAFE, sweep_bound)):
                 dens = dens_around(
                     limit, lambda d: span(oracle, budget(x, d), alpha))
                 spans = [span(oracle, budget(x, d), alpha) for d in dens]

@@ -31,6 +31,7 @@ from omniex.setfun import DELTA, bit, members, order_by_weight
 from omniex.sources import TableSource
 
 from conftest import random_linear_source
+from test_flat_table import fraction_table
 
 P61 = (1 << 61) - 1
 # The production sweep visits users by ascending weight; the reference
@@ -124,12 +125,13 @@ def test_sweep_matches_brute_force_at_random_budgets(ordering):
 @pytest.mark.parametrize("ordering", ORDERINGS)
 def test_sweep_matches_brute_force_on_a_fraction_table(ordering, monkeypatch):
     rng = random.Random(19)
-    oracle = fraction_table_oracle(23)
-    assert oracle.exact
-    alpha = tuple(rng.randint(1, 5) for _ in range(oracle.m))
-    betas = recorded_betas(oracle, alpha, monkeypatch)
-    for beta in [*betas, *random_betas(rng, oracle, 6)]:
-        assert_sweep_matches_reference(oracle, beta, alpha, ordering)
+    # At m = 7 the last step's 64 keys, Fractions, are past the list steps.
+    for oracle in (fraction_table_oracle(23), fraction_table(29, 7)):
+        assert oracle.exact
+        alpha = tuple(rng.randint(1, 5) for _ in range(oracle.m))
+        betas = recorded_betas(oracle, alpha, monkeypatch)
+        for beta in [*betas, *random_betas(rng, oracle, 6)]:
+            assert_sweep_matches_reference(oracle, beta, alpha, ordering)
 
 
 def test_sweep_visits_users_by_ascending_weight():
@@ -190,7 +192,7 @@ def reference_float_sweep(oracle, beta, alpha):
 @pytest.mark.parametrize("ordering", ORDERINGS)
 def test_float_sweep_widens_ties_like_the_per_set_scan(ordering):
     rng = random.Random(67)
-    for m in (3, 4, 5, 6):
+    for m in (3, 4, 5, 6, 7, 8):
         for _ in range(25):
             oracle = float_table_oracle(rng, m)
             alpha = tuple(rng.randint(1, 3) for _ in range(m))
@@ -205,7 +207,7 @@ def test_float_sweep_widens_ties_like_the_per_set_scan(ordering):
 def test_float_sweep_matches_brute_force_on_pmf_oracles(ordering, monkeypatch):
     rs = np.random.RandomState(71)
     rng = random.Random(73)
-    for m in (3, 4, 5, 6):
+    for m in (3, 4, 5, 6, 7, 8):
         pmf = rs.dirichlet(np.full(1 << m, 0.3)).reshape((2,) * m)
         oracle = EntropyOracle(make_dmms_source((2,) * m, pmf))
         alpha = tuple(rng.randint(1, 5) for _ in range(m))
@@ -219,17 +221,28 @@ def test_float_sweep_matches_brute_force_on_pmf_oracles(ordering, monkeypatch):
             assert res.evaluations == evaluations
 
 
-@pytest.mark.parametrize("scale", (1, Fraction(2, 3)))
-def test_sweep_raises_nonconvergence_on_a_non_submodular_table(scale):
+@pytest.mark.parametrize("scale, modular", ((1, 0), (Fraction(2, 3), 0), (1, 5)),
+                         ids=("1", "scale1", "array-step"))
+def test_sweep_raises_nonconvergence_on_a_non_submodular_table(scale, modular):
     # At user 3, {1, 3} and {2, 3} tie as minimizers but their union
-    # {1, 2, 3} does not.
+    # {1, 2, 3} does not.  A modular part on ``modular`` users before them,
+    # swept at beta = its entropy, adds a positive amount to a key per
+    # modular user it holds, so the same tie comes at the last step, over
+    # 2^(modular + 2) keys.
     entries = {0b001: 4, 0b010: 4, 0b011: 4, 0b100: 0, 0b101: 0, 0b110: 0,
                0b111: 4}
-    oracle = EntropyOracle(TableSource(
-        m=3, entries={mask: h * scale for mask, h in entries.items()}))
+    m = modular + 3
+    table = {}
+    for mask in range(1, 1 << m):
+        low, high = mask & ((1 << modular) - 1), mask >> modular
+        table[mask] = (bin(low).count("1") + entries.get(high, 0)) * scale
+    oracle = EntropyOracle(TableSource(m=m, entries=table))
     assert oracle.exact
     with pytest.raises(NonConvergence):
-        modified_edmond(oracle, 0)
+        modified_edmond(oracle, modular)
+    # Raised at the last step: without its 2^(m-1) reads the sweep counts
+    # fewer than 2^m - 1 calls.
+    assert oracle.calls >= (1 << m) - 1
 
 
 def reference_feasible(oracle: EntropyOracle, values) -> bool:
